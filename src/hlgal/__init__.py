@@ -1,68 +1,4 @@
 """Hall-Littlewood coefficient polynomials, characters and tableaux via
 positively folded one-skeleton galleries in classical apartments."""
 
-from .apartment import (
-    AffineRoot,
-    Edge,
-    EdgeType,
-    Sector,
-    crossing_sign,
-    faces_at_vertex_of_type,
-    local_root_system,
-    phi_a_minus,
-)
-from .folding import (
-    defining_chain,
-    enumerate_pf,
-    is_LS,
-    is_minimal,
-    is_minimal_pair,
-    is_positively_folded,
-    ls_fold_check,
-    two_step_positively_folded,
-)
-from .gallery import (
-    Gallery,
-    cell_dimension,
-    crossing_counts,
-    enumerate_of_type,
-    gallery_from_json,
-    gallery_to_json,
-    gamma_lambda,
-    gamma_omega,
-    type_of_lambda,
-)
-from .hlengine import L_polynomial, character_LS
-from .oracles import (
-    L_from_direct,
-    freudenthal_character,
-    hall_littlewood_direct,
-    kostka,
-    weyl_dimension,
-)
-from .qpoly import QPoly, leading_data
-from .residue import (
-    choose_sector,
-    closest_chamber_word,
-    enumerate_gamma_plus_op,
-    junction_factor,
-    stats,
-)
-from .rootdata import (
-    RootSystem,
-    RootSystemSpec,
-    bruhat_leq,
-    build_root_system,
-    chamber_classes_of_direction,
-    pairing,
-    root_system,
-)
-from .tableaux import (
-    Tableau,
-    gallery_to_tableau,
-    is_semistandard,
-    shape_partition,
-    tableau_to_gallery,
-)
-
 __version__ = "0.1.0"

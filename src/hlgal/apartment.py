@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
-from .rootdata import RootSystem, Vec, pairing, vneg, vscale, vsub
+from .rootdata import ReflectionGroup, RootSystem, Vec, pairing, vneg, vscale, vsub
 
 SEGMENTS = ("whole", "first", "second")
 
@@ -84,13 +84,15 @@ def is_special(rs: RootSystem, vertex: Vec) -> bool:
     return len(local_key(rs, vertex)) == len(rs.pos_coroots)
 
 
-class LocalRootSystem:
+class LocalRootSystem(ReflectionGroup):
     """The finite Coxeter-complex shadow of the apartment at a vertex.
 
-    Carries the sub-root-system Phi_V (as wall functionals), its Weyl
-    group W_V as a subgroup of W, the local length function, the local
-    simple system, and the base chamber: the W_V-chamber whose interior
-    contains the generic antidominant direction.
+    Carries the sub-root-system Phi_V (as wall functionals) and its Weyl
+    group W_V, a ReflectionGroup on full-group indices whose letters are
+    the sorted local simple functionals, plus the base chamber: the
+    W_V-chamber whose interior contains the generic antidominant
+    direction.  ``two_step`` and ``factors`` memoise the junction tests
+    and junction factors at this residue, keyed by (d_in, d_out).
     """
 
     def __init__(self, rs: RootSystem, key: tuple):
@@ -98,29 +100,8 @@ class LocalRootSystem:
         self.key = key
         self.pos_functionals = tuple(rs.pos_coroots[k] for k in key)
 
-        pos_set = set(self.pos_functionals)
-        gens = [rs.reflections[k] for k in key]
-        members = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for g in gens:
-                    u = rs.mul(g, w)
-                    if u not in members:
-                        members.add(u)
-                        nxt.append(u)
-            frontier = nxt
-        self.elements = tuple(sorted(members, key=lambda i: (rs.length[i], i)))
-        self.element_set = frozenset(self.elements)
-
-        self.local_length = {}
-        for i in self.elements:
-            self.local_length[i] = sum(
-                1 for c in self.pos_functionals if rs.act(i, c) not in pos_set
-            )
-
         # simple system: indecomposable positive functionals
+        pos_set = set(self.pos_functionals)
         simples = []
         for c in self.pos_functionals:
             decomposable = any(
@@ -129,21 +110,21 @@ class LocalRootSystem:
             if not decomposable:
                 simples.append(c)
         self.simples = tuple(sorted(simples))
-        self.simple_reflections = tuple(
-            rs.index[rs.reflection_perm(c)] for c in self.simples
+        super().__init__(
+            0,
+            (rs.index[rs.reflection_perm(c)] for c in self.simples),
+            self.pos_functionals,
+            rs.mul,
+            rs.act,
         )
         self.reflection_indices = tuple(rs.reflections[k] for k in key)
 
-        # generic interior point of the base chamber (antidominant side)
-        v0 = tuple(Q(rs.dim - k) for k in range(rs.dim))
-        self.generic_dominant = v0
-        self.generic_base = vneg(v0)
+        # generic dominant point; its negative is interior to the base chamber
+        self.generic_dominant = tuple(Q(rs.dim - k) for k in range(rs.dim))
 
-        self._chamber_of: dict = {}
         self._base_face: dict = {}
-        self._words: dict = {}
-        self._all_words: dict = {}
-        self._orbits: dict = {}
+        self.two_step: dict = {}
+        self.factors: dict = {}
 
     # chambers are u * base for u in elements
     def in_base_closure(self, d: Vec) -> bool:
@@ -151,38 +132,6 @@ class LocalRootSystem:
 
     def in_chamber_closure(self, u: int, d: Vec) -> bool:
         return self.in_base_closure(self.rs.act(self.rs.inverse[u], d))
-
-    def chamber_of_point(self, p: Vec) -> int:
-        """The u with p in the open chamber u*base; p must avoid all local walls."""
-        hit = self._chamber_of.get(p)
-        if hit is None:
-            for u in self.elements:
-                x = self.rs.act(self.rs.inverse[u], p)
-                if all(pairing(x, c) < 0 for c in self.simples):
-                    hit = u
-                    break
-            else:
-                raise ValueError("point lies on a local wall: %r" % (p,))
-            self._chamber_of[p] = hit
-        return hit
-
-    def orbit(self, d: Vec) -> tuple:
-        hit = self._orbits.get(d)
-        if hit is None:
-            seen = {d}
-            frontier = [d]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for s in self.simple_reflections:
-                        t = self.rs.act(s, u)
-                        if t not in seen:
-                            seen.add(t)
-                            nxt.append(t)
-                frontier = nxt
-            hit = tuple(sorted(seen))
-            self._orbits[d] = hit
-        return hit
 
     def base_face(self, d: Vec) -> Vec:
         """The unique W_V-translate of d lying in the closed base chamber."""
@@ -195,62 +144,19 @@ class LocalRootSystem:
             self._base_face[d] = hit
         return hit
 
-    def left_descents(self, u: int) -> list:
-        return [
-            k
-            for k, s in enumerate(self.simple_reflections)
-            if self.local_length[self.rs.mul(s, u)] < self.local_length[u]
-        ]
-
-    def reduced_word(self, u: int) -> tuple:
-        hit = self._words.get(u)
-        if hit is None:
-            word = []
-            cur = u
-            while self.local_length[cur] > 0:
-                k = min(self.left_descents(cur))
-                word.append(k)
-                cur = self.rs.mul(self.simple_reflections[k], cur)
-            hit = tuple(word)
-            self._words[u] = hit
-        return hit
-
-    def all_reduced_words(self, u: int) -> tuple:
-        hit = self._all_words.get(u)
-        if hit is None:
-            if self.local_length[u] == 0:
-                hit = ((),)
-            else:
-                words = []
-                for k in self.left_descents(u):
-                    rest = self.rs.mul(self.simple_reflections[k], u)
-                    for tail in self.all_reduced_words(rest):
-                        words.append((k,) + tail)
-                hit = tuple(sorted(words))
-            self._all_words[u] = hit
-        return hit
-
-
-_LOCAL_CACHE: dict = {}
-
 
 def local_data(rs: RootSystem, vertex: Vec) -> LocalRootSystem:
-    key = local_key(rs, vertex)
-    return local_data_for_key(rs, key)
+    """Phi_V and its Weyl group; alpha is in Phi_V iff <V, alpha> is integral."""
+    return local_data_for_key(rs, local_key(rs, vertex))
 
 
 def local_data_for_key(rs: RootSystem, key: tuple) -> LocalRootSystem:
-    cache = _LOCAL_CACHE.setdefault(id(rs), {})
-    hit = cache.get(key)
+    """One object per local key, cached on rs."""
+    hit = rs.local_groups.get(key)
     if hit is None:
         hit = LocalRootSystem(rs, key)
-        cache[key] = hit
+        rs.local_groups[key] = hit
     return hit
-
-
-def local_root_system(rs: RootSystem, vertex: Vec) -> LocalRootSystem:
-    """Phi_V and its Weyl group; alpha is in Phi_V iff <V, alpha> is integral."""
-    return local_data(rs, vertex)
 
 
 def crossing_sign(rs: RootSystem, vertex: Vec, direction: Vec, wall: AffineRoot):

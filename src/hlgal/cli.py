@@ -74,7 +74,7 @@ def cmd_L(args) -> int:
     rs = parse_type(args.type)
     lam = parse_coeffs(rs, args.lam, "lambda")
     mu = parse_coeffs(rs, args.mu, "mu")
-    poly = L_polynomial(rs, lam, mu, jobs=args.jobs)
+    poly = L_polynomial(rs, lam, mu)
     if args.format == "json":
         print(json.dumps(poly.to_jsonable()))
     else:
@@ -171,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
         if mu:
             p.add_argument("--mu", required=True, help="coefficients c1,..,cn")
         p.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
     p = sub.add_parser("L", help="print L_{lambda,mu}(q)")
     common(p, mu=True)
@@ -196,8 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="default", choices=("default", "a2-example"))
     p.add_argument("--max-coeff-sum", type=int, default=2)
     p.add_argument("--max-height", type=int, default=12)
-    p.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--format", choices=("json", "pretty"), default="pretty")
     p.add_argument("--verbose", action="store_true")
     p.add_argument(
         "--inject-fault",

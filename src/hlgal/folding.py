@@ -10,7 +10,7 @@ classes containing the successive edges.
 
 from __future__ import annotations
 
-from .apartment import local_data, local_data_for_key, local_key
+from .apartment import LocalRootSystem, local_data
 from .gallery import Gallery, crossing_counts, enumerate_of_type, type_of_lambda
 from .rootdata import RootSystem, Vec, is_zero, pairing, vadd, vneg, vsub
 
@@ -24,17 +24,7 @@ def is_minimal_pair(rs: RootSystem, d_e: Vec, d_f: Vec) -> bool:
     return bool(rs.chamber_classes_of_direction(d_e) & opp)
 
 
-_TWO_STEP_CACHE: dict = {}
-
-
-def _two_step_pf(rs: RootSystem, key: tuple, d_in: Vec, d_out: Vec) -> bool:
-    cache = _TWO_STEP_CACHE.setdefault(id(rs), {})
-    memo_key = (key, d_in, d_out)
-    hit = cache.get(memo_key)
-    if hit is not None:
-        return hit
-
-    local = local_data_for_key(rs, key)
+def _two_step_pf(rs: RootSystem, local: LocalRootSystem, d_in: Vec, d_out: Vec) -> bool:
     reachable = set()
     frontier = []
     for f0 in local.orbit(d_out):
@@ -52,9 +42,7 @@ def _two_step_pf(rs: RootSystem, key: tuple, d_in: Vec, d_out: Vec) -> bool:
                         reachable.add(image)
                         nxt.append(image)
         frontier = nxt
-    hit = d_out in reachable
-    cache[memo_key] = hit
-    return hit
+    return d_out in reachable
 
 
 def two_step_positively_folded(rs: RootSystem, e_in, vertex: Vec, e_out) -> bool:
@@ -65,7 +53,12 @@ def two_step_positively_folded(rs: RootSystem, e_in, vertex: Vec, e_out) -> bool
     """
     d_in = vsub(e_in.start, e_in.end) if hasattr(e_in, "start") else e_in
     d_out = vsub(e_out.end, e_out.start) if hasattr(e_out, "start") else e_out
-    return _two_step_pf(rs, local_key(rs, vertex), d_in, d_out)
+    local = local_data(rs, vertex)
+    hit = local.two_step.get((d_in, d_out))
+    if hit is None:
+        hit = _two_step_pf(rs, local, d_in, d_out)
+        local.two_step[(d_in, d_out)] = hit
+    return hit
 
 
 def locally_positively_folded(rs: RootSystem, g: Gallery) -> bool:
@@ -200,7 +193,7 @@ def ls_fold_check(rs: RootSystem, g: Gallery) -> bool:
             assert len(dominant) == 1
             nu0 = dominant[0]
             hit = min(
-                local.local_length[u]
+                local.length[u]
                 for u in local.elements
                 if rs.act(u, nu0) == d
             )

@@ -193,13 +193,13 @@ def cell_dimension(rs: RootSystem, g: Gallery) -> int:
     return sum(len(phi_a_minus(rs, v, d)) for v, d in zip(g.vertices, g.directions()))
 
 
-def _frac_str(x: Q) -> str:
+def frac_str(x: Q) -> str:
     return "%d/%d" % (x.numerator, x.denominator) if x.denominator != 1 else str(x.numerator)
 
 
 def gallery_to_jsonable(g: Gallery) -> dict:
     return {
-        "vertices": [[_frac_str(x) for x in v] for v in g.vertices],
+        "vertices": [[frac_str(x) for x in v] for v in g.vertices],
         "edge_types": [t.tag() for t in g.gtype],
     }
 

@@ -9,14 +9,13 @@ arithmetic is exact, so the accumulation order does not matter.
 
 from __future__ import annotations
 
-import multiprocessing
 from collections import Counter
 
 from .folding import enumerate_pf, is_LS, is_positively_folded
-from .gallery import Gallery, enumerate_of_type, type_of_lambda
-from .qpoly import QPoly, leading_data
+from .gallery import Gallery, enumerate_of_type, frac_str, type_of_lambda
+from .qpoly import QPoly
 from .residue import first_factor_exponent, junction_factor
-from .rootdata import RootSystem, RootSystemSpec, Vec, build_root_system, vneg
+from .rootdata import RootSystem, Vec, vneg
 
 
 def gallery_term(rs: RootSystem, g: Gallery) -> QPoly:
@@ -33,31 +32,10 @@ def gallery_term(rs: RootSystem, g: Gallery) -> QPoly:
     return total
 
 
-def _term_for_shard(args):
-    family, rank, lam, mu, shard, nshards = args
-    rs = build_root_system(RootSystemSpec(family, rank))
-    galleries = enumerate_pf(rs, lam, mu)
-    acc = QPoly.zero()
-    for k, g in enumerate(galleries):
-        if k % nshards == shard:
-            acc = acc + gallery_term(rs, g)
-    return acc.coeffs
-
-
-def L_polynomial(rs: RootSystem, lam: Vec, mu: Vec, jobs: int = 1) -> QPoly:
+def L_polynomial(rs: RootSystem, lam: Vec, mu: Vec) -> QPoly:
     """L_{lambda,mu}(q) summed over positively folded galleries with target mu."""
     if not rs.is_dominant_weight(lam) or not rs.is_dominant_weight(mu):
         raise ValueError("lambda and mu must be dominant weights")
-    if jobs > 1:
-        args = [
-            (rs.family, rs.rank, lam, mu, shard, jobs) for shard in range(jobs)
-        ]
-        with multiprocessing.Pool(jobs) as pool:
-            partials = pool.map(_term_for_shard, args)
-        total = QPoly.zero()
-        for coeffs in partials:
-            total = total + QPoly(coeffs)
-        return total
     total = QPoly.zero()
     for g in enumerate_pf(rs, lam, mu):
         total = total + gallery_term(rs, g)
@@ -81,22 +59,7 @@ def character_LS(rs: RootSystem, lam: Vec) -> dict:
 
 
 def character_to_jsonable(char: dict) -> list:
-    def frac(x):
-        return "%d/%d" % (x.numerator, x.denominator) if x.denominator != 1 else str(
-            x.numerator
-        )
-
     return [
-        {"weight": [frac(x) for x in w], "mult": m}
+        {"weight": [frac_str(x) for x in w], "mult": m}
         for w, m in sorted(char.items())
     ]
-
-
-__all__ = [
-    "L_polynomial",
-    "character_LS",
-    "character_to_jsonable",
-    "gallery_term",
-    "leading_data",
-    "QPoly",
-]

@@ -221,7 +221,7 @@ def freudenthal_character(rs: RootSystem, lam: Vec) -> dict:
             mult[mu] = int(value)
     out: dict = {}
     for mu, m in mult.items():
-        for nu in rs.weyl_orbit(mu):
+        for nu in rs.weyl.orbit(mu):
             out[rs.canonical_weight(nu)] = m
     return out
 

@@ -166,7 +166,3 @@ class QPoly:
     def from_jsonable(data: dict) -> "QPoly":
         return QPoly(data["coeffs"])
 
-
-def leading_data(p: QPoly) -> tuple:
-    """(degree, leading coefficient) of a nonzero polynomial."""
-    return p.degree(), p.leading_coefficient()

@@ -37,12 +37,8 @@ class ChamberGallery:
     r: int  # folds
 
     def stats(self):
+        """(t, r): away-crossings and folds."""
         return (self.t, self.r)
-
-
-def stats(c: ChamberGallery) -> tuple:
-    """(t, r): away-crossings and folds of a positively folded word."""
-    return c.stats()
 
 
 def closest_chamber_word(rs: RootSystem, vertex: Vec, face_direction: Vec):
@@ -56,7 +52,7 @@ def _closest_chamber_word_local(rs: RootSystem, local: LocalRootSystem, d: Vec):
     best = None
     for u in local.elements:
         if local.in_chamber_closure(u, d):
-            if best is None or local.local_length[u] < local.local_length[best]:
+            if best is None or local.length[u] < local.length[best]:
                 best = u
     if best is None:
         raise ValueError("direction is not a germ at this vertex")
@@ -108,7 +104,7 @@ def enumerate_gamma_plus_op(
         word = canonical_word
     else:
         word = tuple(word)
-        if len(word) != local.local_length[w_d]:
+        if len(word) != local.length[w_d]:
             raise ValueError("word length does not match the closest chamber")
 
     # generic interior point of the sector's local chamber
@@ -140,9 +136,6 @@ def enumerate_gamma_plus_op(
     return tuple(results)
 
 
-_FACTOR_CACHE: dict = {}
-
-
 def junction_factor(
     rs: RootSystem,
     vertex: Vec,
@@ -151,26 +144,25 @@ def junction_factor(
     sector_class: int = None,
     word: tuple = None,
 ) -> QPoly:
-    """Sum of q^t (q-1)^r over the local positively folded galleries."""
-    from .apartment import local_key
+    """Sum of q^t (q-1)^r over the local positively folded galleries.
 
-    cacheable = sector_class is None and word is None
-    if cacheable:
-        cache = _FACTOR_CACHE.setdefault(id(rs), {})
-        memo = (local_key(rs, vertex), d_in, d_out)
-        hit = cache.get(memo)
-        if hit is not None:
-            return hit
-    total = QPoly.zero()
-    for c in enumerate_gamma_plus_op(rs, vertex, d_in, d_out, sector_class, word):
-        total = total + QPoly.term(c.t, c.r)
-    if cacheable:
-        cache[memo] = total
-    return total
+    With the default sector and word the factor is memoised on the local
+    group at the vertex."""
+    if sector_class is None and word is None:
+        memo = local_data(rs, vertex).factors
+    else:
+        memo = {}
+    hit = memo.get((d_in, d_out))
+    if hit is None:
+        hit = QPoly.zero()
+        for c in enumerate_gamma_plus_op(rs, vertex, d_in, d_out, sector_class, word):
+            hit = hit + QPoly.term(c.t, c.r)
+        memo[(d_in, d_out)] = hit
+    return hit
 
 
 def first_factor_exponent(rs: RootSystem, first_direction: Vec) -> int:
     """Length of the closest chamber at the origin containing the first germ."""
     origin = tuple(Q(0) for _ in range(rs.dim))
     u, _ = closest_chamber_word(rs, origin, first_direction)
-    return local_data(rs, origin).local_length[u]
+    return local_data(rs, origin).length[u]

@@ -12,7 +12,8 @@ vertex while the corresponding C_n weight is not.
 All arithmetic is exact (fractions.Fraction); no floats anywhere.
 Weyl group elements are signed permutations of the epsilon basis, stored
 as tuples ``((image, sign), ...)`` meaning ``w(e_j) = sign * e_image``.
-A RootSystem is immutable after construction and safe to share.
+A RootSystem's root data is immutable after construction; the memo tables
+of everything derived from it, local groups included, live on the object.
 """
 
 from __future__ import annotations
@@ -157,12 +158,99 @@ def _root_data(family: str, n: int):
     return pos_roots, pos_coroots, simple_roots, fundamental
 
 
+def _closure(seed, gens, step) -> set:
+    """Everything reachable from seed by repeatedly applying step(g, x), g in gens."""
+    seen = {seed}
+    frontier = [seed]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = step(g, x)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+class ReflectionGroup:
+    """A finite reflection group given by an ordered tuple of simple reflections.
+
+    ``mul(g, w)`` multiplies two elements, ``act(w, v)`` applies one to a
+    vector, and the length of w counts the ``positives`` that w sends
+    outside the positive set.  Letters of words are positions in the simple
+    tuple, so its order decides which reduced word is lexicographically
+    least.  The full Weyl group is one of these on signed permutations in
+    Bourbaki order; each local group W_V is one on full-group indices.
+    Elements are sorted by (length, element).
+    """
+
+    def __init__(self, identity, simple_reflections, positives, mul, act):
+        self.simple_reflections = tuple(simple_reflections)
+        self.mul = mul
+        self.act = act
+        pos_set = set(positives)
+        self.length = {
+            w: sum(1 for c in positives if act(w, c) not in pos_set)
+            for w in _closure(identity, self.simple_reflections, mul)
+        }
+        self.elements = tuple(sorted(self.length, key=lambda w: (self.length[w], w)))
+        self._orbits: dict = {}
+        self._words: dict = {}
+        self._all_words: dict = {}
+
+    def orbit(self, v: Vec) -> tuple:
+        hit = self._orbits.get(v)
+        if hit is None:
+            hit = tuple(sorted(_closure(v, self.simple_reflections, self.act)))
+            self._orbits[v] = hit
+        return hit
+
+    def left_descents(self, w) -> list:
+        return [
+            k
+            for k, s in enumerate(self.simple_reflections)
+            if self.length[self.mul(s, w)] < self.length[w]
+        ]
+
+    def reduced_word(self, w) -> tuple:
+        """Lexicographically least reduced word."""
+        hit = self._words.get(w)
+        if hit is None:
+            word = []
+            cur = w
+            while self.length[cur] > 0:
+                k = min(self.left_descents(cur))
+                word.append(k)
+                cur = self.mul(self.simple_reflections[k], cur)
+            hit = tuple(word)
+            self._words[w] = hit
+        return hit
+
+    def all_reduced_words(self, w) -> tuple:
+        hit = self._all_words.get(w)
+        if hit is None:
+            if self.length[w] == 0:
+                hit = ((),)
+            else:
+                words = []
+                for k in self.left_descents(w):
+                    rest = self.mul(self.simple_reflections[k], w)
+                    for tail in self.all_reduced_words(rest):
+                        words.append((k,) + tail)
+                hit = tuple(sorted(words))
+            self._all_words[w] = hit
+        return hit
+
+
 class RootSystem:
     """Immutable bundle of exact root data plus the full Weyl group.
 
     Elements of W are addressed by integer index; index 0 is the identity
     and the list is sorted by (length, signed permutation) so that the
-    ordering is reproducible.
+    ordering is reproducible.  ``weyl`` is W as a ReflectionGroup on the
+    signed permutations themselves.
     """
 
     def __init__(self, spec: RootSystemSpec):
@@ -190,9 +278,8 @@ class RootSystem:
         # memo tables
         self._chamber_classes: dict = {}
         self._orbit_minreps: dict = {}
-        self._reduced_words: dict = {}
-        self._all_reduced_words: dict = {}
         self._dominance_cache: dict = {}
+        self.local_groups: dict = {}  # local key -> apartment.LocalRootSystem
 
     @staticmethod
     def _vsum(vs):
@@ -218,29 +305,12 @@ class RootSystem:
         return tuple(cols)
 
     def _build_group(self):
-        m = self.dim
         gens = [self.reflection_perm(a) for a in self.simple_roots]
-        seen = {sp_identity(m)}
-        frontier = [sp_identity(m)]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for g in gens:
-                    u = sp_mul(g, w)
-                    if u not in seen:
-                        seen.add(u)
-                        nxt.append(u)
-            frontier = nxt
-
-        pos_set = set(self.pos_roots)
-
-        def length_of(w):
-            return sum(1 for a in self.pos_roots if sp_act(w, a) not in pos_set)
-
-        ranked = sorted(seen, key=lambda w: (length_of(w), w))
-        self.elements = tuple(ranked)
+        self.weyl = ReflectionGroup(sp_identity(self.dim), gens, self.pos_roots, sp_mul, sp_act)
+        ranked = self.weyl.elements
+        self.elements = ranked
         self.index = {w: i for i, w in enumerate(ranked)}
-        self.length = tuple(length_of(w) for w in ranked)
+        self.length = tuple(self.weyl.length[w] for w in ranked)
         self.inverse = tuple(self.index[sp_inv(w)] for w in ranked)
         self.simple_reflections = tuple(self.index[g] for g in gens)
         self.reflections = tuple(self.index[self.reflection_perm(a)] for a in self.pos_roots)
@@ -307,27 +377,10 @@ class RootSystem:
         shift = sum(v, Q(0)) / self.dim
         return tuple(a - shift for a in v)
 
-    def weights_equal(self, u: Vec, v: Vec) -> bool:
-        return self.canonical_weight(u) == self.canonical_weight(v)
-
     def dominant_rep(self, v: Vec) -> Vec:
         if self.family == "A":
             return tuple(sorted(v, reverse=True))
         return tuple(sorted((abs(a) for a in v), reverse=True))
-
-    def weyl_orbit(self, v: Vec) -> tuple:
-        seen = {v}
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for s in self.simple_reflections:
-                    t = self.act(s, u)
-                    if t not in seen:
-                        seen.add(t)
-                        nxt.append(t)
-            frontier = nxt
-        return tuple(sorted(seen))
 
     def stabilizer(self, v: Vec) -> tuple:
         return tuple(i for i in range(self.order()) if self.act(i, v) == v)
@@ -366,38 +419,9 @@ class RootSystem:
 
     # ----------------------------------------------------------- words/cosets
 
-    def left_descents(self, w: int) -> list:
-        return [k for k, s in enumerate(self.simple_reflections)
-                if self.length[self.mul(s, w)] < self.length[w]]
-
     def reduced_word(self, w: int) -> tuple:
-        """Lexicographically least reduced word (letters = simple indices)."""
-        hit = self._reduced_words.get(w)
-        if hit is None:
-            word = []
-            cur = w
-            while self.length[cur] > 0:
-                k = min(self.left_descents(cur))
-                word.append(k)
-                cur = self.mul(self.simple_reflections[k], cur)
-            hit = tuple(word)
-            self._reduced_words[w] = hit
-        return hit
-
-    def all_reduced_words(self, w: int) -> tuple:
-        hit = self._all_reduced_words.get(w)
-        if hit is None:
-            if self.length[w] == 0:
-                hit = ((),)
-            else:
-                words = []
-                for k in self.left_descents(w):
-                    rest = self.mul(self.simple_reflections[k], w)
-                    for tail in self.all_reduced_words(rest):
-                        words.append((k,) + tail)
-                hit = tuple(sorted(words))
-            self._all_reduced_words[w] = hit
-        return hit
+        """Lexicographically least reduced word in the Bourbaki simple letters."""
+        return self.weyl.reduced_word(self.elements[w])
 
     def orbit_min_reps(self, omega: Vec) -> dict:
         """weight in W.omega -> index of the minimal-length w with w(omega) = weight."""
@@ -437,11 +461,3 @@ def build_root_system(spec: RootSystemSpec) -> RootSystem:
 
 def root_system(family: str, rank: int) -> RootSystem:
     return build_root_system(RootSystemSpec(family, rank))
-
-
-def bruhat_leq(rs: RootSystem, u: int, w: int) -> bool:
-    return rs.bruhat_leq(u, w)
-
-
-def chamber_classes_of_direction(rs: RootSystem, d: Vec) -> frozenset:
-    return rs.chamber_classes_of_direction(d)

@@ -25,16 +25,9 @@ class Tableau:
     rank: int
     columns: tuple  # right to left; each column a tuple of letter codes
 
-    def num_letters(self) -> int:
-        return 2 * self.rank if self.family in ("B", "C") else self.rank + 1
-
 
 def bar(rank: int, letter: int) -> int:
     return 2 * rank + 1 - letter
-
-
-def is_barred(rank: int, letter: int) -> bool:
-    return letter > rank
 
 
 def letter_str(family: str, rank: int, letter: int) -> str:

@@ -11,7 +11,7 @@ from hlgal.apartment import (
     expected_germ,
     faces_at_vertex_of_type,
     is_special,
-    local_root_system,
+    local_data,
     phi_a_minus,
     positive_crossings,
 )
@@ -24,7 +24,7 @@ def origin(rs):
 
 
 def test_local_system_at_origin(b2):
-    local = local_root_system(b2, origin(b2))
+    local = local_data(b2, origin(b2))
     assert len(local.pos_functionals) == len(b2.pos_coroots)
     assert len(local.elements) == b2.order()
     assert is_special(b2, origin(b2))
@@ -39,7 +39,7 @@ def test_weights_are_special(a2, b2, c3):
 def test_midpoint_local_system_b2(b2):
     # half of the spin weight sits on one wall family only
     v = vscale(Q(1, 2), b2.weight((0, 1)))
-    local = local_root_system(b2, v)
+    local = local_data(b2, v)
     assert 0 < len(local.pos_functionals) < len(b2.pos_coroots)
     assert not is_special(b2, v)
 
@@ -47,7 +47,7 @@ def test_midpoint_local_system_b2(b2):
 def test_midpoint_of_nonminuscule_b2(b2):
     g = gamma_omega(b2, 1)
     mid = g.vertices[1]
-    local = local_root_system(b2, mid)
+    local = local_data(b2, mid)
     # two orthogonal short-wall families survive at the midpoint
     assert len(local.pos_functionals) == 2
     assert len(local.elements) == 4
@@ -116,8 +116,6 @@ def test_faces_orbit_size_divides_group(c3):
     g = gamma_omega(rs, 2)
     mid = g.vertices[1]
     germ = g.directions()[0]
-    from hlgal.apartment import local_data
-
     local = local_data(rs, mid)
     orbit = faces_at_vertex_of_type(rs, mid, EdgeType(2, "second"), germ)
     assert len(local.elements) % len(orbit) == 0

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from hlgal.cli import main
 
@@ -108,11 +111,45 @@ def test_verify_fault_injection(capsys):
     assert detail["gallery"] != detail["expected"]
 
 
-def test_determinism_across_runs_and_jobs(capsys):
+def test_verify_rejects_csv(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--type", "A1", "--format", "csv"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_determinism_across_runs(capsys):
     args = ["galleries", "--type", "B2", "--lambda", "1,1", "--mu", "0,0", "--format", "json"]
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
-    _, l1, _ = run(capsys, "L", "--type", "A2", "--lambda", "2,1", "--mu", "1,0", "--jobs", "2")
-    _, l2, _ = run(capsys, "L", "--type", "A2", "--lambda", "2,1", "--mu", "1,0")
-    assert l1 == l2
+
+
+# stdout SHA-256 and byte count of L and galleries calls, recorded from the
+# original implementation; a change of reduced-word letter order or of
+# gallery order shows up here
+GOLDEN = [
+    (("L", "--type", "A2", "--lambda", "2,1", "--mu", "1,0"),
+     "9e08488140fafaa756d424669fb55811340275bd97ee858a1bb0211a808ee329", 12),
+    (("L", "--type", "C3", "--lambda", "0,0,2", "--mu", "0,0,0"),
+     "dca6fc5b1b03cb7bd1c3ac6404c44c3770c5c7fd8da63f36981169df3837c612", 19),
+    (("L", "--type", "B4", "--lambda", "1,0,0,1", "--mu", "0,0,0,1"),
+     "4ab76b68c058b884a1ac3fb19ddb68d108ec40fd3b4cdc5f705efb84614f516b", 34),
+    (("L", "--type", "B3", "--lambda", "1,1,0", "--mu", "0,0,1", "--format", "json"),
+     "d441b8e34bf3cf8d1666528a4cf2010b8f2265dc168230bcf21f521d75d71562", 15),
+    (("galleries", "--type", "A2", "--lambda", "2,1", "--mu", "1,0", "--ls-only",
+      "--format", "json"),
+     "1e156a3f2137ee4342af8dc4faed7840d5118cc7b2f98025a62d279d011d7c2e", 1217),
+    (("galleries", "--type", "C3", "--lambda", "1,1,0", "--mu", "1,0,0", "--format", "json"),
+     "86021a93918267854bacf0bce59fbfe8c42941903338913168ed3a08eee46093", 3021),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,sha256,size", GOLDEN, ids=["%s-%s" % (argv[0], argv[2]) for argv, _, _ in GOLDEN]
+)
+def test_golden_stdout(capsys, argv, sha256, size):
+    code, out, _ = run(capsys, *argv)
+    data = out.encode()
+    assert code == 0
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (sha256, size)

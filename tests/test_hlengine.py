@@ -1,9 +1,12 @@
+import gc
+import weakref
+
 import pytest
 
 from hlgal.hlengine import L_polynomial, character_LS
 from hlgal.oracles import L_from_direct, freudenthal_character, weyl_dimension
-from hlgal.qpoly import QPoly, leading_data
-from hlgal.rootdata import pairing, vadd, vneg
+from hlgal.qpoly import QPoly
+from hlgal.rootdata import RootSystem, RootSystemSpec, pairing, vadd, vneg
 
 
 def test_worked_values_a2(a2):
@@ -28,11 +31,15 @@ def test_rejects_nondominant(a2):
 def test_leading_data_examples(a2):
     rs = a2
     lam = rs.weight((2, 1))
-    assert leading_data(L_polynomial(rs, lam, rs.weight((1, 0)))) == (4, 2)
+    p = L_polynomial(rs, lam, rs.weight((1, 0)))
+    assert (p.degree(), p.leading_coefficient()) == (4, 2)
     # L(lam, lam) is monic of degree <2 lam, rho>
-    assert leading_data(L_polynomial(rs, lam, lam)) == (int(2 * pairing(lam, rs.rho)), 1)
+    p = L_polynomial(rs, lam, lam)
+    assert (p.degree(), p.leading_coefficient()) == (int(2 * pairing(lam, rs.rho)), 1)
     with pytest.raises(ValueError):
-        leading_data(QPoly.zero())
+        QPoly.zero().degree()
+    with pytest.raises(ValueError):
+        QPoly.zero().leading_coefficient()
 
 
 def test_degree_bound(b2):
@@ -82,8 +89,14 @@ def test_agrees_with_direct_oracle(c2):
         assert L_polynomial(rs, lam, mu) == L_from_direct(rs, lam, mu)
 
 
-def test_parallel_matches_serial(a2):
-    rs = a2
-    lam = rs.weight((2, 1))
-    mu = rs.weight((1, 0))
-    assert L_polynomial(rs, lam, mu, jobs=2) == L_polynomial(rs, lam, mu)
+def test_root_system_is_freed_after_use():
+    # every memo lives on the root system it describes, so nothing keeps a
+    # dropped system alive
+    rs = RootSystem(RootSystemSpec("B", 2))
+    lam = rs.weight((1, 1))
+    assert L_polynomial(rs, lam, rs.weight((0, 1))) == L_from_direct(rs, lam, rs.weight((0, 1)))
+    assert character_LS(rs, lam)
+    ref = weakref.ref(rs)
+    del rs
+    gc.collect()
+    assert ref() is None

@@ -96,7 +96,7 @@ def test_freudenthal_basics(b2):
     lam = rs.weight((1, 1))
     char = freudenthal_character(rs, lam)
     assert sum(char.values()) == weyl_dimension(rs, lam)
-    for v in rs.weyl_orbit(lam):
+    for v in rs.weyl.orbit(lam):
         assert char[rs.canonical_weight(v)] == 1
 
 

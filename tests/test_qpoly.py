@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hlgal.qpoly import QPoly, leading_data
+from hlgal.qpoly import QPoly
 
 coeff_lists = st.lists(st.integers(-9, 9), max_size=6)
 
@@ -35,9 +35,12 @@ def test_evaluate():
 
 
 def test_leading_data():
-    assert leading_data(QPoly((0, 0, 0, -2, 2))) == (4, 2)
+    p = QPoly((0, 0, 0, -2, 2))
+    assert (p.degree(), p.leading_coefficient()) == (4, 2)
     with pytest.raises(ValueError):
-        leading_data(QPoly.zero())
+        QPoly.zero().degree()
+    with pytest.raises(ValueError):
+        QPoly.zero().leading_coefficient()
 
 
 def test_divide_exact():

@@ -32,15 +32,15 @@ def test_closest_chamber_word_dominant_omega1(a2):
     rs = a2
     u, word = closest_chamber_word(rs, origin(rs), rs.weight((1, 0)))
     local = local_data(rs, origin(rs))
-    assert local.local_length[u] == 2
+    assert local.length[u] == 2
     assert len(word) == 2
     # minimality against exhaustive scan
     best = min(
-        local.local_length[v]
+        local.length[v]
         for v in local.elements
         if local.in_chamber_closure(v, rs.weight((1, 0)))
     )
-    assert local.local_length[u] == best
+    assert local.length[u] == best
 
 
 def test_first_factor_is_origin_length(a2):
