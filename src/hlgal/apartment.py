@@ -92,7 +92,10 @@ class LocalRootSystem(ReflectionGroup):
     the sorted local simple functionals, plus the base chamber: the
     W_V-chamber whose interior contains the generic antidominant
     direction.  ``two_step`` and ``factors`` memoise the junction tests
-    and junction factors at this residue, keyed by (d_in, d_out).
+    and junction factors at this residue, keyed by (d_in, d_out);
+    ``closest`` and ``crossings`` memoise the closest chamber and the
+    (positive, negative) wall-crossing counts of a germ, keyed by its
+    direction.
     """
 
     def __init__(self, rs: RootSystem, key: tuple):
@@ -125,6 +128,8 @@ class LocalRootSystem(ReflectionGroup):
         self._base_face: dict = {}
         self.two_step: dict = {}
         self.factors: dict = {}
+        self.closest: dict = {}
+        self.crossings: dict = {}
 
     # chambers are u * base for u in elements
     def in_base_closure(self, d: Vec) -> bool:
@@ -146,8 +151,14 @@ class LocalRootSystem(ReflectionGroup):
 
 
 def local_data(rs: RootSystem, vertex: Vec) -> LocalRootSystem:
-    """Phi_V and its Weyl group; alpha is in Phi_V iff <V, alpha> is integral."""
-    return local_data_for_key(rs, local_key(rs, vertex))
+    """Phi_V and its Weyl group; alpha is in Phi_V iff <V, alpha> is integral.
+
+    Memoised per vertex on rs, so local_key runs once per distinct vertex."""
+    hit = rs.vertex_locals.get(vertex)
+    if hit is None:
+        hit = local_data_for_key(rs, local_key(rs, vertex))
+        rs.vertex_locals[vertex] = hit
+    return hit
 
 
 def local_data_for_key(rs: RootSystem, key: tuple) -> LocalRootSystem:
@@ -192,20 +203,24 @@ def phi_a_minus(rs: RootSystem, vertex: Vec, direction: Vec) -> frozenset:
     return frozenset(out)
 
 
+def crossings(rs: RootSystem, vertex: Vec, direction: Vec) -> tuple:
+    """(positive, negative): walls through the vertex that the germ leaves
+    into their positive, resp. negative, side.  Memoised on the local group."""
+    local = local_data(rs, vertex)
+    hit = local.crossings.get(direction)
+    if hit is None:
+        sides = [pairing(direction, c) for c in local.pos_functionals]
+        hit = (sum(1 for s in sides if s > 0), sum(1 for s in sides if s < 0))
+        local.crossings[direction] = hit
+    return hit
+
+
 def positive_crossings(rs: RootSystem, vertex: Vec, direction: Vec) -> int:
-    return sum(
-        1
-        for c in rs.pos_coroots
-        if pairing(vertex, c).denominator == 1 and pairing(direction, c) > 0
-    )
+    return crossings(rs, vertex, direction)[0]
 
 
 def negative_crossings(rs: RootSystem, vertex: Vec, direction: Vec) -> int:
-    return sum(
-        1
-        for c in rs.pos_coroots
-        if pairing(vertex, c).denominator == 1 and pairing(direction, c) < 0
-    )
+    return crossings(rs, vertex, direction)[1]
 
 
 def expected_germ(rs: RootSystem, etype: EdgeType) -> Vec:

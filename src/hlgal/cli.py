@@ -1,6 +1,8 @@
 """Command-line frontend.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error.
+Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 internal
+fault (a ValueError, ArithmeticError or AssertionError raised by the library
+on input the command line accepted).
 """
 
 from __future__ import annotations
@@ -41,6 +43,13 @@ def parse_type(text: str):
         return build_root_system(RootSystemSpec(text[0], rank))
     except ValueError as exc:
         raise UsageError(str(exc))
+
+
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be nonnegative, got %d" % value)
+    return value
 
 
 def parse_coeffs(rs, text: str, what: str):
@@ -143,6 +152,8 @@ def cmd_tableaux(args) -> int:
 
 def cmd_verify(args) -> int:
     rs = parse_type(args.type)
+    if args.suite == "a2-example" and (rs.family, rs.rank) != ("A", 2):
+        raise UsageError("the a2-example suite runs on --type A2")
     report = run_suite(
         rs,
         suite=args.suite,
@@ -193,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the oracle-equality and invariant suite")
     p.add_argument("--type", default="A1", help="root system, e.g. A2")
     p.add_argument("--suite", default="default", choices=("default", "a2-example"))
-    p.add_argument("--max-coeff-sum", type=int, default=2)
-    p.add_argument("--max-height", type=int, default=12)
+    p.add_argument("--max-coeff-sum", type=nonnegative_int, default=2)
+    p.add_argument("--max-height", type=nonnegative_int, default=12)
     p.add_argument("--format", choices=("json", "pretty"), default="pretty")
     p.add_argument("--verbose", action="store_true")
     p.add_argument(
@@ -214,9 +225,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    except (ValueError, ArithmeticError, AssertionError) as exc:
+        print("error: internal: %s" % exc, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

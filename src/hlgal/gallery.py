@@ -16,11 +16,10 @@ from fractions import Fraction as Q
 from .apartment import (
     Edge,
     EdgeType,
+    crossings,
     expected_germ,
     faces_at_vertex_of_type,
-    negative_crossings,
     phi_a_minus,
-    positive_crossings,
 )
 from .rootdata import RootSystem, Vec, pairing, vadd, vscale, vsub
 
@@ -183,8 +182,9 @@ def crossing_counts(rs: RootSystem, g: Gallery) -> tuple:
     """(positive, negative, total) wall crossings over all (V_i, E_i)."""
     plus = minus = 0
     for v, d in zip(g.vertices, g.directions()):
-        plus += positive_crossings(rs, v, d)
-        minus += negative_crossings(rs, v, d)
+        p, m = crossings(rs, v, d)
+        plus += p
+        minus += m
     return plus, minus, plus + minus
 
 

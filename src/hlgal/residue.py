@@ -49,14 +49,15 @@ def closest_chamber_word(rs: RootSystem, vertex: Vec, face_direction: Vec):
 
 
 def _closest_chamber_word_local(rs: RootSystem, local: LocalRootSystem, d: Vec):
-    best = None
-    for u in local.elements:
-        if local.in_chamber_closure(u, d):
-            if best is None or local.length[u] < local.length[best]:
-                best = u
-    if best is None:
-        raise ValueError("direction is not a germ at this vertex")
-    return best, local.reduced_word(best)
+    hit = local.closest.get(d)
+    if hit is None:
+        # elements are sorted by length, so the first chamber found is closest
+        best = next((u for u in local.elements if local.in_chamber_closure(u, d)), None)
+        if best is None:
+            raise ValueError("direction is not a germ at this vertex")
+        hit = (best, local.reduced_word(best))
+        local.closest[d] = hit
+    return hit
 
 
 def valid_sector_classes(rs: RootSystem, vertex: Vec, d_in: Vec, d_out: Vec) -> tuple:

@@ -280,6 +280,7 @@ class RootSystem:
         self._orbit_minreps: dict = {}
         self._dominance_cache: dict = {}
         self.local_groups: dict = {}  # local key -> apartment.LocalRootSystem
+        self.vertex_locals: dict = {}  # vertex -> its entry in local_groups
 
     @staticmethod
     def _vsum(vs):

@@ -118,6 +118,32 @@ def test_verify_rejects_csv(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("flag,value", [("--max-coeff-sum", "-1"), ("--max-height", "-5")])
+def test_verify_rejects_negative_bounds(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--type", "A2", flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "nonnegative" in captured.err
+
+
+def test_a2_example_on_other_type_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--type", "B2", "--suite", "a2-example")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "internal" not in err
+
+
+@pytest.mark.parametrize("fault", [ValueError, ArithmeticError, AssertionError])
+def test_library_fault_is_internal_error(capsys, monkeypatch, fault):
+    def broken(rs, lam, mu):
+        raise fault("no valid sector at this junction")
+
+    monkeypatch.setattr("hlgal.cli.L_polynomial", broken)
+    code, out, err = run(capsys, "L", "--type", "A2", "--lambda", "1,0", "--mu", "1,0")
+    assert code == 3 and out == ""
+    assert err == "error: internal: no valid sector at this junction\n"
+
+
 def test_determinism_across_runs(capsys):
     args = ["galleries", "--type", "B2", "--lambda", "1,1", "--mu", "0,0", "--format", "json"]
     _, first, _ = run(capsys, *args)

@@ -96,6 +96,8 @@ def test_root_system_is_freed_after_use():
     lam = rs.weight((1, 1))
     assert L_polynomial(rs, lam, rs.weight((0, 1))) == L_from_direct(rs, lam, rs.weight((0, 1)))
     assert character_LS(rs, lam)
+    assert rs.vertex_locals
+    assert any(local.closest and local.crossings for local in rs.local_groups.values())
     ref = weakref.ref(rs)
     del rs
     gc.collect()
