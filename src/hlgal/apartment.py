@@ -231,20 +231,6 @@ def expected_germ(rs: RootSystem, etype: EdgeType) -> Vec:
     return vscale(Q(1, 2), omega)
 
 
-def faces_at_vertex_of_type(
-    rs: RootSystem, vertex: Vec, etype: EdgeType, reference_direction: Vec
-) -> tuple:
-    """All germs at the vertex of edges of the given type: the W_V-orbit
-    of a reference germ.  The reference must itself be such a germ."""
-    got = rs.dominant_rep(rs.canonical_weight(reference_direction))
-    want = rs.dominant_rep(rs.canonical_weight(expected_germ(rs, etype)))
-    if got != want:
-        raise ValueError(
-            "reference direction %r is not a germ of type %s" % (reference_direction, etype.tag())
-        )
-    return local_data(rs, vertex).orbit(reference_direction)
-
-
 def edge_respects_walls(rs: RootSystem, edge: Edge) -> bool:
     """Face property: the open segment meets no wall it is not contained in."""
     for c in rs.pos_coroots:

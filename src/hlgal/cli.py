@@ -14,14 +14,15 @@ import json
 import sys
 
 from .folding import defining_chain, enumerate_pf, is_LS
-from .gallery import gallery_to_jsonable, type_of_lambda
-from .hlengine import L_polynomial, character_LS, character_to_jsonable
+from .gallery import enumerate_of_type, gallery_to_jsonable, type_of_lambda
+from .hlengine import L_polynomial, character_LS, character_to_jsonable, gallery_term
 from .rootdata import RootSystemSpec, build_root_system
 from .tableaux import (
     gallery_to_tableau,
     is_semistandard,
     pretty,
     shape_partition,
+    tableau_from_jsonable,
     tableau_to_jsonable,
 )
 from .verify import run_suite
@@ -95,17 +96,16 @@ def cmd_galleries(args) -> int:
     rs = parse_type(args.type)
     lam = parse_coeffs(rs, args.lam, "lambda")
     mu = parse_coeffs(rs, args.mu, "mu")
-    from .hlengine import gallery_term
-
     rows = []
     for g in enumerate_pf(rs, lam, mu):
-        if args.ls_only and not is_LS(rs, g):
+        ls = is_LS(rs, g)
+        if args.ls_only and not ls:
             continue
         chain = defining_chain(rs, g)
         rows.append(
             {
                 "gallery": gallery_to_jsonable(g),
-                "ls": is_LS(rs, g),
+                "ls": ls,
                 "defining_chain": [list(rs.reduced_word(w)) for w in chain],
                 "term": list(gallery_term(rs, g).coeffs),
             }
@@ -130,8 +130,6 @@ def cmd_tableaux(args) -> int:
     rs = parse_type(args.type)
     lam = parse_coeffs(rs, args.lam, "lambda")
     rows = []
-    from .gallery import enumerate_of_type
-
     for g in enumerate_of_type(rs, type_of_lambda(rs, lam)):
         tab = gallery_to_tableau(rs, g)
         if args.semistandard and not is_semistandard(tab):
@@ -140,8 +138,6 @@ def cmd_tableaux(args) -> int:
     if args.format == "pretty":
         print("shape: %s" % (list(shape_partition(rs, lam)),))
         for row in rows:
-            from .tableaux import tableau_from_jsonable
-
             print(pretty(tableau_from_jsonable(row)))
             print("--")
         print("count: %d" % len(rows))
@@ -181,10 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lambda", dest="lam", required=True, help="coefficients a1,..,an")
         if mu:
             p.add_argument("--mu", required=True, help="coefficients c1,..,cn")
-        p.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
+        return p.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
 
     p = sub.add_parser("L", help="print L_{lambda,mu}(q)")
-    common(p, mu=True)
+    common(p, mu=True).choices = ("json", "pretty")  # a polynomial has no table form
     p.set_defaults(func=cmd_L)
 
     p = sub.add_parser("galleries", help="list positively folded galleries with target mu")

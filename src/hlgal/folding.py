@@ -45,14 +45,9 @@ def _two_step_pf(rs: RootSystem, local: LocalRootSystem, d_in: Vec, d_out: Vec) 
     return d_out in reachable
 
 
-def two_step_positively_folded(rs: RootSystem, e_in, vertex: Vec, e_out) -> bool:
-    """Positive-folding test for a junction (E ⊃ V ⊂ F).
-
-    Edge objects or plain germ vectors are accepted; as vectors, the
-    incoming germ at V is V_prev - V and the outgoing one V_next - V.
-    """
-    d_in = vsub(e_in.start, e_in.end) if hasattr(e_in, "start") else e_in
-    d_out = vsub(e_out.end, e_out.start) if hasattr(e_out, "start") else e_out
+def two_step_positively_folded(rs: RootSystem, d_in: Vec, vertex: Vec, d_out: Vec) -> bool:
+    """Positive-folding test for a junction (E ⊃ V ⊂ F), given the germs at
+    V: the incoming d_in = V_prev - V and the outgoing d_out = V_next - V."""
     local = local_data(rs, vertex)
     hit = local.two_step.get((d_in, d_out))
     if hit is None:
@@ -80,25 +75,35 @@ def _bits(mask: int) -> list:
     return out
 
 
+def _reachable_masks(rs: RootSystem, dirs):
+    """Forward pass of the defining chain, or None once it dies.
+
+    reachable_k is the set (as a bit mask) of chamber classes containing
+    edge k that lie Bruhat-below something reachable at k-1.
+    """
+    reachable = []
+    for d in dirs:
+        mask = rs.chamber_class_mask(d)
+        if reachable:
+            mask &= rs.below_closure_mask(reachable[-1])
+            if mask == 0:
+                return None
+        reachable.append(mask)
+    return reachable
+
+
 def defining_chain(rs: RootSystem, g: Gallery):
     """A Bruhat-weakly-decreasing witness chain (as element indices), or None.
 
-    Forward pass: reachable_k = classes containing edge k dominated by
-    something reachable at k-1.  The witness walks backwards taking the
-    Bruhat-maximal choice, ties broken by shortest lexicographic reduced
-    word; existence, not the particular witness, is the mathematical
-    content.
+    The witness walks the forward pass backwards taking the Bruhat-maximal
+    choice, ties broken by shortest lexicographic reduced word; existence,
+    not the particular witness, is the mathematical content.
     """
-    dirs = g.directions()
-    if not dirs:
+    reachable = _reachable_masks(rs, g.directions())
+    if reachable is None:
+        return None
+    if not reachable:
         return ()
-    feasible = [rs.chamber_class_mask(d) for d in dirs]
-    reachable = [feasible[0]]
-    for k in range(1, len(dirs)):
-        mask = rs.below_closure_mask(reachable[-1]) & feasible[k]
-        if mask == 0:
-            return None
-        reachable.append(mask)
 
     def pick_max(mask):
         cand = _bits(mask)
@@ -107,7 +112,7 @@ def defining_chain(rs: RootSystem, g: Gallery):
         return maximal[0]
 
     chain = [pick_max(reachable[-1])]
-    for k in range(len(dirs) - 2, -1, -1):
+    for k in range(len(reachable) - 2, -1, -1):
         allowed = 0
         for w in _bits(reachable[k]):
             if rs.bruhat_leq(chain[0], w):
@@ -127,7 +132,8 @@ def is_minimal(rs: RootSystem, g: Gallery) -> bool:
 
 
 def is_positively_folded(rs: RootSystem, g: Gallery) -> bool:
-    return locally_positively_folded(rs, g) and defining_chain(rs, g) is not None
+    """Folded positively at every junction, with a defining chain."""
+    return locally_positively_folded(rs, g) and _reachable_masks(rs, g.directions()) is not None
 
 
 def type_weight(rs: RootSystem, gtype) -> Vec:

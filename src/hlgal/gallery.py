@@ -18,10 +18,10 @@ from .apartment import (
     EdgeType,
     crossings,
     expected_germ,
-    faces_at_vertex_of_type,
+    local_data,
     phi_a_minus,
 )
-from .rootdata import RootSystem, Vec, pairing, vadd, vscale, vsub
+from .rootdata import RootSystem, Vec, vadd, vscale, vsub
 
 GalleryType = tuple  # tuple of EdgeType
 
@@ -63,17 +63,8 @@ def _origin(rs: RootSystem) -> Vec:
     return tuple(Q(0) for _ in range(rs.dim))
 
 
-def minuscule_scale(rs: RootSystem, i: int) -> int:
-    """Largest pairing of omega_i against a positive wall; 1 means minuscule."""
-    omega = rs.fundamental_weights[i - 1]
-    top = max(pairing(omega, c) for c in rs.pos_coroots)
-    if top not in (1, 2):
-        raise AssertionError("fundamental weight pairs beyond 2; outside A/B/C scope")
-    return int(top)
-
-
 def fundamental_type(rs: RootSystem, i: int) -> tuple:
-    if minuscule_scale(rs, i) == 1:
+    if rs.fundamental_scale[i - 1] == 1:
         return (EdgeType(i, "whole"),)
     return (EdgeType(i, "first"), EdgeType(i, "second"))
 
@@ -84,7 +75,7 @@ def gamma_omega(rs: RootSystem, i: int) -> Gallery:
         raise ValueError("no fundamental weight with index %d" % i)
     omega = rs.fundamental_weights[i - 1]
     o = _origin(rs)
-    if minuscule_scale(rs, i) == 1:
+    if rs.fundamental_scale[i - 1] == 1:
         return Gallery((o, omega), fundamental_type(rs, i))
     mid = vscale(Q(1, 2), omega)
     return Gallery((o, mid, omega), fundamental_type(rs, i))
@@ -144,37 +135,34 @@ def _blocks(gtype: GalleryType):
 
 def enumerate_of_type(rs: RootSystem, gtype: GalleryType):
     """All galleries with source 0 of the given type, in a reproducible
-    depth-first order (direction choices sorted lexicographically)."""
-    blocks = _blocks(tuple(gtype))
+    depth-first order (direction choices sorted lexicographically).
 
-    def rec(vertex, vertices, types_done, block_idx):
-        if block_idx == len(blocks):
-            yield Gallery(tuple(vertices), tuple(types_done))
+    The germs of an edge are the local orbit of one reference germ: the
+    dominant germ of its type for a whole or first edge, the germ just
+    taken for a second half."""
+    gtype = tuple(gtype)
+    refs = []
+    for block in _blocks(gtype):
+        refs += [expected_germ(rs, block[0])] + [None] * (len(block) - 1)
+
+    def rec(vertices, prev):
+        k = len(vertices) - 1
+        if k == len(gtype):
+            yield Gallery(tuple(vertices), gtype)
             return
-        block = blocks[block_idx]
-        head = block[0]
-        for d in faces_at_vertex_of_type(rs, vertex, head, expected_germ(rs, head)):
-            v1 = vadd(vertex, d)
-            if len(block) == 1:
-                yield from rec(v1, vertices + [v1], types_done + [head], block_idx + 1)
-            else:
-                tail = block[1]
-                for d2 in faces_at_vertex_of_type(rs, v1, tail, d):
-                    v2 = vadd(v1, d2)
-                    yield from rec(
-                        v2, vertices + [v1, v2], types_done + [head, tail], block_idx + 1
-                    )
+        v = vertices[-1]
+        for d in local_data(rs, v).orbit(prev if refs[k] is None else refs[k]):
+            yield from rec(vertices + [vadd(v, d)], d)
 
-    yield from rec(_origin(rs), [_origin(rs)], [], 0)
+    yield from rec([_origin(rs)], None)
 
 
 def count_of_type(rs: RootSystem, lam: Vec) -> int:
     """Product of the local orbit sizes along the standard gallery."""
     g = gamma_lambda(rs, lam)
     total = 1
-    dirs = g.directions()
-    for i, e in enumerate(g.edges):
-        total *= len(faces_at_vertex_of_type(rs, e.start, e.etype, dirs[i]))
+    for v, d in zip(g.vertices, g.directions()):
+        total *= len(local_data(rs, v).orbit(d))
     return total
 
 

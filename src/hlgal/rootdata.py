@@ -269,6 +269,11 @@ class RootSystem:
             self.pos_coroots[self.pos_roots.index(a)] for a in self.simple_roots
         )
         self.fundamental_weights = tuple(fundamental)
+        # largest pairing of each omega_i with a positive coroot; 1 means minuscule
+        tops = [max(pairing(w, c) for c in self.pos_coroots) for w in self.fundamental_weights]
+        if any(t not in (1, 2) for t in tops):
+            raise AssertionError("fundamental weight pairs beyond 2; outside A/B/C scope")
+        self.fundamental_scale = tuple(int(t) for t in tops)
         self.rho = vscale(Q(1, 2), self._vsum(self.pos_coroots))
         self.rho_weight = vscale(Q(1, 2), self._vsum(self.pos_roots))
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
-from .apartment import EdgeType, faces_at_vertex_of_type
-from .gallery import Gallery, minuscule_scale
+from .apartment import EdgeType, expected_germ, local_data
+from .gallery import Gallery
 from .rootdata import RootSystem, Vec, vadd, vscale
 
 
@@ -88,10 +88,10 @@ def _weight_column(rs: RootSystem, v: Vec, spin: bool) -> tuple:
 
 
 def _block_columns(rs: RootSystem, i: int):
-    """(number of columns, spin flag) for an omega_i block."""
-    single = minuscule_scale(rs, i) == 1
+    """(number of columns, spin flag) for an omega_i block; the column
+    count is omega_i's wall scale."""
     spin = rs.family == "B" and i == rs.rank
-    return (1 if single else 2), spin
+    return rs.fundamental_scale[i - 1], spin
 
 
 def gallery_to_tableau(rs: RootSystem, g: Gallery) -> Tableau:
@@ -157,8 +157,7 @@ def tableau_to_gallery(rs: RootSystem, tab: Tableau) -> Gallery:
             _check_orbit_member(rs, d1, EdgeType(i, "first"))
             mid = vadd(vertices[-1], d1)
             d2 = vscale(Q(1, 2), w2)
-            allowed = faces_at_vertex_of_type(rs, mid, EdgeType(i, "second"), d1)
-            if d2 not in allowed:
+            if d2 not in local_data(rs, mid).orbit(d1):
                 raise ValueError("second column is not reachable at the midpoint")
             vertices.append(mid)
             vertices.append(vadd(mid, d2))
@@ -169,8 +168,6 @@ def tableau_to_gallery(rs: RootSystem, tab: Tableau) -> Gallery:
 
 
 def _check_orbit_member(rs: RootSystem, d: Vec, etype: EdgeType):
-    from .apartment import expected_germ
-
     want = rs.dominant_rep(rs.canonical_weight(expected_germ(rs, etype)))
     if rs.dominant_rep(rs.canonical_weight(d)) != want:
         raise ValueError("column weight is not in the %s orbit" % etype.tag())

@@ -8,18 +8,19 @@ can prove to itself that it detects disagreements.
 
 from __future__ import annotations
 
-from collections import Counter
+from fractions import Fraction as Q
 
-from .folding import is_LS, is_positively_folded
+from .folding import is_positively_folded
 from .gallery import (
     cell_dimension,
     crossing_counts,
     enumerate_of_type,
     type_of_lambda,
 )
-from .hlengine import character_LS, gallery_term
+from .hlengine import L_polynomial, character_LS, gallery_term
 from .oracles import (
     L_from_expansion,
+    exponent_scale,
     freudenthal_character,
     hall_littlewood_direct,
     kostka,
@@ -50,10 +51,6 @@ def dominant_lambdas(rs: RootSystem, max_coeff_sum: int, max_height: int) -> lis
 
 def _dominant_mus(rs: RootSystem, pf_galleries, pmap) -> list:
     """Dominant mu seen on either route (gallery targets, oracle support)."""
-    from fractions import Fraction as Q
-
-    from .oracles import exponent_scale
-
     seen = {}
     for g in pf_galleries:
         if rs.is_dominant(g.target):
@@ -92,27 +89,24 @@ def check_system(
     for lam in dominant_lambdas(rs, max_coeff_sum, max_height):
         lam_c = [int(c) for c in rs.weight_coeffs(lam)]
         galleries = tuple(enumerate_of_type(rs, type_of_lambda(rs, lam)))
-        pf = tuple(g for g in galleries if is_positively_folded(rs, g))
+        folded = [is_positively_folded(rs, g) for g in galleries]
+        pf = tuple(g for g, ok in zip(galleries, folded) if ok)
         pmap = hall_littlewood_direct(rs, lam)
         height = int(2 * pairing(lam, rs.rho))
 
         # combinatorial invariants over every gallery of the type
         bad_cross = bad_cell = bad_tab = bad_round = 0
-        ls_count = Counter()
-        for g in galleries:
+        for g, ok in zip(galleries, folded):
             plus, minus, both = crossing_counts(rs, g)
             if both != height:
                 bad_cross += 1
             if cell_dimension(rs, g) != plus:
                 bad_cell += 1
             tab = gallery_to_tableau(rs, g)
-            if is_semistandard(tab) != (g in pf):
+            if is_semistandard(tab) != ok:
                 bad_tab += 1
             if tableau_to_gallery(rs, tab) != g:
                 bad_round += 1
-        for g in pf:
-            if is_LS(rs, g):
-                ls_count[rs.canonical_weight(g.target)] += 1
         record(
             "crossings-constant[%s]" % lam_c,
             bad_cross == 0,
@@ -173,7 +167,7 @@ def check_system(
             )
             bound = pairing(vadd(lam, mu), rs.rho)
             ok_deg = l_gal.is_zero() or l_gal.degree() <= bound
-            n_ls = ls_count.get(mu_canon, 0)
+            n_ls = char.get(mu_canon, 0)
             if n_ls:
                 ok_deg = (
                     ok_deg
@@ -191,8 +185,6 @@ def check_system(
 
 def a2_example_records(rs: RootSystem, fault: str = None) -> list:
     """The worked rank-2 values: lambda = 2w1 + w2."""
-    from .hlengine import L_polynomial
-
     lam = rs.weight((2, 1))
     expected = {
         (2, 1): QPoly((0, 0, 0, 0, 0, 0, 1)),  # q^6

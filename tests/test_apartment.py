@@ -9,14 +9,16 @@ from hlgal.apartment import (
     crossing_sign,
     edge_respects_walls,
     expected_germ,
-    faces_at_vertex_of_type,
     is_special,
     local_data,
     phi_a_minus,
     positive_crossings,
 )
-from hlgal.gallery import gamma_lambda, gamma_omega
-from hlgal.rootdata import pairing, vadd, vneg, vscale
+from hlgal.gallery import enumerate_of_type, gamma_lambda, gamma_omega, type_of_lambda
+from hlgal.rootdata import pairing, root_system, vadd, vneg, vscale
+from hlgal.verify import dominant_lambdas
+
+ACCEPTANCE_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("B", 3), ("C", 3)]
 
 
 def origin(rs):
@@ -97,7 +99,7 @@ def test_phi_a_minus_matches_positive_crossings(b2):
 def test_faces_at_special_vertex_is_full_orbit(a2):
     rs = a2
     t = EdgeType(1, "whole")
-    orbit = faces_at_vertex_of_type(rs, origin(rs), t, expected_germ(rs, t))
+    orbit = local_data(rs, origin(rs)).orbit(expected_germ(rs, t))
     assert len(orbit) == 3
     assert expected_germ(rs, t) in orbit
 
@@ -107,7 +109,7 @@ def test_faces_at_midpoint_matches_sign_changes(b2):
     g = gamma_omega(b2, 1)
     mid = g.vertices[1]
     germ = g.directions()[0]
-    orbit = faces_at_vertex_of_type(b2, mid, EdgeType(1, "second"), germ)
+    orbit = local_data(b2, mid).orbit(germ)
     assert set(orbit) == {germ, vneg(germ)}
 
 
@@ -117,15 +119,8 @@ def test_faces_orbit_size_divides_group(c3):
     mid = g.vertices[1]
     germ = g.directions()[0]
     local = local_data(rs, mid)
-    orbit = faces_at_vertex_of_type(rs, mid, EdgeType(2, "second"), germ)
+    orbit = local.orbit(germ)
     assert len(local.elements) % len(orbit) == 0
-
-
-def test_faces_rejects_wrong_reference(a2):
-    with pytest.raises(ValueError):
-        faces_at_vertex_of_type(
-            a2, origin(a2), EdgeType(2, "whole"), a2.weight((1, 0))
-        )
 
 
 def test_gallery_edges_respect_walls(b3, c3):
@@ -140,30 +135,30 @@ def test_gallery_edges_respect_walls(b3, c3):
 
 
 def test_all_enumerated_edges_are_faces(b2):
-    from hlgal.gallery import enumerate_of_type, type_of_lambda
-
     rs = b2
     for g in enumerate_of_type(rs, type_of_lambda(rs, rs.weight((1, 1)))):
         for e in g.edges:
             assert edge_respects_walls(rs, e)
 
 
-def test_edge_tags_name_the_germ_class(c3):
-    # two edges carry the same type tag iff their germs are W-conjugate
-    # after undoing the half-edge scaling
-    from hlgal.gallery import enumerate_of_type, type_of_lambda
+def test_edge_tags_name_the_germ_class():
+    # every edge the walk takes has a germ W-conjugate to the dominant
+    # germ of its type tag (after the invariant line in type A), and
+    # blocks of different fundamental weights have different germ classes
+    for family, rank in ACCEPTANCE_TYPES:
+        rs = root_system(family, rank)
 
-    rs = c3
-    by_tag = {}
-    for g in enumerate_of_type(rs, type_of_lambda(rs, rs.weight((1, 1, 0)))):
-        for e, d in zip(g.edges, g.directions()):
-            by_tag.setdefault(e.etype.tag(), set()).add(
-                rs.dominant_rep(rs.canonical_weight(d))
-            )
-    for tag, reps in by_tag.items():
-        assert len(reps) == 1, tag
-    reps = {tag: next(iter(r)) for tag, r in by_tag.items()}
-    assert reps["1:whole"] != reps["2:first"]
+        def germ_class(d):
+            return rs.dominant_rep(rs.canonical_weight(d))
+
+        by_index = {}
+        for lam in dominant_lambdas(rs, 2, 16):
+            for g in enumerate_of_type(rs, type_of_lambda(rs, lam)):
+                for t, d in zip(g.gtype, g.directions()):
+                    assert germ_class(d) == germ_class(expected_germ(rs, t)), (family, rank, t.tag())
+                    by_index[t.index] = germ_class(d)
+        assert sorted(by_index) == list(range(1, rank + 1))
+        assert len(set(by_index.values())) == rank
 
 
 def test_sector_contains_direction(b2):

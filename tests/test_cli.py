@@ -111,6 +111,13 @@ def test_verify_fault_injection(capsys):
     assert detail["gallery"] != detail["expected"]
 
 
+def test_l_rejects_csv(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["L", "--type", "A2", "--lambda", "2,1", "--mu", "1,0", "--format", "csv"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_rejects_csv(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--type", "A1", "--format", "csv"])
@@ -151,9 +158,9 @@ def test_determinism_across_runs(capsys):
     assert first == second
 
 
-# stdout SHA-256 and byte count of L and galleries calls, recorded from the
-# original implementation; a change of reduced-word letter order or of
-# gallery order shows up here
+# stdout SHA-256 and byte count of one call of each kind, recorded from the
+# original implementation; a change of reduced-word letter order, of
+# gallery order or of the order of the walk shows up here
 GOLDEN = [
     (("L", "--type", "A2", "--lambda", "2,1", "--mu", "1,0"),
      "9e08488140fafaa756d424669fb55811340275bd97ee858a1bb0211a808ee329", 12),
@@ -168,6 +175,18 @@ GOLDEN = [
      "1e156a3f2137ee4342af8dc4faed7840d5118cc7b2f98025a62d279d011d7c2e", 1217),
     (("galleries", "--type", "C3", "--lambda", "1,1,0", "--mu", "1,0,0", "--format", "json"),
      "86021a93918267854bacf0bce59fbfe8c42941903338913168ed3a08eee46093", 3021),
+    (("char", "--type", "A2", "--lambda", "1,0"),
+     "68060ff2934f9365933d5c9cc9001662457c8f5ce0318726ab7a92b9bbf3fa2a", 66),
+    (("char", "--type", "B3", "--lambda", "1,0,1"),
+     "2f43e6265b11a728660c27ca2ccb08f88d8cbe5e7c8848d0ca5a7b6316b0b03f", 688),
+    (("char", "--type", "C4", "--lambda", "0,1,0,0", "--format", "json"),
+     "72fe327460ec5b4247aa72e4bbf51b2660ce8e515c8cdc1418b93e2ead8a3fc9", 2252),
+    (("tableaux", "--type", "C3", "--lambda", "1,1,0", "--semistandard"),
+     "5e034c6f64dcfe06e090b23c8a92b98fd9b9fffeb28d0124f2b248da7683be45", 1384),
+    (("tableaux", "--type", "A3", "--lambda", "1,1,0", "--semistandard", "--format", "json"),
+     "a8f247e616304db1f8c61d387057f247385e800bc999df8001429ef70b659775", 3123),
+    (("verify", "--type", "A2", "--suite", "a2-example"),
+     "c36cf96d6ec2a15c338a535459d6b7ae0b4ce417a60c475d3fd56bce0c379535", 32),
 ]
 
 

@@ -24,6 +24,7 @@ from hlgal.gallery import (
 )
 from hlgal.oracles import weyl_dimension
 from hlgal.rootdata import vneg
+from hlgal.verify import dominant_lambdas
 
 
 def test_minimal_pair_basics(a2):
@@ -126,6 +127,25 @@ def test_defining_chain_brute_force_agreement(b2):
 
         exists = any(search(1, t0) for t0 in feasible[0])
         assert (chain is not None) == exists
+
+
+def test_pf_test_agrees_with_defining_chain(a2, b2, c2, b3, c3):
+    # the folding test reads only the chain's forward pass; it must accept
+    # exactly the galleries that are locally folded and have a chain.  On
+    # standard types every locally folded gallery has one, so the rank-2
+    # zigzag types w_i w_j w_i, where some have none, are checked as well
+    types = [(rs, type_of_lambda(rs, lam)) for rs in (a2, b2, c2, b3, c3)
+             for lam in dominant_lambdas(rs, 2, 10**6)]
+    types += [(rs, fundamental_type(rs, i) + fundamental_type(rs, j) + fundamental_type(rs, i))
+              for rs in (a2, b2, c2) for i, j in ((1, 2), (2, 1))]
+    chainless = 0
+    for rs, gtype in types:
+        for g in enumerate_of_type(rs, gtype):
+            local = locally_positively_folded(rs, g)
+            chain = defining_chain(rs, g)
+            assert is_positively_folded(rs, g) == (local and chain is not None)
+            chainless += local and chain is None
+    assert chainless == 96
 
 
 def test_minimality(a2):

@@ -79,6 +79,15 @@ def test_enumeration_count_is_orbit_product(b2, c3):
         assert len(set(gals)) == len(gals)
 
 
+def test_enumeration_sorted_by_direction_sequence(a2, b2, c3, b3):
+    # the depth-first walk takes each germ's choices in sorted order, so
+    # the galleries come out sorted by their direction sequences
+    for rs, coeffs in ((a2, (2, 1)), (b2, (1, 1)), (c3, (0, 1, 0)), (b3, (1, 0, 1))):
+        dirs = [g.directions() for g in enumerate_of_type(rs, type_of_lambda(rs, rs.weight(coeffs)))]
+        assert dirs == sorted(dirs)
+        assert len(set(dirs)) == len(dirs) == count_of_type(rs, rs.weight(coeffs))
+
+
 def test_concat_target_arithmetic(a2):
     g1 = gamma_omega(a2, 1)
     g2 = gamma_omega(a2, 2)

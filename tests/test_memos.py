@@ -12,7 +12,6 @@ import pytest
 from hlgal.apartment import (
     crossings,
     expected_germ,
-    faces_at_vertex_of_type,
     local_data,
     local_data_for_key,
     local_key,
@@ -103,7 +102,7 @@ def test_first_factor_exponent_counts_positive_crossings():
         origin = tuple(Q(0) for _ in range(rs.dim))
         for i in range(1, rank + 1):
             head = fundamental_type(rs, i)[0]
-            for d in faces_at_vertex_of_type(rs, origin, head, expected_germ(rs, head)):
+            for d in local_data(rs, origin).orbit(expected_germ(rs, head)):
                 assert first_factor_exponent(rs, d) == positive_crossings(rs, origin, d)
                 checked += 1
     assert checked == 280

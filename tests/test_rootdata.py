@@ -177,3 +177,14 @@ def test_rank_four_supported(family, order):
     # Bruhat covers are consistent at this scale too
     assert rs.bruhat_leq(0, rs.w0)
     assert rs.length[rs.w0] == len(rs.pos_roots)
+
+
+@pytest.mark.parametrize("family", "ABC")
+def test_fundamental_scale_marks_minuscule_weights(family):
+    # omega_i pairs with every positive coroot in {0, 1} exactly when it is
+    # minuscule: all of A, the spin weight omega_n of B, and omega_1 of C
+    for rank in range(1, 5):
+        rs = root_system(family, rank)
+        minuscule = {"A": range(1, rank + 1), "B": (rank,), "C": (1,)}[family]
+        expected = tuple(1 if i in minuscule else 2 for i in range(1, rank + 1))
+        assert rs.fundamental_scale == expected, (family, rank)
