@@ -16,12 +16,11 @@ from .rootdata import RootSystem, Vec, is_zero, pairing, vadd, vneg, vsub
 
 
 def is_minimal_pair(rs: RootSystem, d_e: Vec, d_f: Vec) -> bool:
-    """Two germs at a common vertex lying in opposite sectors."""
+    """Two germs at a common vertex lying in opposite sectors: d_f lies in
+    w(C) exactly when -d_f lies in w w0(C), the opposite of w(C)."""
     if is_zero(d_e) or is_zero(d_f):
         raise ValueError("zero direction")
-    flip = rs.w0
-    opp = frozenset(rs.mul(w, flip) for w in rs.chamber_classes_of_direction(d_f))
-    return bool(rs.chamber_classes_of_direction(d_e) & opp)
+    return bool(rs.chamber_class_mask(d_e) & rs.chamber_class_mask(vneg(d_f)))
 
 
 def _two_step_pf(rs: RootSystem, local: LocalRootSystem, d_in: Vec, d_out: Vec) -> bool:
@@ -146,9 +145,9 @@ def type_weight(rs: RootSystem, gtype) -> Vec:
 
 
 def is_LS(rs: RootSystem, g: Gallery) -> bool:
-    """Maximal positive-crossing count among positively folded galleries."""
+    """Positively folded with the maximal positive-crossing count."""
     if not is_positively_folded(rs, g):
-        raise ValueError("LS test applies to positively folded galleries only")
+        return False
     lam = type_weight(rs, g.gtype)
     bound = pairing(vadd(lam, g.target), rs.rho)
     plus = crossing_counts(rs, g)[0]
@@ -175,36 +174,20 @@ def ls_fold_check(rs: RootSystem, g: Gallery) -> bool:
     if g.num_edges() == 1:
         return True  # minuscule blocks have no interior vertex, no folds
 
-    i = next(iter(indices))
-    omega = rs.fundamental_weights[i - 1]
     mid = g.vertices[1]
     local = local_data(rs, mid)
     d1 = vsub(g.vertices[1], g.vertices[0])
     d2 = vsub(g.vertices[2], g.vertices[1])
 
-    def coset_point(d):
-        # half-edge germs: the ray through d meets W.omega at 2d
-        return tuple(2 * x for x in d)
-
-    local_len_cache: dict = {}
-
     def local_coset_length(d):
-        hit = local_len_cache.get(d)
-        if hit is None:
-            dominant = [
-                u
-                for u in local.orbit(d)
-                if all(pairing(u, c) >= 0 for c in local.pos_functionals)
-            ]
-            assert len(dominant) == 1
-            nu0 = dominant[0]
-            hit = min(
-                local.length[u]
-                for u in local.elements
-                if rs.act(u, nu0) == d
-            )
-            local_len_cache[d] = hit
-        return hit
+        dominant = [
+            u
+            for u in local.orbit(d)
+            if all(pairing(u, c) >= 0 for c in local.pos_functionals)
+        ]
+        assert len(dominant) == 1
+        # local.elements is sorted by length, so the first match is minimal
+        return next(local.length[u] for u in local.elements if rs.act(u, dominant[0]) == d)
 
     best_flag: dict = {}
     frontier = []
@@ -215,17 +198,18 @@ def ls_fold_check(rs: RootSystem, g: Gallery) -> bool:
     while frontier:
         nxt = []
         for d in frontier:
-            tau = coset_point(d)
+            # a half-edge germ d has the W/Stab(omega) class of 2d in W.omega
+            tau = rs.min_coset_rep(d)
             for refl in local.reflection_indices:
                 image = rs.act(refl, d)
                 if image == d:
                     continue
-                kappa = coset_point(image)
-                if kappa == tau or not rs.coset_leq(omega, kappa, tau):
+                kappa = rs.min_coset_rep(image)
+                if kappa == tau or not rs.bruhat_leq(kappa, tau):
                     continue  # not a positive fold
                 if local_coset_length(image) != local_coset_length(d) - 1:
                     continue  # not minimal for the local root system
-                ls_step = rs.coset_length(omega, kappa) == rs.coset_length(omega, tau) - 1
+                ls_step = rs.length[kappa] == rs.length[tau] - 1
                 flag = best_flag[d] and ls_step
                 if image not in best_flag:
                     best_flag[image] = flag

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .folding import enumerate_pf, is_LS, is_positively_folded
+from .folding import enumerate_pf, is_LS
 from .gallery import Gallery, enumerate_of_type, frac_str, type_of_lambda
 from .qpoly import QPoly
 from .residue import first_factor_exponent, junction_factor
@@ -33,9 +33,9 @@ def gallery_term(rs: RootSystem, g: Gallery) -> QPoly:
 
 
 def L_polynomial(rs: RootSystem, lam: Vec, mu: Vec) -> QPoly:
-    """L_{lambda,mu}(q) summed over positively folded galleries with target mu."""
-    if not rs.is_dominant_weight(lam) or not rs.is_dominant_weight(mu):
-        raise ValueError("lambda and mu must be dominant weights")
+    """L_{lambda,mu}(q) summed over positively folded galleries with target mu.
+
+    enumerate_pf rejects a lambda or mu that is not a dominant weight."""
     total = QPoly.zero()
     for g in enumerate_pf(rs, lam, mu):
         total = total + gallery_term(rs, g)
@@ -51,8 +51,6 @@ def character_LS(rs: RootSystem, lam: Vec) -> dict:
         raise ValueError("lambda must be a dominant weight")
     counts: Counter = Counter()
     for g in enumerate_of_type(rs, type_of_lambda(rs, lam)):
-        if not is_positively_folded(rs, g):
-            continue
         if is_LS(rs, g):
             counts[rs.canonical_weight(g.target)] += 1
     return dict(counts)

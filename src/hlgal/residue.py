@@ -22,7 +22,7 @@ from fractions import Fraction as Q
 from .apartment import LocalRootSystem, local_data
 from .folding import is_minimal_pair
 from .qpoly import QPoly
-from .rootdata import RootSystem, Vec, pairing
+from .rootdata import RootSystem, Vec, pairing, vneg
 
 
 @dataclass(frozen=True)
@@ -63,14 +63,11 @@ def _closest_chamber_word_local(rs: RootSystem, local: LocalRootSystem, d: Vec):
 def valid_sector_classes(rs: RootSystem, vertex: Vec, d_in: Vec, d_out: Vec) -> tuple:
     """Chamber classes w whose sector contains the incoming germ and whose
     opposite contains a germ of the outgoing type."""
-    local = local_data(rs, vertex)
-    orbit = local.orbit(d_out)
-    flip = rs.w0
-    out = []
-    for w in rs.chamber_classes_of_direction(d_in):
-        opp = rs.mul(w, flip)
-        if any(opp in rs.chamber_classes_of_direction(f) for f in orbit):
-            out.append(w)
+    opposite = 0  # w w0(C) holds f exactly when w(C) holds -f
+    for f in local_data(rs, vertex).orbit(d_out):
+        opposite |= rs.chamber_class_mask(vneg(f))
+    mask = rs.chamber_class_mask(d_in) & opposite
+    out = [w for w in range(rs.order()) if mask >> w & 1]
     return tuple(sorted(out, key=lambda w: (rs.length[w], rs.reduced_word(w))))
 
 
@@ -80,9 +77,9 @@ def choose_sector(rs: RootSystem, vertex: Vec, d_in: Vec, d_out: Vec) -> int:
     cand = valid_sector_classes(rs, vertex, d_in, d_out)
     if not cand:
         raise ValueError("no valid sector at this junction")
-    minimal = [w for w in cand if not any(u != w and rs.bruhat_leq(u, w) for u in cand)]
-    minimal.sort(key=lambda w: (rs.length[w], rs.reduced_word(w)))
-    return minimal[0]
+    # sorted by length first, and u < w in Bruhat order forces l(u) < l(w),
+    # so no other candidate lies below the first
+    return cand[0]
 
 
 def enumerate_gamma_plus_op(

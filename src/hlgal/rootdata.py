@@ -28,10 +28,6 @@ FAMILIES = ("A", "B", "C")
 MAX_RANK = 4  # desk scale; |W| <= 384
 
 
-def vector(xs) -> Vec:
-    return tuple(Q(x) for x in xs)
-
-
 def pairing(weight: Vec, covector: Vec) -> Q:
     """Exact ambient pairing <weight, covector>."""
     if len(weight) != len(covector):
@@ -281,9 +277,7 @@ class RootSystem:
         self._build_bruhat()
 
         # memo tables
-        self._chamber_classes: dict = {}
-        self._orbit_minreps: dict = {}
-        self._dominance_cache: dict = {}
+        self._chamber_masks: dict = {}  # germ -> chamber_class_mask
         self.local_groups: dict = {}  # local key -> apartment.LocalRootSystem
         self.vertex_locals: dict = {}  # vertex -> its entry in local_groups
 
@@ -367,11 +361,7 @@ class RootSystem:
         return tuple(pairing(v, c) for c in self.simple_coroots)
 
     def is_dominant(self, v: Vec) -> bool:
-        hit = self._dominance_cache.get(v)
-        if hit is None:
-            hit = all(pairing(v, c) >= 0 for c in self.simple_coroots)
-            self._dominance_cache[v] = hit
-        return hit
+        return all(pairing(v, c) >= 0 for c in self.simple_coroots)
 
     def is_dominant_weight(self, v: Vec) -> bool:
         return self.is_dominant(v) and all(a.denominator == 1 and a >= 0 for a in self.weight_coeffs(v))
@@ -393,25 +383,21 @@ class RootSystem:
 
     # --------------------------------------------------------------- chambers
 
-    def chamber_classes_of_direction(self, d: Vec) -> frozenset:
-        """The set {w : d in w(closed dominant chamber)}."""
-        if is_zero(d):
-            raise ValueError("zero direction has no chamber class")
-        hit = self._chamber_classes.get(d)
-        if hit is None:
-            members = []
-            for i in range(self.order()):
-                if self.is_dominant(self.act(self.inverse[i], d)):
-                    members.append(i)
-            hit = frozenset(members)
-            self._chamber_classes[d] = hit
-        return hit
-
     def chamber_class_mask(self, d: Vec) -> int:
-        mask = 0
-        for i in self.chamber_classes_of_direction(d):
-            mask |= 1 << i
-        return mask
+        """Bit mask of {w : d in w(closed dominant chamber)}.
+
+        w^-1 d is dominant exactly when w(dominant_rep(d)) = d, so one pass
+        over W fills the masks of the whole orbit of d at once."""
+        hit = self._chamber_masks.get(d)
+        if hit is None:
+            if is_zero(d):
+                raise ValueError("zero direction has no chamber class")
+            dom = self.dominant_rep(d)
+            for i in range(self.order()):
+                image = self.act(i, dom)
+                self._chamber_masks[image] = self._chamber_masks.get(image, 0) | 1 << i
+            hit = self._chamber_masks[d]
+        return hit
 
     def below_closure_mask(self, mask: int) -> int:
         out = 0
@@ -429,27 +415,11 @@ class RootSystem:
         """Lexicographically least reduced word in the Bourbaki simple letters."""
         return self.weyl.reduced_word(self.elements[w])
 
-    def orbit_min_reps(self, omega: Vec) -> dict:
-        """weight in W.omega -> index of the minimal-length w with w(omega) = weight."""
-        hit = self._orbit_minreps.get(omega)
-        if hit is None:
-            reps = {}
-            for i in sorted(range(self.order()), key=lambda i: (self.length[i], self.reduced_word(i))):
-                img = self.act(i, omega)
-                if img not in reps:
-                    reps[img] = i
-            hit = reps
-            self._orbit_minreps[omega] = hit
-        return hit
-
-    def coset_length(self, omega: Vec, weight_point: Vec) -> int:
-        """Length of a class in W/Stab(omega), addressed by the orbit point."""
-        return self.length[self.orbit_min_reps(omega)[weight_point]]
-
-    def coset_leq(self, omega: Vec, a: Vec, b: Vec) -> bool:
-        """Bruhat order on W/Stab(omega) via minimal coset representatives."""
-        reps = self.orbit_min_reps(omega)
-        return self.bruhat_leq(reps[a], reps[b])
+    def min_coset_rep(self, x: Vec) -> int:
+        """Minimal-length w with w(dominant_rep(x)) = x: the lowest bit of the
+        mask, since W is sorted by length."""
+        mask = self.chamber_class_mask(x)
+        return (mask & -mask).bit_length() - 1
 
 
 _CACHE: dict = {}

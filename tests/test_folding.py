@@ -37,18 +37,18 @@ def test_minimal_pair_basics(a2):
         is_minimal_pair(rs, w1, tuple(Q(0) for _ in range(rs.dim)))
 
 
-def test_minimal_pair_exhaustive_against_definition(a2):
+def test_minimal_pair_exhaustive_against_definition(a2, b2, c2):
     # oracle: scan all w, test membership in w(C+) and -w(C+)
-    rs = a2
-    germs = [rs.act(w, rs.weight((1, 0))) for w in range(rs.order())]
-    for d1 in germs:
-        for d2 in germs:
-            direct = any(
-                rs.is_dominant(rs.act(rs.inverse[w], d1))
-                and rs.is_dominant(vneg(rs.act(rs.inverse[w], d2)))
-                for w in range(rs.order())
-            )
-            assert is_minimal_pair(rs, d1, d2) == direct
+    for rs in (a2, b2, c2):
+        germs = {rs.act(w, omega) for w in range(rs.order()) for omega in rs.fundamental_weights}
+        for d1 in germs:
+            for d2 in germs:
+                direct = any(
+                    rs.is_dominant(rs.act(rs.inverse[w], d1))
+                    and rs.is_dominant(vneg(rs.act(rs.inverse[w], d2)))
+                    for w in range(rs.order())
+                )
+                assert is_minimal_pair(rs, d1, d2) == direct
 
 
 def test_two_step_pf_cases():
@@ -96,6 +96,11 @@ def test_defining_chain_of_standard_gallery(a2):
         assert rs.bruhat_leq(b, a)
 
 
+def chamber_classes(rs, d):
+    mask = rs.chamber_class_mask(d)
+    return [w for w in range(rs.order()) if mask >> w & 1]
+
+
 def test_defining_chain_none_for_increasing_zigzag(a2):
     rs = a2
     # dominant block then antidominant block: classes would have to increase
@@ -104,7 +109,7 @@ def test_defining_chain_none_for_increasing_zigzag(a2):
     assert defining_chain(rs, g) is None
     # brute-force oracle over all chains
     dirs = g.directions()
-    feasible = [rs.chamber_classes_of_direction(d) for d in dirs]
+    feasible = [chamber_classes(rs, d) for d in dirs]
     any_chain = any(
         rs.bruhat_leq(t1, t0) for t0 in feasible[0] for t1 in feasible[1]
     )
@@ -116,7 +121,7 @@ def test_defining_chain_brute_force_agreement(b2):
     lam = rs.weight((1, 1))
     for g in enumerate_of_type(rs, type_of_lambda(rs, lam)):
         chain = defining_chain(rs, g)
-        feasible = [list(rs.chamber_classes_of_direction(d)) for d in g.directions()]
+        feasible = [chamber_classes(rs, d) for d in g.directions()]
 
         def search(k, prev):
             if k == len(feasible):
@@ -170,8 +175,7 @@ def test_minimal_implies_ls_and_minuscule_all_ls(a2, b2):
 
 def test_is_ls_requires_pf(a2):
     gam = _nonglobal_counterexample(a2)
-    with pytest.raises(ValueError):
-        is_LS(a2, gam)
+    assert not is_LS(a2, gam)
 
 
 def test_ls_count_is_weyl_dimension(a2):

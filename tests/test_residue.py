@@ -15,6 +15,7 @@ from hlgal.residue import (
     valid_sector_classes,
 )
 from hlgal.rootdata import vneg
+from hlgal.verify import dominant_lambdas
 
 
 def origin(rs):
@@ -117,6 +118,39 @@ def test_choose_sector_deterministic_and_valid(b2):
         d_in, d_out = vneg(dirs[j - 1]), dirs[j]
         w = choose_sector(rs, g.vertices[j], d_in, d_out)
         assert w in valid_sector_classes(rs, g.vertices[j], d_in, d_out)
+
+
+def test_sector_classes_match_the_w0_product_definition(b2, c2):
+    # valid: w(C) holds the incoming germ and w w0(C) a germ of the
+    # outgoing type; chosen: Bruhat-minimal, then least reduced word
+    for rs in (b2, c2):
+        def classes(d):
+            return {w for w in range(rs.order()) if rs.is_dominant(rs.act(rs.inverse[w], d))}
+
+        def key(w):
+            return (rs.length[w], rs.reduced_word(w))
+
+        seen = set()
+        for lam in dominant_lambdas(rs, 2, 10**6):
+            for g in enumerate_of_type(rs, type_of_lambda(rs, lam)):
+                dirs = g.directions()
+                for j in range(1, g.num_edges()):
+                    v, d_in, d_out = g.vertices[j], vneg(dirs[j - 1]), dirs[j]
+                    if (v, d_in, d_out) in seen:
+                        continue
+                    seen.add((v, d_in, d_out))
+                    orbit = local_data(rs, v).orbit(d_out)
+                    valid = [
+                        w for w in classes(d_in)
+                        if any(rs.mul(w, rs.w0) in classes(f) for f in orbit)
+                    ]
+                    assert valid_sector_classes(rs, v, d_in, d_out) == tuple(sorted(valid, key=key))
+                    if not valid:
+                        continue
+                    minimal = [w for w in valid
+                               if not any(u != w and rs.bruhat_leq(u, w) for u in valid)]
+                    best = min(minimal, key=key)
+                    assert choose_sector(rs, v, d_in, d_out) == best
 
 
 def test_choose_sector_raises_without_candidates(b2):

@@ -3,7 +3,10 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hlgal.apartment import expected_germ
+from hlgal.gallery import type_of_lambda
 from hlgal.rootdata import (
+    RootSystem,
     RootSystemSpec,
     build_root_system,
     pairing,
@@ -14,6 +17,7 @@ from hlgal.rootdata import (
     vadd,
     vneg,
 )
+from hlgal.verify import dominant_lambdas
 
 
 @pytest.mark.parametrize(
@@ -132,18 +136,18 @@ def test_a2_simple_generators_incomparable(a2):
 def test_chamber_classes_basic(a2):
     rs = a2
     strictly_dominant = vadd(rs.weight((1, 0)), rs.weight((0, 1)))
-    assert rs.chamber_classes_of_direction(strictly_dominant) == frozenset({0})
-    assert rs.chamber_classes_of_direction(vneg(strictly_dominant)) == frozenset({rs.w0})
+    assert rs.chamber_class_mask(strictly_dominant) == 1
+    assert rs.chamber_class_mask(vneg(strictly_dominant)) == 1 << rs.w0
     with pytest.raises(ValueError):
-        rs.chamber_classes_of_direction(tuple(Q(0) for _ in range(rs.dim)))
+        rs.chamber_class_mask(tuple(Q(0) for _ in range(rs.dim)))
 
 
 def test_chamber_classes_omega1_a2(a2):
     rs = a2
-    got = rs.chamber_classes_of_direction(rs.weight((1, 0)))
+    got = rs.chamber_class_mask(rs.weight((1, 0)))
     # {w : w fixes omega_1's chamber face} = identity and s2
     s2 = rs.simple_reflections[1]
-    assert got == frozenset({0, s2})
+    assert got == 1 | 1 << s2
 
 
 def test_chamber_classes_are_stabilizer_cosets(b2):
@@ -151,9 +155,52 @@ def test_chamber_classes_are_stabilizer_cosets(b2):
     omega = rs.weight((1, 0))
     for w in range(rs.order()):
         d = rs.act(w, omega)
-        got = rs.chamber_classes_of_direction(d)
-        coset = frozenset(rs.mul(w, u) for u in rs.stabilizer(omega))
-        assert got == coset
+        coset = 0
+        for u in rs.stabilizer(omega):
+            coset |= 1 << rs.mul(w, u)
+        assert rs.chamber_class_mask(d) == coset
+
+
+STANDARD_GERM_TYPES = [(f + str(n), 2) for f in "ABC" for n in (2, 3)]
+STANDARD_GERM_TYPES += [(f + "4", 1) for f in "ABC"]
+
+
+@pytest.mark.parametrize("name,max_sum", STANDARD_GERM_TYPES)
+def test_chamber_class_mask_is_the_dominance_scan(name, max_sum):
+    # a fresh root system, so every orbit is filled by the masks under test
+    rs = RootSystem(RootSystemSpec(name[0], int(name[1])))
+    germs = set()
+    for lam in dominant_lambdas(rs, max_sum, 10**6):
+        for t in type_of_lambda(rs, lam):
+            for d in rs.weyl.orbit(expected_germ(rs, t)):
+                germs.update((d, vneg(d)))
+    for d in sorted(germs):
+        scan = 0
+        for w in range(rs.order()):
+            if rs.is_dominant(rs.act(rs.inverse[w], d)):
+                scan |= 1 << w
+        assert rs.chamber_class_mask(d) == scan
+
+
+def test_chamber_class_mask_fills_the_orbit_once():
+    rs = RootSystem(RootSystemSpec("B", 3))
+    first, second = rs.weyl.orbit(rs.weight((0, 1, 0)))[:2]
+    rs.chamber_class_mask(first)
+    assert second in rs._chamber_masks  # filled by the first germ's pass
+
+
+@pytest.mark.parametrize("name", [f + str(n) for f in "ABC" for n in range(1, 5)])
+def test_min_coset_rep_is_the_shortest_element(name):
+    rs = root_system(name[0], int(name[1]))
+    for omega in rs.fundamental_weights:
+        shortest = {}
+        for w in range(rs.order()):
+            x = rs.act(w, omega)
+            shortest.setdefault(x, []).append(w)
+        for x, coset in shortest.items():
+            least = min(rs.length[w] for w in coset)
+            (rep,) = [w for w in coset if rs.length[w] == least]
+            assert rs.min_coset_rep(x) == rep
 
 
 @settings(max_examples=50, deadline=None)
