@@ -1,4 +1,4 @@
-"""The affine apartment: walls, faces, local root systems and sectors.
+"""The affine apartment: walls, faces and local root systems.
 
 A wall is H_{c,n} = {x : <x, c> + n = 0} where c runs over the coroot
 functionals of the root system and n over the integers.  Vertices are
@@ -10,7 +10,6 @@ abstract simple roots.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
@@ -33,22 +32,6 @@ class EdgeType:
     def tag(self) -> str:
         return "%d:%s" % (self.index, self.segment)
 
-    @staticmethod
-    def from_tag(tag: str) -> "EdgeType":
-        idx, seg = tag.split(":")
-        return EdgeType(int(idx), seg)
-
-
-@dataclass(frozen=True)
-class Edge:
-    start: Vec
-    end: Vec
-    etype: EdgeType
-
-    @property
-    def direction(self) -> Vec:
-        return vsub(self.end, self.start)
-
 
 @dataclass(frozen=True)
 class AffineRoot:
@@ -57,31 +40,12 @@ class AffineRoot:
     root: Vec
     level: int
 
-    def evaluate(self, x: Vec) -> Q:
-        return pairing(x, self.root) + self.level
-
-
-@dataclass(frozen=True)
-class Sector:
-    """V + w(closed dominant chamber), stored by vertex and Weyl class."""
-
-    vertex: Vec
-    chamber_class: int
-
-
-def sector_contains_direction(rs: RootSystem, sector: Sector, d: Vec) -> bool:
-    return rs.is_dominant(rs.act(rs.inverse[sector.chamber_class], d))
-
 
 def local_key(rs: RootSystem, vertex: Vec) -> tuple:
     """Indices of the positive walls passing through the vertex."""
     return tuple(
         k for k, c in enumerate(rs.pos_coroots) if pairing(vertex, c).denominator == 1
     )
-
-
-def is_special(rs: RootSystem, vertex: Vec) -> bool:
-    return len(local_key(rs, vertex)) == len(rs.pos_coroots)
 
 
 class LocalRootSystem(ReflectionGroup):
@@ -170,24 +134,6 @@ def local_data_for_key(rs: RootSystem, key: tuple) -> LocalRootSystem:
     return hit
 
 
-def crossing_sign(rs: RootSystem, vertex: Vec, direction: Vec, wall: AffineRoot):
-    """'positive', 'negative' or None for the germ (vertex, direction) at a wall.
-
-    Positive means the vertex lies on the wall and the edge leaves into the
-    strictly positive half-space; the wall functional must be a positive one.
-    """
-    if wall.root not in set(rs.pos_coroots):
-        raise ValueError("crossing signs are defined for positive wall functionals")
-    if wall.evaluate(vertex) != 0:
-        return None
-    side = pairing(direction, wall.root)
-    if side > 0:
-        return "positive"
-    if side < 0:
-        return "negative"
-    return None
-
-
 def phi_a_minus(rs: RootSystem, vertex: Vec, direction: Vec) -> frozenset:
     """Negative wall functionals through the vertex the germ leaves behind.
 
@@ -215,14 +161,6 @@ def crossings(rs: RootSystem, vertex: Vec, direction: Vec) -> tuple:
     return hit
 
 
-def positive_crossings(rs: RootSystem, vertex: Vec, direction: Vec) -> int:
-    return crossings(rs, vertex, direction)[0]
-
-
-def negative_crossings(rs: RootSystem, vertex: Vec, direction: Vec) -> int:
-    return crossings(rs, vertex, direction)[1]
-
-
 def expected_germ(rs: RootSystem, etype: EdgeType) -> Vec:
     """The dominant reference germ for an edge type."""
     omega = rs.fundamental_weights[etype.index - 1]
@@ -230,17 +168,3 @@ def expected_germ(rs: RootSystem, etype: EdgeType) -> Vec:
         return omega
     return vscale(Q(1, 2), omega)
 
-
-def edge_respects_walls(rs: RootSystem, edge: Edge) -> bool:
-    """Face property: the open segment meets no wall it is not contained in."""
-    for c in rs.pos_coroots:
-        a = pairing(edge.start, c)
-        b = pairing(edge.end, c)
-        if a == b:
-            continue
-        lo, hi = (a, b) if a < b else (b, a)
-        # an integer strictly inside (lo, hi) would be a wall crossing
-        k = math.floor(lo) + 1
-        if Q(k) < hi:
-            return False
-    return True

@@ -1,8 +1,8 @@
 """Command-line frontend.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 internal
-fault (a ValueError, ArithmeticError or AssertionError raised by the library
-on input the command line accepted).
+fault (a ValueError, ArithmeticError, AssertionError or RecursionError raised
+by the library on input the command line accepted).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .tableaux import (
     is_semistandard,
     pretty,
     shape_partition,
-    tableau_from_jsonable,
     tableau_to_jsonable,
 )
 from .verify import run_suite
@@ -129,19 +128,20 @@ def cmd_char(args) -> int:
 def cmd_tableaux(args) -> int:
     rs = parse_type(args.type)
     lam = parse_coeffs(rs, args.lam, "lambda")
-    rows = []
+    tabs = []
     for g in enumerate_of_type(rs, type_of_lambda(rs, lam)):
         tab = gallery_to_tableau(rs, g)
-        if args.semistandard and not is_semistandard(tab):
-            continue
-        rows.append(tableau_to_jsonable(tab) | {"semistandard": is_semistandard(tab)})
+        ss = is_semistandard(tab)
+        if ss or not args.semistandard:
+            tabs.append((tab, ss))
     if args.format == "pretty":
         print("shape: %s" % (list(shape_partition(rs, lam)),))
-        for row in rows:
-            print(pretty(tableau_from_jsonable(row)))
+        for tab, _ in tabs:
+            print(pretty(tab))
             print("--")
-        print("count: %d" % len(rows))
+        print("count: %d" % len(tabs))
     else:
+        rows = [tableau_to_jsonable(tab) | {"semistandard": ss} for tab, ss in tabs]
         _emit(rows, ["family", "rank", "columns", "semistandard"], args.format)
     return 0
 
@@ -221,7 +221,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, AssertionError) as exc:
+    except (ValueError, ArithmeticError, AssertionError, RecursionError) as exc:
         print("error: internal: %s" % exc, file=sys.stderr)
         return 3
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .apartment import LocalRootSystem, local_data
 from .gallery import Gallery, crossing_counts, enumerate_of_type, type_of_lambda
-from .rootdata import RootSystem, Vec, is_zero, pairing, vadd, vneg, vsub
+from .rootdata import RootSystem, Vec, is_zero, pairing, vadd, vneg
 
 
 def is_minimal_pair(rs: RootSystem, d_e: Vec, d_f: Vec) -> bool:
@@ -120,16 +120,6 @@ def defining_chain(rs: RootSystem, g: Gallery):
     return tuple(chain)
 
 
-def is_minimal(rs: RootSystem, g: Gallery) -> bool:
-    """All edge directions fit in one common closed chamber."""
-    mask = -1
-    for d in g.directions():
-        mask &= rs.chamber_class_mask(d)
-        if mask == 0:
-            return False
-    return True
-
-
 def is_positively_folded(rs: RootSystem, g: Gallery) -> bool:
     """Folded positively at every junction, with a defining chain."""
     return locally_positively_folded(rs, g) and _reachable_masks(rs, g.directions()) is not None
@@ -154,71 +144,6 @@ def is_LS(rs: RootSystem, g: Gallery) -> bool:
     if plus > bound:
         raise AssertionError("positive crossings exceed the degree bound")
     return plus == bound
-
-
-def ls_fold_check(rs: RootSystem, g: Gallery) -> bool:
-    """For a single fundamental block: reachable from a minimal gallery by
-    LS-folds only.
-
-    Folds act at the interior vertex.  A fold by a local wall is admitted
-    when the W/Stab(omega) class of the tail drops in Bruhat order and the
-    local coset length drops by exactly one (a fold minimal for the local
-    root system); it is an LS-fold when the W/Stab(omega) coset length
-    also drops by exactly one.
-    """
-    indices = {t.index for t in g.gtype}
-    if len(indices) != 1 or g.num_edges() not in (1, 2):
-        raise ValueError("ls_fold_check expects a single fundamental block")
-    if not is_positively_folded(rs, g):
-        raise ValueError("LS-fold test applies to positively folded galleries only")
-    if g.num_edges() == 1:
-        return True  # minuscule blocks have no interior vertex, no folds
-
-    mid = g.vertices[1]
-    local = local_data(rs, mid)
-    d1 = vsub(g.vertices[1], g.vertices[0])
-    d2 = vsub(g.vertices[2], g.vertices[1])
-
-    def local_coset_length(d):
-        dominant = [
-            u
-            for u in local.orbit(d)
-            if all(pairing(u, c) >= 0 for c in local.pos_functionals)
-        ]
-        assert len(dominant) == 1
-        # local.elements is sorted by length, so the first match is minimal
-        return next(local.length[u] for u in local.elements if rs.act(u, dominant[0]) == d)
-
-    best_flag: dict = {}
-    frontier = []
-    for f0 in local.orbit(d1):
-        if is_minimal_pair(rs, vneg(d1), f0):
-            best_flag[f0] = True
-            frontier.append(f0)
-    while frontier:
-        nxt = []
-        for d in frontier:
-            # a half-edge germ d has the W/Stab(omega) class of 2d in W.omega
-            tau = rs.min_coset_rep(d)
-            for refl in local.reflection_indices:
-                image = rs.act(refl, d)
-                if image == d:
-                    continue
-                kappa = rs.min_coset_rep(image)
-                if kappa == tau or not rs.bruhat_leq(kappa, tau):
-                    continue  # not a positive fold
-                if local_coset_length(image) != local_coset_length(d) - 1:
-                    continue  # not minimal for the local root system
-                ls_step = rs.length[kappa] == rs.length[tau] - 1
-                flag = best_flag[d] and ls_step
-                if image not in best_flag:
-                    best_flag[image] = flag
-                    nxt.append(image)
-                elif flag and not best_flag[image]:
-                    best_flag[image] = True
-                    nxt.append(image)
-        frontier = nxt
-    return best_flag.get(d2, False)
 
 
 def enumerate_pf(rs: RootSystem, lam: Vec, mu: Vec) -> tuple:

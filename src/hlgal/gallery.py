@@ -9,18 +9,10 @@ omega_1^{a_1} * ... * omega_n^{a_n}.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
-from .apartment import (
-    Edge,
-    EdgeType,
-    crossings,
-    expected_germ,
-    local_data,
-    phi_a_minus,
-)
+from .apartment import EdgeType, crossings, expected_germ, local_data, phi_a_minus
 from .rootdata import RootSystem, Vec, vadd, vscale, vsub
 
 GalleryType = tuple  # tuple of EdgeType
@@ -34,13 +26,6 @@ class Gallery:
     def __post_init__(self):
         if len(self.vertices) != len(self.gtype) + 1:
             raise ValueError("vertex/type length mismatch")
-
-    @property
-    def edges(self) -> tuple:
-        return tuple(
-            Edge(self.vertices[i], self.vertices[i + 1], t)
-            for i, t in enumerate(self.gtype)
-        )
 
     @property
     def source(self) -> Vec:
@@ -98,10 +83,6 @@ def concat(rs: RootSystem, g1: Gallery, g2: Gallery) -> Gallery:
     return Gallery(g1.vertices + moved, g1.gtype + g2.gtype)
 
 
-def apply_weyl(rs: RootSystem, w: int, g: Gallery) -> Gallery:
-    return Gallery(tuple(rs.act(w, v) for v in g.vertices), g.gtype)
-
-
 def gamma_lambda(rs: RootSystem, lam: Vec) -> Gallery:
     """The standard minimal gallery for a dominant weight, Bourbaki order."""
     coeffs = rs.weight_coeffs(lam)
@@ -157,15 +138,6 @@ def enumerate_of_type(rs: RootSystem, gtype: GalleryType):
     yield from rec([_origin(rs)], None)
 
 
-def count_of_type(rs: RootSystem, lam: Vec) -> int:
-    """Product of the local orbit sizes along the standard gallery."""
-    g = gamma_lambda(rs, lam)
-    total = 1
-    for v, d in zip(g.vertices, g.directions()):
-        total *= len(local_data(rs, v).orbit(d))
-    return total
-
-
 def crossing_counts(rs: RootSystem, g: Gallery) -> tuple:
     """(positive, negative, total) wall crossings over all (V_i, E_i)."""
     plus = minus = 0
@@ -190,17 +162,3 @@ def gallery_to_jsonable(g: Gallery) -> dict:
         "vertices": [[frac_str(x) for x in v] for v in g.vertices],
         "edge_types": [t.tag() for t in g.gtype],
     }
-
-
-def gallery_to_json(g: Gallery) -> str:
-    return json.dumps(gallery_to_jsonable(g), sort_keys=True)
-
-
-def gallery_from_jsonable(data: dict) -> Gallery:
-    vertices = tuple(tuple(Q(x) for x in v) for v in data["vertices"])
-    gtype = tuple(EdgeType.from_tag(t) for t in data["edge_types"])
-    return Gallery(vertices, gtype)
-
-
-def gallery_from_json(text: str) -> Gallery:
-    return gallery_from_jsonable(json.loads(text))

@@ -45,10 +45,9 @@ def L_polynomial(rs: RootSystem, lam: Vec, mu: Vec) -> QPoly:
 def character_LS(rs: RootSystem, lam: Vec) -> dict:
     """Multiplicity map target -> number of LS-galleries of the standard type.
 
-    Keys are canonical weight vectors (type A drops the invariant line).
+    Keys are canonical weight vectors (type A drops the invariant line);
+    type_of_lambda rejects a lambda that is not a dominant weight.
     """
-    if not rs.is_dominant_weight(lam):
-        raise ValueError("lambda must be a dominant weight")
     counts: Counter = Counter()
     for g in enumerate_of_type(rs, type_of_lambda(rs, lam)):
         if is_LS(rs, g):

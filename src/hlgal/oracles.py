@@ -154,15 +154,6 @@ def L_from_direct(rs: RootSystem, lam: Vec, mu: Vec) -> QPoly:
     return L_from_expansion(rs, hall_littlewood_direct(rs, lam), lam, mu)
 
 
-def schur_coefficient_map(rs: RootSystem, lam: Vec) -> dict:
-    """The q -> infinity limit of P_lambda: u = 0 coefficientwise."""
-    return {
-        key: c.coeffs[0]
-        for key, c in hall_littlewood_direct(rs, lam).items()
-        if c.coeffs and c.coeffs[0] != 0
-    }
-
-
 def weyl_dimension(rs: RootSystem, lam: Vec) -> int:
     num = Q(1)
     shifted = vadd(lam, rs.rho_weight)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 
 class QPoly:
     """Immutable integer polynomial; coefficients ascending, normalized."""
@@ -99,14 +97,6 @@ class QPoly:
             acc = acc * x + c
         return acc
 
-    def shift(self, k: int) -> "QPoly":
-        """Multiply by q^k; k must keep every exponent nonnegative."""
-        if k >= 0:
-            return QPoly((0,) * k + self.coeffs)
-        if any(c != 0 for c in self.coeffs[: -k]):
-            raise ValueError("shift would create negative powers")
-        return QPoly(self.coeffs[-k:])
-
     def divide_exact(self, other: "QPoly") -> "QPoly":
         """Exact division; raises if a remainder is left."""
         if other.is_zero():
@@ -158,11 +148,3 @@ class QPoly:
 
     def to_jsonable(self) -> dict:
         return {"coeffs": list(self.coeffs)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable())
-
-    @staticmethod
-    def from_jsonable(data: dict) -> "QPoly":
-        return QPoly(data["coeffs"])
-

@@ -29,16 +29,10 @@ from .rootdata import RootSystem, Vec, pairing, vneg
 class ChamberGallery:
     """A fold/cross word over a reduced decomposition in the local group."""
 
-    sector_class: int  # Weyl class of the reference sector (full group)
     word: tuple  # letters: indices into the local simple system
     choices: tuple  # 'C' (cross) or 'F' (fold) per letter
-    wall_roots: tuple  # functional of the wall met at each step
     t: int  # crossings away from the sector
     r: int  # folds
-
-    def stats(self):
-        """(t, r): away-crossings and folds."""
-        return (self.t, self.r)
 
 
 def closest_chamber_word(rs: RootSystem, vertex: Vec, face_direction: Vec):
@@ -112,13 +106,11 @@ def enumerate_gamma_plus_op(
 
     results = []
 
-    def rec(k, u, choices, walls, t, r):
+    def rec(k, u, choices, t, r):
         if k == len(word):
             final_face = rs.act(u, base_face)
             if is_minimal_pair(rs, d_in, final_face):
-                results.append(
-                    ChamberGallery(sector_class, word, tuple(choices), tuple(walls), t, r)
-                )
+                results.append(ChamberGallery(word, tuple(choices), t, r))
             return
         letter = word[k]
         wall = rs.act(u, local.simples[letter])
@@ -126,11 +118,11 @@ def enumerate_gamma_plus_op(
         # the current chamber is always strictly on the negative side of its
         # own wall functional, so `side` alone settles both questions
         nxt = rs.mul(u, local.simple_reflections[letter])
-        rec(k + 1, nxt, choices + ["C"], walls + [wall], t + (1 if side < 0 else 0), r)
+        rec(k + 1, nxt, choices + ["C"], t + (1 if side < 0 else 0), r)
         if side > 0:
-            rec(k + 1, u, choices + ["F"], walls + [wall], t, r + 1)
+            rec(k + 1, u, choices + ["F"], t, r + 1)
 
-    rec(0, 0, [], [], 0, 0)
+    rec(0, 0, [], 0, 0)
     return tuple(results)
 
 

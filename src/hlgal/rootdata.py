@@ -415,12 +415,6 @@ class RootSystem:
         """Lexicographically least reduced word in the Bourbaki simple letters."""
         return self.weyl.reduced_word(self.elements[w])
 
-    def min_coset_rep(self, x: Vec) -> int:
-        """Minimal-length w with w(dominant_rep(x)) = x: the lowest bit of the
-        mask, since W is sorted by length."""
-        mask = self.chamber_class_mask(x)
-        return (mask & -mask).bit_length() - 1
-
 
 _CACHE: dict = {}
 

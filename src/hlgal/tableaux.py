@@ -196,25 +196,6 @@ def is_semistandard(tab: Tableau) -> bool:
     return True
 
 
-def content_weight(rs: RootSystem, tab: Tableau) -> Vec:
-    total = tuple(Q(0) for _ in range(rs.dim))
-    pos = 0
-    cols = tab.columns
-    while pos < len(cols):
-        i = len(cols[pos])
-        ncols, spin = _block_columns(rs, i)
-        if ncols == 1:
-            total = vadd(total, _column_weight(rs, cols[pos], spin))
-        else:
-            half = vadd(
-                _column_weight(rs, cols[pos], False),
-                _column_weight(rs, cols[pos + 1], False),
-            )
-            total = vadd(total, vscale(Q(1, 2), half))
-        pos += ncols
-    return total
-
-
 def tableau_to_jsonable(tab: Tableau) -> dict:
     def decode(x):
         return x if tab.family == "A" or x <= tab.rank else -bar(tab.rank, x)
@@ -224,19 +205,6 @@ def tableau_to_jsonable(tab: Tableau) -> dict:
         "rank": tab.rank,
         "columns": [[decode(x) for x in col] for col in tab.columns],
     }
-
-
-def tableau_from_jsonable(data: dict) -> Tableau:
-    family, rank = data["family"], data["rank"]
-
-    def encode(x):
-        if x > 0:
-            return x
-        if family == "A":
-            raise ValueError("negative letters need a barred alphabet")
-        return bar(rank, -x)
-
-    return Tableau(family, rank, tuple(tuple(encode(x) for x in col) for col in data["columns"]))
 
 
 def pretty(tab: Tableau) -> str:

@@ -131,14 +131,11 @@ def check_system(
         # character against the multiplicity recursion
         char = character_LS(rs, lam)
         freud = freudenthal_character(rs, lam)
+        dim = weyl_dimension(rs, lam)
         record(
             "character[%s]" % lam_c,
-            char == freud and sum(char.values()) == weyl_dimension(rs, lam),
-            {
-                "lambda": lam_c,
-                "ls_total": sum(char.values()),
-                "dimension": weyl_dimension(rs, lam),
-            },
+            char == freud and sum(char.values()) == dim,
+            {"lambda": lam_c, "ls_total": sum(char.values()), "dimension": dim},
         )
 
         for mu in _dominant_mus(rs, pf, pmap):

@@ -11,7 +11,6 @@ import time
 from hlgal.apartment import local_data, local_key
 from hlgal.folding import (
     is_LS,
-    is_minimal,
     is_positively_folded,
     locally_positively_folded,
     two_step_positively_folded,
@@ -41,6 +40,7 @@ from hlgal.residue import (
 from hlgal.rootdata import pairing, root_system, vadd, vneg
 from hlgal.tableaux import gallery_to_tableau, is_semistandard, tableau_to_gallery
 from hlgal.verify import _dominant_mus, dominant_lambdas
+from test_folding import is_minimal
 
 SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("B", 3), ("C", 3)]
 MAX_COEFF_SUM = 3

@@ -151,6 +151,14 @@ def test_library_fault_is_internal_error(capsys, monkeypatch, fault):
     assert err == "error: internal: no valid sector at this junction\n"
 
 
+def test_deep_recursion_is_internal_error(capsys):
+    # the depth-first walk recurses once per edge, so a very long gallery
+    # type runs out of stack; that is a fault, not a verification mismatch
+    code, out, err = run(capsys, "L", "--type", "A1", "--lambda", "1200", "--mu", "1200")
+    assert code == 3 and out == ""
+    assert err.startswith("error: internal: ")
+
+
 def test_determinism_across_runs(capsys):
     args = ["galleries", "--type", "B2", "--lambda", "1,1", "--mu", "0,0", "--format", "json"]
     _, first, _ = run(capsys, *args)
@@ -185,13 +193,19 @@ GOLDEN = [
      "5e034c6f64dcfe06e090b23c8a92b98fd9b9fffeb28d0124f2b248da7683be45", 1384),
     (("tableaux", "--type", "A3", "--lambda", "1,1,0", "--semistandard", "--format", "json"),
      "a8f247e616304db1f8c61d387057f247385e800bc999df8001429ef70b659775", 3123),
+    (("tableaux", "--type", "B2", "--lambda", "1,1"),
+     "90b265da0afa67b1331b11cf9fd29b98cab8d98beaab1e6d02776e3fb42126ef", 504),
+    (("tableaux", "--type", "B2", "--lambda", "1,1", "--format", "csv"),
+     "344c0ede091378a526d3fc6e776cac5eaa752d925b9404835eca96b6a2348ca9", 1296),
     (("verify", "--type", "A2", "--suite", "a2-example"),
      "c36cf96d6ec2a15c338a535459d6b7ae0b4ce417a60c475d3fd56bce0c379535", 32),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv,sha256,size", GOLDEN, ids=["%s-%s" % (argv[0], argv[2]) for argv, _, _ in GOLDEN]
+    "argv,sha256,size",
+    GOLDEN,
+    ids=["%s-%s%s" % (argv[0], argv[2], "-csv" * ("csv" in argv)) for argv, _, _ in GOLDEN],
 )
 def test_golden_stdout(capsys, argv, sha256, size):
     code, out, _ = run(capsys, *argv)

@@ -24,8 +24,10 @@ def test_trivial_lambda_zero(a2):
 
 
 def test_rejects_nondominant(a2):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dominant"):
         L_polynomial(a2, vneg(a2.weight((1, 0))), a2.weight((0, 0)))
+    with pytest.raises(ValueError, match="dominant"):
+        character_LS(a2, vneg(a2.weight((1, 0))))
 
 
 def test_leading_data_examples(a2):

@@ -15,8 +15,6 @@ from hlgal.apartment import (
     local_data,
     local_data_for_key,
     local_key,
-    negative_crossings,
-    positive_crossings,
 )
 from hlgal.gallery import enumerate_of_type, fundamental_type, type_of_lambda
 from hlgal.residue import closest_chamber_word, first_factor_exponent
@@ -73,8 +71,6 @@ def test_memos_match_reference_loops(family, rank):
             assert closest == reference_closest(rs, v, d)
             pair = reference_crossings(rs, v, d)
             assert crossings(rs, v, d) == pair
-            assert positive_crossings(rs, v, d) == pair[0]
-            assert negative_crossings(rs, v, d) == pair[1]
             if pass_no == 0:
                 first[(v, d)] = (local, closest)
             else:
@@ -103,6 +99,6 @@ def test_first_factor_exponent_counts_positive_crossings():
         for i in range(1, rank + 1):
             head = fundamental_type(rs, i)[0]
             for d in local_data(rs, origin).orbit(expected_germ(rs, head)):
-                assert first_factor_exponent(rs, d) == positive_crossings(rs, origin, d)
+                assert first_factor_exponent(rs, d) == crossings(rs, origin, d)[0]
                 checked += 1
     assert checked == 280

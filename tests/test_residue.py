@@ -80,7 +80,7 @@ def test_worked_junction_stats(a2):
     # vertex V1: one gallery with a fold and a positive crossing: (q-1) q
     cs = enumerate_gamma_plus_op(rs, g.vertices[1], vneg(dirs[0]), dirs[1])
     assert len(cs) == 1
-    assert cs[0].stats() == (1, 1)
+    assert (cs[0].t, cs[0].r) == (1, 1)
     assert junction_factor(rs, g.vertices[1], vneg(dirs[0]), dirs[1]) == QPoly.term(1, 1)
     # vertex V2: minimal junction contributing a plain q
     assert junction_factor(rs, g.vertices[2], vneg(dirs[1]), dirs[2]) == QPoly.term(1, 0)
@@ -98,7 +98,7 @@ def test_stats_empty_word():
     cs = enumerate_gamma_plus_op(rs, vneg(w), w, vneg(w))
     assert len(cs) == 1
     assert cs[0].word == ()
-    assert cs[0].stats() == (0, 0)
+    assert (cs[0].t, cs[0].r) == (0, 0)
 
 
 def test_nonfolded_junction_empty(a2):

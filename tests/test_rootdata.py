@@ -18,6 +18,7 @@ from hlgal.rootdata import (
     vneg,
 )
 from hlgal.verify import dominant_lambdas
+from test_folding import min_coset_rep
 
 
 @pytest.mark.parametrize(
@@ -200,7 +201,7 @@ def test_min_coset_rep_is_the_shortest_element(name):
         for x, coset in shortest.items():
             least = min(rs.length[w] for w in coset)
             (rep,) = [w for w in coset if rs.length[w] == least]
-            assert rs.min_coset_rep(x) == rep
+            assert min_coset_rep(rs, x) == rep
 
 
 @settings(max_examples=50, deadline=None)

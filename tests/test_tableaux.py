@@ -1,3 +1,5 @@
+from fractions import Fraction as Q
+
 import pytest
 
 from hlgal.folding import is_positively_folded
@@ -6,15 +8,42 @@ from hlgal.oracles import kostka
 from hlgal.tableaux import (
     Tableau,
     bar,
-    content_weight,
     gallery_to_tableau,
     is_semistandard,
     pretty,
     shape_partition,
-    tableau_from_jsonable,
     tableau_to_gallery,
     tableau_to_jsonable,
 )
+
+
+def content_weight(rs, tab):
+    """Sum of the letter weights, read from the columns alone: a column of a
+    two-column block, or a spin column, counts half."""
+    total = [Q(0)] * rs.dim
+    for col in tab.columns:
+        half = rs.fundamental_scale[len(col) - 1] == 2 or (rs.family == "B" and len(col) == rs.rank)
+        step = Q(1, 2) if half else Q(1)
+        for x in col:
+            if rs.family == "A" or x <= rs.rank:
+                total[x - 1] += step
+            else:
+                total[bar(rs.rank, x) - 1] -= step
+    return tuple(total)
+
+
+def tableau_from_jsonable(data):
+    """Decoder of the CLI's tableau form, the inverse of tableau_to_jsonable."""
+    family, rank = data["family"], data["rank"]
+
+    def encode(x):
+        if x > 0:
+            return x
+        if family == "A":
+            raise ValueError("negative letters need a barred alphabet")
+        return bar(rank, -x)
+
+    return Tableau(family, rank, tuple(tuple(encode(x) for x in col) for col in data["columns"]))
 
 
 def test_shape_partitions(a3, b3, c3):
