@@ -13,7 +13,7 @@ import io
 import json
 import sys
 
-from .folding import defining_chain, enumerate_pf, is_LS
+from .folding import defining_chain, enumerate_pf, has_maximal_crossings
 from .gallery import enumerate_of_type, gallery_to_jsonable, type_of_lambda
 from .hlengine import L_polynomial, character_LS, character_to_jsonable, gallery_term
 from .rootdata import RootSystemSpec, build_root_system
@@ -97,7 +97,7 @@ def cmd_galleries(args) -> int:
     mu = parse_coeffs(rs, args.mu, "mu")
     rows = []
     for g in enumerate_pf(rs, lam, mu):
-        ls = is_LS(rs, g)
+        ls = has_maximal_crossings(rs, g)
         if args.ls_only and not ls:
             continue
         chain = defining_chain(rs, g)

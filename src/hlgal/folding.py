@@ -134,16 +134,20 @@ def type_weight(rs: RootSystem, gtype) -> Vec:
     return acc
 
 
-def is_LS(rs: RootSystem, g: Gallery) -> bool:
-    """Positively folded with the maximal positive-crossing count."""
-    if not is_positively_folded(rs, g):
-        return False
+def has_maximal_crossings(rs: RootSystem, g: Gallery) -> bool:
+    """Positive-crossing count equal to the degree bound <lambda+mu, rho>;
+    the LS test for a gallery already known to be positively folded."""
     lam = type_weight(rs, g.gtype)
     bound = pairing(vadd(lam, g.target), rs.rho)
     plus = crossing_counts(rs, g)[0]
     if plus > bound:
         raise AssertionError("positive crossings exceed the degree bound")
     return plus == bound
+
+
+def is_LS(rs: RootSystem, g: Gallery) -> bool:
+    """Positively folded with the maximal positive-crossing count."""
+    return is_positively_folded(rs, g) and has_maximal_crossings(rs, g)
 
 
 def enumerate_pf(rs: RootSystem, lam: Vec, mu: Vec) -> tuple:

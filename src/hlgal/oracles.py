@@ -2,8 +2,9 @@
 
 The direct Hall-Littlewood expansion works with Laurent monomial maps:
 exponent vectors (integer tuples after a per-family scaling) mapping to
-polynomials in u = 1/q.  The Weyl sum is assembled over the explicit
-common denominator and divided out exactly; any remainder is a fatal
+polynomials in u = 1/q.  P_lambda is the Hecke symmetriser of x^lambda:
+one Demazure-Lusztig operator per point of the W-orbit of lambda, each
+an exact division by a binomial 1 - x^{-a_i}; any remainder is a fatal
 internal-consistency error.  Characters come from the multiplicity
 recursion on weight norms, dimensions from the product formula over
 positive walls, type-A Kostka numbers from direct tableau counting.
@@ -46,18 +47,6 @@ def _add_term(mapping: dict, key: tuple, coeff: QPoly):
         mapping[key] = new
 
 
-def _mul_binomial(mapping: dict, shift: tuple, a: QPoly, b: QPoly) -> dict:
-    """mapping * (a + b*x^shift)."""
-    out: dict = {}
-    for key, c in mapping.items():
-        if not a.is_zero():
-            _add_term(out, key, c * a)
-        if not b.is_zero():
-            moved = tuple(k + s for k, s in zip(key, shift))
-            _add_term(out, moved, c * b)
-    return out
-
-
 def _divide_by_one_minus(mapping: dict, shift: tuple) -> dict:
     """Exact division by (1 - x^shift).
 
@@ -84,46 +73,56 @@ def _divide_by_one_minus(mapping: dict, shift: tuple) -> dict:
             if not running.is_zero():
                 out[tuple(x + k * s for x, s in zip(rep, shift))] = running
         if not running.is_zero():
-            raise ArithmeticError("non-exact division in the Weyl-sum assembly")
+            raise ArithmeticError("non-exact division by a binomial")
     return out
+
+
+def _demazure_lusztig(rs: RootSystem, i: int, f: dict) -> dict:
+    """T_i f = [(1-u) x^{-a_i} f + (u - x^{-a_i}) s_i f] / (1 - x^{-a_i})."""
+    u = QPoly((0, 1))
+    one_minus_u = QPoly((1, -1))
+    s_i = rs.simple_reflections[i]
+    shift = exponent_key(rs, vneg(rs.simple_roots[i]))
+    numerator: dict = {}
+    for key, c in f.items():
+        moved = tuple(k + s for k, s in zip(key, shift))
+        reflected = rs.act(s_i, key)
+        _add_term(numerator, moved, c * one_minus_u)
+        _add_term(numerator, reflected, c * u)
+        _add_term(numerator, tuple(k + s for k, s in zip(reflected, shift)), -c)
+    return _divide_by_one_minus(numerator, shift)
 
 
 def hall_littlewood_direct(rs: RootSystem, lam: Vec) -> dict:
     """The symmetric function P_lambda as {exponent key: polynomial in 1/q}.
 
-    Built as the stabilizer-normalized Weyl sum of
-    x^lambda * prod (1 - x^{-alpha}/q) / (1 - x^{-alpha}).
+    Built as the Hecke symmetriser sum_{v in W^lambda} T_v x^lambda, with
+    the Demazure-Lusztig operators T_i at u = 1/q.  The orbit of lambda is
+    walked down from lambda, from x to s_i x when <x, a_i^vee> > 0, so each
+    minimal coset representative costs one operator application.  Since
+    T_i x^lambda = u x^lambda when s_i fixes lambda, the sum over all of W
+    is W_lambda(u) times this one, so no normaliser is divided out.
     """
     if not rs.is_dominant_weight(lam):
         raise ValueError("lambda must be a dominant weight")
-    u = QPoly((0, 1))
-    one = QPoly.one()
-    pos_set = set(rs.pos_roots)
-
+    top = exponent_key(rs, lam)
+    terms = {top: {top: QPoly.one()}}  # orbit point v(lambda) -> T_v x^lambda
+    frontier = [top]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for i, c in enumerate(rs.simple_coroots):
+                if pairing(x, c) > 0:  # a key pairs like the weight it scales
+                    y = rs.act(rs.simple_reflections[i], x)
+                    if y not in terms:
+                        terms[y] = _demazure_lusztig(rs, i, terms[x])
+                        nxt.append(y)
+        frontier = nxt
     total: dict = {}
-    for w in range(rs.order()):
-        term = {exponent_key(rs, rs.act(w, lam)): one}
-        for alpha in rs.pos_roots:
-            img = rs.act(w, alpha)
-            beta = img if img in pos_set else vneg(img)
-            shift = exponent_key(rs, vneg(beta))
-            if img in pos_set:
-                term = _mul_binomial(term, shift, one, -u)  # 1 - u x^{-beta}
-            else:
-                term = _mul_binomial(term, shift, u, -one)  # u - x^{-beta}
-        for key, c in term.items():
+    for f in terms.values():
+        for key, c in f.items():
             _add_term(total, key, c)
-
-    stab_poly = QPoly.zero()
-    for w in rs.stabilizer(lam):
-        stab_poly = stab_poly + QPoly.q_power(rs.length[w])  # polynomial in u
-    divided: dict = {}
-    for key, c in total.items():
-        divided[key] = c.divide_exact(stab_poly)
-
-    for alpha in rs.pos_roots:
-        divided = _divide_by_one_minus(divided, exponent_key(rs, vneg(alpha)))
-    return divided
+    return total
 
 
 def L_from_expansion(rs: RootSystem, pmap: dict, lam: Vec, mu: Vec) -> QPoly:
@@ -165,22 +164,22 @@ def weyl_dimension(rs: RootSystem, lam: Vec) -> int:
 
 
 def _dominant_weights_below(rs: RootSystem, lam: Vec) -> list:
+    """Dominant mu <= lambda, highest first.  Each is reached from lambda by
+    subtracting positive roots through dominant weights only (Stembridge,
+    "The partial order of dominant weights", 1998, Cor. 2.7)."""
     v0 = tuple(Q(rs.dim - k) for k in range(rs.dim))
-    floor = min(pairing(rs.act(w, lam), v0) for w in range(rs.order()))
     seen = {lam}
     frontier = [lam]
     while frontier:
         nxt = []
         for v in frontier:
-            for alpha in rs.simple_roots:
+            for alpha in rs.pos_roots:
                 t = vsub(v, alpha)
-                if t not in seen and pairing(t, v0) >= floor:
+                if t not in seen and rs.is_dominant(t):
                     seen.add(t)
                     nxt.append(t)
         frontier = nxt
-    doms = [v for v in seen if rs.is_dominant(v)]
-    doms.sort(key=lambda v: -pairing(v, v0))
-    return doms
+    return sorted(seen, key=lambda v: -pairing(v, v0))
 
 
 def freudenthal_character(rs: RootSystem, lam: Vec) -> dict:

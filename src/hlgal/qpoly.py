@@ -97,30 +97,6 @@ class QPoly:
             acc = acc * x + c
         return acc
 
-    def divide_exact(self, other: "QPoly") -> "QPoly":
-        """Exact division; raises if a remainder is left."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        out = [0] * max(len(rem) - len(other.coeffs) + 1, 0)
-        d = other.coeffs
-        while len(rem) >= len(d) and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) < len(d):
-                break
-            lead, top = rem[-1], d[-1]
-            if lead % top != 0:
-                raise ArithmeticError("non-exact polynomial division")
-            c = lead // top
-            k = len(rem) - len(d)
-            out[k] = c
-            for i, dc in enumerate(d):
-                rem[k + i] -= c * dc
-        if any(rem):
-            raise ArithmeticError("non-exact polynomial division")
-        return QPoly(out)
-
     def pretty(self) -> str:
         """Human form, highest degree first: '2q^4 - 2q^3', 'q', '1', '0'."""
         if not self.coeffs:

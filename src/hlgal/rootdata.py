@@ -361,7 +361,7 @@ class RootSystem:
         return tuple(pairing(v, c) for c in self.simple_coroots)
 
     def is_dominant(self, v: Vec) -> bool:
-        return all(pairing(v, c) >= 0 for c in self.simple_coroots)
+        return self.dominant_rep(v) == v
 
     def is_dominant_weight(self, v: Vec) -> bool:
         return self.is_dominant(v) and all(a.denominator == 1 and a >= 0 for a in self.weight_coeffs(v))
@@ -377,9 +377,6 @@ class RootSystem:
         if self.family == "A":
             return tuple(sorted(v, reverse=True))
         return tuple(sorted((abs(a) for a in v), reverse=True))
-
-    def stabilizer(self, v: Vec) -> tuple:
-        return tuple(i for i in range(self.order()) if self.act(i, v) == v)
 
     # --------------------------------------------------------------- chambers
 

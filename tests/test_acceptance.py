@@ -2,11 +2,15 @@
 
 The shared suite: root systems A1, A2, A3, B2, C2, B3, C3; every dominant
 lambda with coefficient sum <= 3 and <lambda, 2 rho> <= 16; all dominant
-mu seen by either route.  Everything is exact; no tolerances anywhere.
+mu seen by either route.  The rank-4 tier runs the `verify` suite on the
+fundamental weights of A4, B4 and C4.  Everything is exact; no tolerances
+anywhere.
 """
 
 import random
 import time
+
+import pytest
 
 from hlgal.apartment import local_data, local_key
 from hlgal.folding import (
@@ -39,7 +43,7 @@ from hlgal.residue import (
 )
 from hlgal.rootdata import pairing, root_system, vadd, vneg
 from hlgal.tableaux import gallery_to_tableau, is_semistandard, tableau_to_gallery
-from hlgal.verify import _dominant_mus, dominant_lambdas
+from hlgal.verify import _dominant_mus, dominant_lambdas, run_suite
 from test_folding import is_minimal
 
 SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("B", 3), ("C", 3)]
@@ -289,3 +293,14 @@ def test_criterion_7_bijection_roundtrips():
                     got = ssyt_by_target.get(rs.canonical_weight(mu), 0)
                     assert got == want, (family, rank, b["lam"], mu)
     print("\nACCEPTANCE 7 bijections: PASS (%d galleries)" % n)
+
+
+@pytest.mark.parametrize("family,max_height,checks", [("B", 30, 58), ("C", 30, 52), ("A", 20, 40)])
+def test_rank4_tier(family, max_height, checks):
+    rs = root_system(family, 4)
+    start = time.perf_counter()
+    report = run_suite(rs, max_coeff_sum=1, max_height=max_height)
+    elapsed = time.perf_counter() - start
+    assert report["ok"], report["failures"]
+    assert report["checks"] == checks
+    print("\nACCEPTANCE rank-4 %s: PASS (%d checks, %.1fs)" % (report["system"], checks, elapsed))

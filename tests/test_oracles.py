@@ -4,6 +4,7 @@ import pytest
 
 from hlgal.oracles import (
     L_from_direct,
+    _add_term,
     exponent_key,
     freudenthal_character,
     hall_littlewood_direct,
@@ -11,7 +12,78 @@ from hlgal.oracles import (
     weyl_dimension,
 )
 from hlgal.qpoly import QPoly
-from hlgal.rootdata import pairing
+from hlgal.rootdata import pairing, root_system, vneg
+from hlgal.verify import dominant_lambdas
+
+
+def _mul_binomial(mapping, shift, a, b):
+    """mapping * (a + b*x^shift)."""
+    out = {}
+    for key, c in mapping.items():
+        _add_term(out, key, c * a)
+        _add_term(out, tuple(k + s for k, s in zip(key, shift)), c * b)
+    return out
+
+
+def weyl_sum_factors(rs):
+    """w(prod_{alpha > 0} (1 - u x^{-alpha}) / (1 - x^{-alpha})) for each w in W,
+    as numerators over the common denominator prod_{beta > 0} (1 - x^{-beta})."""
+    u, one = QPoly((0, 1)), QPoly.one()
+    pos_set = set(rs.pos_roots)
+    factors = []
+    for w in range(rs.order()):
+        term = {(0,) * rs.dim: one}
+        for alpha in rs.pos_roots:
+            img = rs.act(w, alpha)
+            if img in pos_set:
+                term = _mul_binomial(term, exponent_key(rs, vneg(img)), one, -u)
+            else:  # (1 - u x^beta) / (1 - x^beta) = (u - x^{-beta}) / (1 - x^{-beta})
+                term = _mul_binomial(term, exponent_key(rs, img), u, -one)
+        factors.append(term)
+    return factors
+
+
+def weyl_sum_numerator(rs, lam, factors):
+    """Macdonald's Weyl sum of x^lambda prod (1 - u x^{-alpha}) / (1 - x^{-alpha})
+    over the common denominator, u = 1/q."""
+    total = {}
+    for w, term in enumerate(factors):
+        top = exponent_key(rs, rs.act(w, lam))
+        for key, c in term.items():
+            _add_term(total, tuple(k + t for k, t in zip(key, top)), c)
+    return total
+
+
+WEYL_SUM_CASES = [("A1", 3), ("A2", 3), ("B2", 3), ("C2", 3), ("A3", 2), ("B3", 1), ("C3", 1)]
+
+
+@pytest.mark.parametrize("name,max_sum", WEYL_SUM_CASES)
+def test_symmetriser_is_the_weyl_sum(name, max_sum):
+    # W_lambda(u) * prod_{beta > 0} (1 - x^{-beta}) * P_lambda is the Weyl-sum
+    # numerator; comparing products needs no division
+    rs = root_system(name[0], int(name[1]))
+    one = QPoly.one()
+    factors = weyl_sum_factors(rs)
+    for lam in dominant_lambdas(rs, max_sum, 10**6):
+        pmap = hall_littlewood_direct(rs, lam)
+        assert all(not c.is_zero() for c in pmap.values())
+        stab = QPoly.zero()
+        for w in range(rs.order()):
+            if rs.act(w, lam) == lam:
+                stab = stab + QPoly.q_power(rs.length[w])  # polynomial in u
+        lhs = {key: c * stab for key, c in pmap.items()}
+        for beta in rs.pos_roots:
+            lhs = _mul_binomial(lhs, exponent_key(rs, vneg(beta)), one, -one)
+        assert lhs == weyl_sum_numerator(rs, lam, factors), lam
+
+
+RANK4_FUNDAMENTAL = [
+    (f + "4", ",".join("1" if j == i else "0" for j in range(4))) for f in "ABC" for i in range(4)
+]
+
+
+def weight_of(rs, coeffs):
+    return rs.weight([int(a) for a in coeffs.split(",")])
 
 
 def test_hl_zero_weight(a2):
@@ -46,9 +118,10 @@ def test_hl_is_weyl_invariant(b2):
             assert pmap.get(image) == coeff
 
 
-def test_hl_q_infinity_is_freudenthal(c2):
-    rs = c2
-    lam = rs.weight((1, 1))
+@pytest.mark.parametrize("name,coeffs", [("C2", "1,1")] + RANK4_FUNDAMENTAL)
+def test_hl_q_infinity_is_freudenthal(name, coeffs):
+    rs = root_system(name[0], int(name[1]))
+    lam = weight_of(rs, coeffs)
     # the q -> infinity limit of P_lambda: u = 0 coefficientwise
     schur = {
         key: c.coeffs[0]
@@ -58,6 +131,17 @@ def test_hl_q_infinity_is_freudenthal(c2):
     freud = freudenthal_character(rs, lam)
     as_keys = {exponent_key(rs, v): m for v, m in freud.items()}
     assert schur == as_keys
+
+
+@pytest.mark.parametrize("name,coeffs", RANK4_FUNDAMENTAL)
+def test_hl_at_u_one_is_the_orbit_sum(name, coeffs):
+    # P_lambda(t = 1) = m_lambda: 1 on the W-orbit of lambda, 0 elsewhere
+    rs = root_system(name[0], int(name[1]))
+    lam = weight_of(rs, coeffs)
+    at_one = {key: c(1) for key, c in hall_littlewood_direct(rs, lam).items()}
+    orbit = {exponent_key(rs, v) for v in rs.weyl.orbit(lam)}
+    assert {key for key, c in at_one.items() if c != 0} == orbit
+    assert all(at_one[key] == 1 for key in orbit)
 
 
 def test_l_from_direct_values(a2):

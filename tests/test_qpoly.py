@@ -43,13 +43,6 @@ def test_leading_data():
         QPoly.zero().leading_coefficient()
 
 
-def test_divide_exact():
-    num = QPoly((0, -1, 1)) * QPoly((2, 3)) + QPoly.zero()
-    assert num.divide_exact(QPoly((2, 3))) == QPoly((0, -1, 1))
-    with pytest.raises(ArithmeticError):
-        QPoly((1, 1)).divide_exact(QPoly((0, 1)))
-
-
 def test_json_roundtrip():
     # the CLI's {"coeffs": ...} form decodes through the constructor
     p = QPoly((0, 0, 0, -2, 2))
@@ -73,12 +66,3 @@ def test_ring_laws(a, b, c):
     assert (p + q) * r == p * r + q * r
     assert p * (q * r) == (p * q) * r
     assert p - p == QPoly.zero()
-
-
-@settings(max_examples=100, deadline=None)
-@given(coeff_lists, coeff_lists)
-def test_multiplication_then_exact_division(a, b):
-    p, q = QPoly(a), QPoly(b)
-    if q.is_zero():
-        return
-    assert (p * q).divide_exact(q) == p
