@@ -2,18 +2,17 @@
 
 A wall is H_{c,n} = {x : <x, c> + n = 0} where c runs over the coroot
 functionals of the root system and n over the integers.  Vertices are
-rational points; an edge germ at a vertex is the exact vector pointing
-along the edge.  Sidedness questions are always settled by evaluating
-functionals at exact rational points, never by sign conventions on
-abstract simple roots.
+points of the integer lattice of rootdata; an edge germ at a vertex is the
+lattice vector pointing along the edge.  Sidedness questions are always
+settled by evaluating functionals at exact lattice points, never by sign
+conventions on abstract simple roots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 
-from .rootdata import ReflectionGroup, RootSystem, Vec, pairing, vneg, vscale, vsub
+from .rootdata import ReflectionGroup, RootSystem, Vec, pairing, vdiv, vneg, vsub
 
 SEGMENTS = ("whole", "first", "second")
 
@@ -42,9 +41,10 @@ class AffineRoot:
 
 
 def local_key(rs: RootSystem, vertex: Vec) -> tuple:
-    """Indices of the positive walls passing through the vertex."""
+    """Indices of the positive walls passing through the vertex: those whose
+    pairing with it is integral, i.e. divisible by the lattice scale."""
     return tuple(
-        k for k, c in enumerate(rs.pos_coroots) if pairing(vertex, c).denominator == 1
+        k for k, c in enumerate(rs.pos_coroots) if pairing(vertex, c) % rs.scale == 0
     )
 
 
@@ -87,7 +87,7 @@ class LocalRootSystem(ReflectionGroup):
         self.reflection_indices = tuple(rs.reflections[k] for k in key)
 
         # generic dominant point; its negative is interior to the base chamber
-        self.generic_dominant = tuple(Q(rs.dim - k) for k in range(rs.dim))
+        self.generic_dominant = tuple(rs.dim - k for k in range(rs.dim))
 
         self._base_face: dict = {}
         self.two_step: dict = {}
@@ -141,11 +141,11 @@ def phi_a_minus(rs: RootSystem, vertex: Vec, direction: Vec) -> frozenset:
     """
     out = []
     for c in rs.pos_coroots:
-        level = pairing(vertex, c)
-        if level.denominator != 1:
+        level, rem = divmod(pairing(vertex, c), rs.scale)
+        if rem:
             continue
         if pairing(direction, c) > 0:
-            out.append(AffineRoot(vneg(c), int(level)))
+            out.append(AffineRoot(vneg(c), level))
     return frozenset(out)
 
 
@@ -166,5 +166,5 @@ def expected_germ(rs: RootSystem, etype: EdgeType) -> Vec:
     omega = rs.fundamental_weights[etype.index - 1]
     if etype.segment == "whole":
         return omega
-    return vscale(Q(1, 2), omega)
+    return vdiv(omega, 2)
 

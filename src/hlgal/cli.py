@@ -103,7 +103,7 @@ def cmd_galleries(args) -> int:
         chain = defining_chain(rs, g)
         rows.append(
             {
-                "gallery": gallery_to_jsonable(g),
+                "gallery": gallery_to_jsonable(rs, g),
                 "ls": ls,
                 "defining_chain": [list(rs.reduced_word(w)) for w in chain],
                 "term": list(gallery_term(rs, g).coeffs),

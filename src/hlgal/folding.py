@@ -121,7 +121,9 @@ def defining_chain(rs: RootSystem, g: Gallery):
 
 
 def is_positively_folded(rs: RootSystem, g: Gallery) -> bool:
-    """Folded positively at every junction, with a defining chain."""
+    """Folded positively at every junction, with a defining chain.
+
+    Both passes read the gallery's directions, built once per gallery."""
     return locally_positively_folded(rs, g) and _reachable_masks(rs, g.directions()) is not None
 
 
@@ -137,12 +139,11 @@ def type_weight(rs: RootSystem, gtype) -> Vec:
 def has_maximal_crossings(rs: RootSystem, g: Gallery) -> bool:
     """Positive-crossing count equal to the degree bound <lambda+mu, rho>;
     the LS test for a gallery already known to be positively folded."""
-    lam = type_weight(rs, g.gtype)
-    bound = pairing(vadd(lam, g.target), rs.rho)
-    plus = crossing_counts(rs, g)[0]
-    if plus > bound:
+    twice_bound = rs.height(vadd(type_weight(rs, g.gtype), g.target))
+    twice_plus = 2 * crossing_counts(rs, g)[0]
+    if twice_plus > twice_bound:
         raise AssertionError("positive crossings exceed the degree bound")
-    return plus == bound
+    return twice_plus == twice_bound
 
 
 def is_LS(rs: RootSystem, g: Gallery) -> bool:
@@ -155,10 +156,10 @@ def enumerate_pf(rs: RootSystem, lam: Vec, mu: Vec) -> tuple:
     if not rs.is_dominant_weight(lam) or not rs.is_dominant_weight(mu):
         raise ValueError("lambda and mu must be dominant weights")
     gtype = type_of_lambda(rs, lam)
-    mu_c = rs.canonical_weight(mu)
+    mu_c = rs.canonical_key(mu)
     out = []
     for g in enumerate_of_type(rs, gtype):
-        if rs.canonical_weight(g.target) != mu_c:
+        if rs.canonical_key(g.target) != mu_c:
             continue
         if is_positively_folded(rs, g):
             out.append(g)

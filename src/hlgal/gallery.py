@@ -10,10 +10,9 @@ omega_1^{a_1} * ... * omega_n^{a_n}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 
 from .apartment import EdgeType, crossings, expected_germ, local_data, phi_a_minus
-from .rootdata import RootSystem, Vec, vadd, vscale, vsub
+from .rootdata import RootSystem, Vec, vadd, vsub
 
 GalleryType = tuple  # tuple of EdgeType
 
@@ -39,13 +38,16 @@ class Gallery:
         return len(self.gtype)
 
     def directions(self) -> tuple:
-        return tuple(
-            vsub(self.vertices[i + 1], self.vertices[i]) for i in range(len(self.gtype))
-        )
+        """The germs V_{i+1} - V_i, built on the first call and kept."""
+        dirs = self.__dict__.get("_directions")
+        if dirs is None:
+            dirs = tuple(vsub(b, a) for a, b in zip(self.vertices, self.vertices[1:]))
+            object.__setattr__(self, "_directions", dirs)
+        return dirs
 
 
 def _origin(rs: RootSystem) -> Vec:
-    return tuple(Q(0) for _ in range(rs.dim))
+    return (0,) * rs.dim
 
 
 def fundamental_type(rs: RootSystem, i: int) -> tuple:
@@ -60,19 +62,18 @@ def gamma_omega(rs: RootSystem, i: int) -> Gallery:
         raise ValueError("no fundamental weight with index %d" % i)
     omega = rs.fundamental_weights[i - 1]
     o = _origin(rs)
-    if rs.fundamental_scale[i - 1] == 1:
-        return Gallery((o, omega), fundamental_type(rs, i))
-    mid = vscale(Q(1, 2), omega)
-    return Gallery((o, mid, omega), fundamental_type(rs, i))
+    gtype = fundamental_type(rs, i)
+    if len(gtype) == 1:
+        return Gallery((o, omega), gtype)
+    return Gallery((o, expected_germ(rs, gtype[0]), omega), gtype)
 
 
 def type_of_lambda(rs: RootSystem, lam: Vec) -> GalleryType:
-    coeffs = rs.weight_coeffs(lam)
     if not rs.is_dominant_weight(lam):
         raise ValueError("lambda must be a dominant weight")
     gtype = []
-    for i, a in enumerate(coeffs, start=1):
-        gtype.extend(fundamental_type(rs, i) * int(a))
+    for i, a in enumerate(rs.weight_coeffs(lam), start=1):
+        gtype.extend(fundamental_type(rs, i) * a)
     return tuple(gtype)
 
 
@@ -85,12 +86,11 @@ def concat(rs: RootSystem, g1: Gallery, g2: Gallery) -> Gallery:
 
 def gamma_lambda(rs: RootSystem, lam: Vec) -> Gallery:
     """The standard minimal gallery for a dominant weight, Bourbaki order."""
-    coeffs = rs.weight_coeffs(lam)
     if not rs.is_dominant_weight(lam):
         raise ValueError("lambda must be a dominant weight")
     g = Gallery((_origin(rs),), ())
-    for i, a in enumerate(coeffs, start=1):
-        for _ in range(int(a)):
+    for i, a in enumerate(rs.weight_coeffs(lam), start=1):
+        for _ in range(a):
             g = concat(rs, g, gamma_omega(rs, i))
     return g
 
@@ -153,12 +153,14 @@ def cell_dimension(rs: RootSystem, g: Gallery) -> int:
     return sum(len(phi_a_minus(rs, v, d)) for v, d in zip(g.vertices, g.directions()))
 
 
-def frac_str(x: Q) -> str:
+def frac_str(x) -> str:
+    """An exact ambient coordinate (int or Fraction) as "p/q" or "p"."""
     return "%d/%d" % (x.numerator, x.denominator) if x.denominator != 1 else str(x.numerator)
 
 
-def gallery_to_jsonable(g: Gallery) -> dict:
+def gallery_to_jsonable(rs: RootSystem, g: Gallery) -> dict:
+    """Vertices in ambient coordinates, as exact "p/q" strings."""
     return {
-        "vertices": [[frac_str(x) for x in v] for v in g.vertices],
+        "vertices": [[frac_str(x) for x in rs.ambient(v)] for v in g.vertices],
         "edge_types": [t.tag() for t in g.gtype],
     }

@@ -45,14 +45,18 @@ def L_polynomial(rs: RootSystem, lam: Vec, mu: Vec) -> QPoly:
 def character_LS(rs: RootSystem, lam: Vec) -> dict:
     """Multiplicity map target -> number of LS-galleries of the standard type.
 
-    Keys are canonical weight vectors (type A drops the invariant line);
-    type_of_lambda rejects a lambda that is not a dominant weight.
+    Keys are canonical weight vectors in ambient coordinates (type A drops
+    the invariant line); type_of_lambda rejects a lambda that is not a
+    dominant weight.
     """
     counts: Counter = Counter()
     for g in enumerate_of_type(rs, type_of_lambda(rs, lam)):
         if is_LS(rs, g):
-            counts[rs.canonical_weight(g.target)] += 1
-    return dict(counts)
+            counts[g.target] += 1
+    out: Counter = Counter()
+    for target, m in counts.items():
+        out[rs.canonical_weight(target)] += m
+    return dict(out)
 
 
 def character_to_jsonable(char: dict) -> list:

@@ -13,29 +13,17 @@ None of this touches the gallery machinery.
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
-
 from .qpoly import QPoly
 from .rootdata import RootSystem, Vec, pairing, vadd, vneg, vscale, vsub
 
 
 def exponent_scale(rs: RootSystem) -> int:
-    """Scale making every lattice exponent an integer vector."""
-    if rs.family == "A":
-        return rs.dim  # canonical form has denominators dividing n+1
-    if rs.family == "B":
-        return 2  # spin weights are half-integral
-    return 1
+    """Exponent keys are this times the canonical ambient weight."""
+    return rs.key_scale
 
 
 def exponent_key(rs: RootSystem, v: Vec) -> tuple:
-    scaled = vscale(exponent_scale(rs), rs.canonical_weight(v))
-    out = []
-    for x in scaled:
-        if x.denominator != 1:
-            raise ValueError("vector is not in the weight lattice: %r" % (v,))
-        out.append(int(x))
-    return tuple(out)
+    return rs.canonical_key(v)
 
 
 def _add_term(mapping: dict, key: tuple, coeff: QPoly):
@@ -127,17 +115,12 @@ def hall_littlewood_direct(rs: RootSystem, lam: Vec) -> dict:
 
 def L_from_expansion(rs: RootSystem, pmap: dict, lam: Vec, mu: Vec) -> QPoly:
     """q^{<lambda+mu, rho>} times the x^mu coefficient of an expansion map."""
-    try:
-        key = exponent_key(rs, mu)
-    except ValueError:
-        return QPoly.zero()
-    coeff = pmap.get(key)
+    coeff = pmap.get(exponent_key(rs, mu))
     if coeff is None:
         return QPoly.zero()
-    n = pairing(vadd(lam, mu), rs.rho)
-    if n.denominator != 1:
+    n, rem = divmod(rs.height(vadd(lam, mu)), 2)
+    if rem:
         raise ArithmeticError("degree shift is not integral; convention fault")
-    n = int(n)
     if coeff.degree() > n:
         raise ArithmeticError("negative q-powers left in L; convention fault")
     out = [0] * (n + 1)
@@ -154,20 +137,22 @@ def L_from_direct(rs: RootSystem, lam: Vec, mu: Vec) -> QPoly:
 
 
 def weyl_dimension(rs: RootSystem, lam: Vec) -> int:
-    num = Q(1)
+    num = den = 1
     shifted = vadd(lam, rs.rho_weight)
     for c in rs.pos_coroots:
-        num *= pairing(shifted, c) / pairing(rs.rho_weight, c)
-    if num.denominator != 1:
+        num *= pairing(shifted, c)
+        den *= pairing(rs.rho_weight, c)
+    dim, rem = divmod(num, den)
+    if rem:
         raise ArithmeticError("non-integral dimension")
-    return int(num)
+    return dim
 
 
 def _dominant_weights_below(rs: RootSystem, lam: Vec) -> list:
     """Dominant mu <= lambda, highest first.  Each is reached from lambda by
     subtracting positive roots through dominant weights only (Stembridge,
     "The partial order of dominant weights", 1998, Cor. 2.7)."""
-    v0 = tuple(Q(rs.dim - k) for k in range(rs.dim))
+    v0 = tuple(rs.dim - k for k in range(rs.dim))
     seen = {lam}
     frontier = [lam]
     while frontier:
@@ -194,7 +179,7 @@ def freudenthal_character(rs: RootSystem, lam: Vec) -> dict:
         if mu == lam:
             continue
         denom = top_norm - pairing(vadd(mu, rho), vadd(mu, rho))
-        acc = Q(0)
+        acc = 0
         for alpha in rs.pos_roots:
             k = 1
             while True:
@@ -204,11 +189,11 @@ def freudenthal_character(rs: RootSystem, lam: Vec) -> dict:
                     break
                 acc += 2 * m * pairing(nu, alpha)
                 k += 1
-        value = acc / denom
-        if value.denominator != 1:
+        value, rem = divmod(acc, denom)
+        if rem:
             raise ArithmeticError("non-integral multiplicity")
-        if int(value) > 0:
-            mult[mu] = int(value)
+        if value > 0:
+            mult[mu] = value
     out: dict = {}
     for mu, m in mult.items():
         for nu in rs.weyl.orbit(mu):
@@ -217,7 +202,7 @@ def freudenthal_character(rs: RootSystem, lam: Vec) -> dict:
 
 
 def _partition_shape(rs: RootSystem, lam: Vec) -> tuple:
-    coeffs = [int(a) for a in rs.weight_coeffs(lam)]
+    coeffs = rs.weight_coeffs(lam)
     n = rs.rank
     return tuple(sum(coeffs[i:]) for i in range(n))
 
@@ -230,7 +215,7 @@ def kostka(rs: RootSystem, lam: Vec, mu: Vec) -> int:
         raise ValueError("lambda and mu must be dominant weights")
     shape = [p for p in _partition_shape(rs, lam) if p > 0]
     cells = sum(shape)
-    b = [int(x) for x in rs.weight_coeffs(mu)]
+    b = rs.weight_coeffs(mu)
     n = rs.rank
     content = [sum(b[i:]) for i in range(n)] + [0]
     spread, rem = divmod(cells - sum(content), n + 1)

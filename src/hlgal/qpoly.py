@@ -3,16 +3,24 @@
 from __future__ import annotations
 
 
+def _integral(c) -> int:
+    """c as an int; ValueError unless it is a whole number."""
+    i = int(c)
+    if i != c:
+        raise ValueError("non-integral coefficient %r" % (c,))
+    return i
+
+
 class QPoly:
     """Immutable integer polynomial; coefficients ascending, normalized."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = list(coeffs)
+        cs = [c if type(c) is int else _integral(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in cs))
+        object.__setattr__(self, "coeffs", tuple(cs))
 
     def __setattr__(self, *a):
         raise AttributeError("QPoly is immutable")

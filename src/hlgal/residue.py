@@ -17,7 +17,6 @@ conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 
 from .apartment import LocalRootSystem, local_data
 from .folding import is_minimal_pair
@@ -153,6 +152,6 @@ def junction_factor(
 
 def first_factor_exponent(rs: RootSystem, first_direction: Vec) -> int:
     """Length of the closest chamber at the origin containing the first germ."""
-    origin = tuple(Q(0) for _ in range(rs.dim))
+    origin = (0,) * rs.dim
     u, _ = closest_chamber_word(rs, origin, first_direction)
     return local_data(rs, origin).length[u]

@@ -9,7 +9,15 @@ families agree; in types B and C they are dual to each other, and keeping
 both around is what makes the half-integral spin weight of B_n a special
 vertex while the corresponding C_n weight is not.
 
-All arithmetic is exact (fractions.Fraction); no floats anywhere.
+All arithmetic is exact integer arithmetic; no floats anywhere.  Every
+vertex, germ, weight and root is a tuple of ints: its ambient coordinates
+times ``rs.scale``, which is 1 for A (every vertex is integral there) and
+2 for B and C (spin weights and half-edge midpoints are half-integral).
+Coroots are not scaled, so ``pairing(v, c)`` of a lattice vector with a
+coroot is ``scale`` times the ambient pairing, and v lies on a wall of c
+exactly when it is divisible by ``scale``.  Ambient coordinates, as
+Fractions, appear only at the output boundary: ``ambient`` and
+``canonical_weight``.
 Weyl group elements are signed permutations of the epsilon basis, stored
 as tuples ``((image, sign), ...)`` meaning ``w(e_j) = sign * e_image``.
 A RootSystem's root data is immutable after construction; the memo tables
@@ -19,37 +27,44 @@ of everything derived from it, local groups included, live on the object.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
+from fractions import Fraction
+from operator import add, neg, sub
 
-Vec = tuple  # tuple of Fraction coordinates
+Vec = tuple  # tuple of int lattice coordinates
 SignedPerm = tuple  # tuple of (image_index, sign) pairs
 
 FAMILIES = ("A", "B", "C")
 MAX_RANK = 4  # desk scale; |W| <= 384
 
 
-def pairing(weight: Vec, covector: Vec) -> Q:
-    """Exact ambient pairing <weight, covector>."""
+def pairing(weight: Vec, covector: Vec) -> int:
+    """Integer dot product <weight, covector>."""
     if len(weight) != len(covector):
         raise ValueError("dimension mismatch: %d vs %d" % (len(weight), len(covector)))
-    return sum((a * b for a, b in zip(weight, covector)), Q(0))
+    return sum(a * b for a, b in zip(weight, covector))
 
 
 def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vneg(u: Vec) -> Vec:
-    return tuple(-a for a in u)
+    return tuple(map(neg, u))
 
 
-def vscale(c, u: Vec) -> Vec:
-    c = Q(c)
+def vscale(c: int, u: Vec) -> Vec:
     return tuple(c * a for a in u)
+
+
+def vdiv(u: Vec, k: int) -> Vec:
+    """u / k; raises ValueError unless every coordinate is divisible by k."""
+    if any(a % k for a in u):
+        raise ValueError("%r is not divisible by %d" % (u, k))
+    return tuple(a // k for a in u)
 
 
 def is_zero(u: Vec) -> bool:
@@ -61,7 +76,7 @@ def sp_identity(m: int) -> SignedPerm:
 
 
 def sp_act(w: SignedPerm, v: Vec) -> Vec:
-    out = [Q(0)] * len(v)
+    out = [0] * len(v)
     for j, (i, s) in enumerate(w):
         out[i] = v[j] if s == 1 else -v[j]
     return tuple(out)
@@ -99,12 +114,21 @@ class RootSystemSpec:
             raise ValueError("unsupported rank %r (supported: 1..%d)" % (self.rank, MAX_RANK))
 
 
+def lattice_scale(family: str) -> int:
+    """Ambient coordinates times this are integers on every vertex and germ."""
+    return 1 if family == "A" else 2
+
+
 def _root_data(family: str, n: int):
-    """Positive roots, aligned coroots and simple indices, Bourbaki order."""
+    """Positive roots, aligned coroots and simple indices, Bourbaki order.
+
+    Roots and fundamental weights are lattice vectors (scaled); coroots are
+    integral functionals and are not."""
     m = n + 1 if family == "A" else n
+    s = lattice_scale(family)
 
     def e(i):
-        return tuple(Q(1) if k == i else Q(0) for k in range(m))
+        return tuple(1 if k == i else 0 for k in range(m))
 
     pos_roots, pos_coroots = [], []
     if family == "A":
@@ -113,42 +137,28 @@ def _root_data(family: str, n: int):
                 r = vsub(e(i), e(j))
                 pos_roots.append(r)
                 pos_coroots.append(r)
-    elif family == "B":
+    else:
+        # the roots a e_i and coroots a_vee e_i: e_i, 2 e_i in B; 2 e_i, e_i in C
+        a, a_vee = (1, 2) if family == "B" else (2, 1)
         for i in range(n):
-            pos_roots.append(e(i))
-            pos_coroots.append(vscale(2, e(i)))
-        for i in range(n):
-            for j in range(i + 1, n):
-                for sign in (1, -1):
-                    r = vadd(e(i), vscale(sign, e(j)))
-                    pos_roots.append(r)
-                    pos_coroots.append(r)
-    else:  # C
-        for i in range(n):
-            pos_roots.append(vscale(2, e(i)))
-            pos_coroots.append(e(i))
+            pos_roots.append(vscale(s * a, e(i)))
+            pos_coroots.append(vscale(a_vee, e(i)))
         for i in range(n):
             for j in range(i + 1, n):
                 for sign in (1, -1):
                     r = vadd(e(i), vscale(sign, e(j)))
-                    pos_roots.append(r)
+                    pos_roots.append(vscale(s, r))
                     pos_coroots.append(r)
 
-    simple_roots = []
-    for i in range(n - 1):
-        simple_roots.append(vsub(e(i), e(i + 1)))
-    if family == "A":
-        simple_roots.append(vsub(e(n - 1), e(n)))
-    elif family == "B":
-        simple_roots.append(e(n - 1))
-    else:
-        simple_roots.append(vscale(2, e(n - 1)))
+    simple_roots = [vscale(s, vsub(e(i), e(i + 1))) for i in range(m - 1)]
+    if family != "A":
+        simple_roots.append(vscale(s * a, e(n - 1)))
 
     fundamental = []
     for i in range(1, n + 1):
-        w = tuple(Q(1) if k < i else Q(0) for k in range(m))
+        w = tuple(s if k < i else 0 for k in range(m))
         if family == "B" and i == n:
-            w = tuple(Q(1, 2) for _ in range(m))
+            w = tuple(1 for _ in range(m))  # the spin weight, all 1/2
         fundamental.append(w)
 
     return pos_roots, pos_coroots, simple_roots, fundamental
@@ -255,6 +265,9 @@ class RootSystem:
         self.family = spec.family
         self.rank = spec.rank
         self.dim = spec.ambient_dim
+        self.scale = lattice_scale(self.family)
+        # canonical keys are key_scale times the canonical weight
+        self.key_scale = self.scale * (self.dim if self.family == "A" else 1)
 
         pos_roots, pos_coroots, simple_roots, fundamental = _root_data(self.family, self.rank)
         order = sorted(range(len(pos_roots)), key=lambda k: pos_coroots[k])
@@ -266,12 +279,17 @@ class RootSystem:
         )
         self.fundamental_weights = tuple(fundamental)
         # largest pairing of each omega_i with a positive coroot; 1 means minuscule
-        tops = [max(pairing(w, c) for c in self.pos_coroots) for w in self.fundamental_weights]
+        tops = [
+            max(pairing(w, c) for c in self.pos_coroots) // self.scale
+            for w in self.fundamental_weights
+        ]
         if any(t not in (1, 2) for t in tops):
             raise AssertionError("fundamental weight pairs beyond 2; outside A/B/C scope")
-        self.fundamental_scale = tuple(int(t) for t in tops)
-        self.rho = vscale(Q(1, 2), self._vsum(self.pos_coroots))
-        self.rho_weight = vscale(Q(1, 2), self._vsum(self.pos_roots))
+        self.fundamental_scale = tuple(tops)
+        self.two_rho = self._vsum(self.pos_coroots)  # 2 rho^vee, an integral functional
+        # rho as a weight, the sum of the fundamental weights; in type A it is
+        # half the sum of the positive roots only modulo the invariant line
+        self.rho_weight = self._vsum(self.fundamental_weights)
 
         self._build_group()
         self._build_bruhat()
@@ -292,14 +310,13 @@ class RootSystem:
 
     def reflection_perm(self, root: Vec) -> SignedPerm:
         """The orthogonal reflection through root^perp, as a signed permutation."""
-        m = self.dim
         norm = pairing(root, root)
         cols = []
-        for j in range(m):
-            ej = tuple(Q(1) if k == j else Q(0) for k in range(m))
-            img = vsub(ej, vscale(2 * root[j] / norm, root))
+        for j in range(self.dim):
+            # norm * s_root(e_j) = norm * e_j - 2 root_j root
+            img = [(norm if k == j else 0) - 2 * root[j] * r for k, r in enumerate(root)]
             nz = [(k, c) for k, c in enumerate(img) if c != 0]
-            if len(nz) != 1 or abs(nz[0][1]) != 1:
+            if len(nz) != 1 or abs(nz[0][1]) != norm:
                 raise ValueError("reflection is not a signed permutation")
             cols.append((nz[0][0], 1 if nz[0][1] > 0 else -1))
         return tuple(cols)
@@ -352,26 +369,51 @@ class RootSystem:
         """Sum a_i * omega_i for a coefficient vector in Bourbaki order."""
         if len(coeffs) != self.rank:
             raise ValueError("expected %d coefficients" % self.rank)
-        acc = tuple(Q(0) for _ in range(self.dim))
+        acc = (0,) * self.dim
         for a, w in zip(coeffs, self.fundamental_weights):
             acc = vadd(acc, vscale(a, w))
         return acc
 
     def weight_coeffs(self, v: Vec) -> tuple:
-        return tuple(pairing(v, c) for c in self.simple_coroots)
+        """The integers a_i with v = sum a_i * omega_i; ValueError off the weight lattice."""
+        out = []
+        for c in self.simple_coroots:
+            a, rem = divmod(pairing(v, c), self.scale)
+            if rem:
+                raise ValueError("%r is not a weight" % (v,))
+            out.append(a)
+        return tuple(out)
+
+    def height(self, v: Vec) -> int:
+        """<v, 2 rho^vee>, the sum of v's pairings with the positive coroots."""
+        h, rem = divmod(pairing(v, self.two_rho), self.scale)
+        if rem:
+            raise ValueError("%r is not a weight" % (v,))
+        return h
 
     def is_dominant(self, v: Vec) -> bool:
         return self.dominant_rep(v) == v
 
     def is_dominant_weight(self, v: Vec) -> bool:
-        return self.is_dominant(v) and all(a.denominator == 1 and a >= 0 for a in self.weight_coeffs(v))
+        return self.is_dominant(v) and all(pairing(v, c) % self.scale == 0 for c in self.simple_coroots)
 
-    def canonical_weight(self, v: Vec) -> Vec:
-        """Canonical representative modulo the invariant line (type A only)."""
+    def canonical_key(self, v: Vec) -> Vec:
+        """key_scale times the canonical representative of v modulo the
+        invariant line (type A only), as an integer vector."""
         if self.family != "A":
             return v
-        shift = sum(v, Q(0)) / self.dim
-        return tuple(a - shift for a in v)
+        total = sum(v)
+        return tuple(self.dim * a - total for a in v)
+
+    # Boundary forms: ambient coordinates as Fractions, for output.
+
+    def ambient(self, v: Vec) -> tuple:
+        return tuple(Fraction(a, self.scale) for a in v)
+
+    def canonical_weight(self, v: Vec) -> tuple:
+        """The canonical representative modulo the invariant line (type A
+        only), in ambient coordinates."""
+        return tuple(Fraction(a, self.key_scale) for a in self.canonical_key(v))
 
     def dominant_rep(self, v: Vec) -> Vec:
         if self.family == "A":
@@ -398,12 +440,10 @@ class RootSystem:
 
     def below_closure_mask(self, mask: int) -> int:
         out = 0
-        i = 0
         while mask:
-            if mask & 1:
-                out |= self.below_mask[i]
-            mask >>= 1
-            i += 1
+            low = mask & -mask  # visit the set bits only
+            out |= self.below_mask[low.bit_length() - 1]
+            mask ^= low
         return out
 
     # ----------------------------------------------------------- words/cosets

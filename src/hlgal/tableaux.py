@@ -12,11 +12,10 @@ half-edge weights, first column to the right.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 
 from .apartment import EdgeType, expected_germ, local_data
 from .gallery import Gallery
-from .rootdata import RootSystem, Vec, vadd, vscale
+from .rootdata import RootSystem, Vec, vadd, vdiv, vscale
 
 
 @dataclass(frozen=True)
@@ -38,7 +37,7 @@ def letter_str(family: str, rank: int, letter: int) -> str:
 
 def shape_partition(rs: RootSystem, lam: Vec) -> tuple:
     """Row lengths of the diagram attached to a dominant weight."""
-    a = [int(x) for x in rs.weight_coeffs(lam)]
+    a = rs.weight_coeffs(lam)
     n = rs.rank
     if rs.family == "A":
         rows = [sum(a[i:]) for i in range(n)]
@@ -61,23 +60,25 @@ def _column_valid(rs: RootSystem, col) -> bool:
     return len(plain) == len(col)  # never both k and bar(k)
 
 
-def _column_weight(rs: RootSystem, col, spin: bool) -> Vec:
-    n_coords = rs.dim
-    coords = [Q(0)] * n_coords
+def _column_factor(rs: RootSystem, halved: bool) -> int:
+    """Lattice vector of an edge over its column's 0/+-1 vector: a halved
+    column (a spin column or one of a two-column block) is half an edge."""
+    return rs.scale // 2 if halved else rs.scale
+
+
+def _column_weight(rs: RootSystem, col, halved: bool) -> Vec:
+    coords = [0] * rs.dim
     for x in col:
         if rs.family == "A" or x <= rs.rank:
             coords[x - 1] += 1
         else:
             coords[bar(rs.rank, x) - 1] -= 1
-    v = tuple(coords)
-    return vscale(Q(1, 2), v) if spin else v
+    return vscale(_column_factor(rs, halved), coords)
 
 
-def _weight_column(rs: RootSystem, v: Vec, spin: bool) -> tuple:
-    if spin:
-        v = vscale(2, v)
+def _weight_column(rs: RootSystem, v: Vec, halved: bool) -> tuple:
     letters = []
-    for k, x in enumerate(v, start=1):
+    for k, x in enumerate(vdiv(v, _column_factor(rs, halved)), start=1):
         if x == 1:
             letters.append(k)
         elif x == -1:
@@ -106,10 +107,8 @@ def gallery_to_tableau(rs: RootSystem, g: Gallery) -> Tableau:
             columns.append(_weight_column(rs, _canon_block(rs, dirs[k], t.index), spin))
             k += 1
         else:
-            v1 = _canon_block(rs, vscale(2, dirs[k]), t.index)
-            v2 = _canon_block(rs, vscale(2, dirs[k + 1]), t.index)
-            columns.append(_weight_column(rs, v1, False))
-            columns.append(_weight_column(rs, v2, False))
+            columns.append(_weight_column(rs, dirs[k], True))
+            columns.append(_weight_column(rs, dirs[k + 1], True))
             k += 2
     return Tableau(rs.family, rs.rank, tuple(columns))
 
@@ -118,8 +117,9 @@ def _canon_block(rs: RootSystem, v: Vec, index: int) -> Vec:
     """Strip the invariant-line drift so the vector lies in the 0/1 orbit."""
     if rs.family != "A":
         return v
-    total = sum(v, Q(0))
-    shift = (total - index) / rs.dim
+    shift, rem = divmod(sum(v) - index, rs.dim)
+    if rem:
+        raise ValueError("vector is not a single-column weight: %r" % (v,))
     return tuple(x - shift for x in v)
 
 
@@ -128,7 +128,7 @@ def tableau_to_gallery(rs: RootSystem, tab: Tableau) -> Gallery:
     if (tab.family, tab.rank) != (rs.family, rs.rank):
         raise ValueError("tableau family/rank does not match the root system")
     cols = list(tab.columns)
-    vertices = [tuple(Q(0) for _ in range(rs.dim))]
+    vertices = [(0,) * rs.dim]
     gtype = []
     pos = 0
     # deduce the block sequence from the column heights
@@ -150,13 +150,11 @@ def tableau_to_gallery(rs: RootSystem, tab: Tableau) -> Gallery:
             vertices.append(vadd(vertices[-1], d))
             gtype.append(EdgeType(i, "whole"))
         else:
-            w1 = _column_weight(rs, block[0], False)
-            w2 = _column_weight(rs, block[1], False)
             _check_pair_exchange(rs, block[0], block[1])
-            d1 = vscale(Q(1, 2), w1)
+            d1 = _column_weight(rs, block[0], True)
             _check_orbit_member(rs, d1, EdgeType(i, "first"))
             mid = vadd(vertices[-1], d1)
-            d2 = vscale(Q(1, 2), w2)
+            d2 = _column_weight(rs, block[1], True)
             if d2 not in local_data(rs, mid).orbit(d1):
                 raise ValueError("second column is not reachable at the midpoint")
             vertices.append(mid)
@@ -168,8 +166,8 @@ def tableau_to_gallery(rs: RootSystem, tab: Tableau) -> Gallery:
 
 
 def _check_orbit_member(rs: RootSystem, d: Vec, etype: EdgeType):
-    want = rs.dominant_rep(rs.canonical_weight(expected_germ(rs, etype)))
-    if rs.dominant_rep(rs.canonical_weight(d)) != want:
+    want = rs.dominant_rep(rs.canonical_key(expected_germ(rs, etype)))
+    if rs.dominant_rep(rs.canonical_key(d)) != want:
         raise ValueError("column weight is not in the %s orbit" % etype.tag())
 
 

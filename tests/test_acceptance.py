@@ -41,7 +41,7 @@ from hlgal.residue import (
     junction_factor,
     valid_sector_classes,
 )
-from hlgal.rootdata import pairing, root_system, vadd, vneg
+from hlgal.rootdata import root_system, vadd, vneg
 from hlgal.tableaux import gallery_to_tableau, is_semistandard, tableau_to_gallery
 from hlgal.verify import _dominant_mus, dominant_lambdas, run_suite
 from test_folding import is_minimal
@@ -160,12 +160,12 @@ def test_criterion_5_degree_and_leading():
                     ls_by_target[t] = ls_by_target.get(t, 0) + 1
             for mu in b["mus"]:
                 poly = b["table"][mu]
-                bound = pairing(vadd(b["lam"], mu), rs.rho)
+                twice_bound = rs.height(vadd(b["lam"], mu))  # 2 <lambda + mu, rho>
                 if not poly.is_zero():
-                    assert poly.degree() <= bound
+                    assert 2 * poly.degree() <= twice_bound
                 n_ls = ls_by_target.get(rs.canonical_weight(mu), 0)
                 if n_ls:
-                    assert poly.degree() == bound
+                    assert 2 * poly.degree() == twice_bound
                     assert poly.leading_coefficient() == n_ls
                 if family == "A" and not poly.is_zero():
                     assert poly.leading_coefficient() == kostka(rs, b["lam"], mu)
@@ -178,7 +178,7 @@ def test_criterion_6_combinatorial_invariants():
         rs, bundles = suite_bundles(family, rank)
         seen_junctions = set()
         for b in bundles:
-            height = int(2 * pairing(b["lam"], rs.rho))
+            height = rs.height(b["lam"])
             for g in b["galleries"]:
                 n_gal += 1
                 plus, minus, total = crossing_counts(rs, g)

@@ -1,6 +1,3 @@
-import math
-from fractions import Fraction as Q
-
 from hlgal.apartment import (
     EdgeType,
     crossings,
@@ -10,14 +7,14 @@ from hlgal.apartment import (
     phi_a_minus,
 )
 from hlgal.gallery import enumerate_of_type, gamma_lambda, gamma_omega, type_of_lambda
-from hlgal.rootdata import pairing, root_system, vadd, vneg, vscale
+from hlgal.rootdata import pairing, root_system, vadd, vdiv, vneg
 from hlgal.verify import dominant_lambdas
 
 ACCEPTANCE_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("B", 3), ("C", 3)]
 
 
 def origin(rs):
-    return tuple(Q(0) for _ in range(rs.dim))
+    return (0,) * rs.dim
 
 
 def is_special(rs, vertex):
@@ -27,13 +24,14 @@ def is_special(rs, vertex):
 def edge_respects_walls(rs, start, end):
     """Face property: the open segment meets no wall it is not contained in."""
     for c in rs.pos_coroots:
+        # scaled levels: the walls of c sit at the multiples of rs.scale
         a = pairing(start, c)
         b = pairing(end, c)
         if a == b:
             continue
         lo, hi = (a, b) if a < b else (b, a)
-        # an integer strictly inside (lo, hi) would be a wall crossing
-        if math.floor(lo) + 1 < hi:
+        # a wall strictly inside (lo, hi) would be a wall crossing
+        if (lo // rs.scale + 1) * rs.scale < hi:
             return False
     return True
 
@@ -52,9 +50,11 @@ def test_weights_are_special(a2, b2, c3):
 
 
 def test_midpoint_local_system_b2(b2):
-    # half of the spin weight sits on one wall family only
-    v = vscale(Q(1, 2), b2.weight((0, 1)))
+    # omega_2 + omega_1 / 2 = (1, 1/2), on the half lattice but not a
+    # weight, sits on the walls of the short roots only
+    v = vadd(b2.weight((0, 1)), vdiv(b2.weight((1, 0)), 2))
     local = local_data(b2, v)
+    assert local.pos_functionals == ((0, 2), (2, 0))
     assert 0 < len(local.pos_functionals) < len(b2.pos_coroots)
     assert not is_special(b2, v)
 
@@ -76,7 +76,7 @@ def test_phi_a_minus_counts(a2):
     assert len(phi_a_minus(rs, o, vneg(dom))) == 0
     # members carry negative functionals and integral levels
     for aff in phi_a_minus(rs, o, dom):
-        assert pairing(o, aff.root) + aff.level == 0
+        assert pairing(o, aff.root) + rs.scale * aff.level == 0
 
 
 def test_phi_a_minus_matches_positive_crossings(b2):

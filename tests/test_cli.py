@@ -199,6 +199,13 @@ GOLDEN = [
      "344c0ede091378a526d3fc6e776cac5eaa752d925b9404835eca96b6a2348ca9", 1296),
     (("verify", "--type", "A2", "--suite", "a2-example"),
      "c36cf96d6ec2a15c338a535459d6b7ae0b4ce417a60c475d3fd56bce0c379535", 32),
+    # fractional output: spin vertices -1/2, keys in fifths, half-edge midpoints
+    (("galleries", "--type", "B3", "--lambda", "0,0,2", "--mu", "0,0,0", "--format", "csv"),
+     "57ff59b9df374f881446de3c2705e3b3f2762693d89fc65c1cfbcc191959bef2", 677),
+    (("char", "--type", "A4", "--lambda", "0,1,0,0"),
+     "c7c8593cd5901ceff043a116200d56f578ac89ea39f2c63b654309d78cbc5f33", 310),
+    (("galleries", "--type", "B2", "--lambda", "1,1", "--mu", "0,1", "--format", "json"),
+     "4714adbf4e24caa47862fff22d50b230296a5e59418f42be16d47bee7f7af5a0", 1733),
 ]
 
 

@@ -1,5 +1,3 @@
-from fractions import Fraction as Q
-
 import pytest
 
 from hlgal.apartment import local_data
@@ -115,7 +113,7 @@ def test_minimal_pair_basics(a2):
     assert is_minimal_pair(rs, w1, vneg(w1))
     assert not is_minimal_pair(rs, w1, w2)
     with pytest.raises(ValueError):
-        is_minimal_pair(rs, w1, tuple(Q(0) for _ in range(rs.dim)))
+        is_minimal_pair(rs, w1, (0,) * rs.dim)
 
 
 def test_minimal_pair_exhaustive_against_definition(a2, b2, c2):

@@ -1,5 +1,4 @@
 import json
-from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +15,8 @@ from hlgal.gallery import (
     gamma_omega,
     type_of_lambda,
 )
-from hlgal.rootdata import pairing, root_system, vscale
+from hlgal.rootdata import root_system, vdiv
+from test_lattice import from_ambient
 
 
 def count_of_type(rs, lam):
@@ -28,9 +28,9 @@ def count_of_type(rs, lam):
     return total
 
 
-def gallery_from_jsonable(data):
+def gallery_from_jsonable(rs, data):
     """Decoder of the CLI's gallery form, the inverse of gallery_to_jsonable."""
-    vertices = tuple(tuple(Q(x) for x in v) for v in data["vertices"])
+    vertices = tuple(from_ambient(rs, v) for v in data["vertices"])
     gtype = []
     for tag in data["edge_types"]:
         index, segment = tag.split(":")
@@ -38,8 +38,9 @@ def gallery_from_jsonable(data):
     return Gallery(vertices, tuple(gtype))
 
 
-def json_roundtrip(g):
-    return gallery_from_jsonable(json.loads(json.dumps(gallery_to_jsonable(g), sort_keys=True)))
+def json_roundtrip(rs, g):
+    text = json.dumps(gallery_to_jsonable(rs, g), sort_keys=True)
+    return gallery_from_jsonable(rs, json.loads(text))
 
 
 def test_gamma_omega_shapes_a(a3):
@@ -52,7 +53,7 @@ def test_gamma_omega_shapes_a(a3):
 def test_gamma_omega_c3_two_edges(c3):
     g = gamma_omega(c3, 2)
     assert g.num_edges() == 2
-    assert g.vertices[1] == vscale(Q(1, 2), c3.fundamental_weights[1])
+    assert g.vertices[1] == vdiv(c3.fundamental_weights[1], 2)
 
 
 def test_gamma_omega_b2_spin_single_edge(b2):
@@ -75,7 +76,7 @@ def test_gamma_lambda_a2_three_edges(a2):
 def test_gamma_lambda_b2_omega1_through_midpoint(b2):
     g = gamma_lambda(b2, b2.weight((1, 0)))
     assert g.num_edges() == 2
-    assert g.vertices[1] == vscale(Q(1, 2), b2.weight((1, 0)))
+    assert g.vertices[1] == vdiv(b2.weight((1, 0)), 2)
 
 
 def test_gamma_lambda_rejects_nondominant(a2):
@@ -133,7 +134,7 @@ def test_crossing_counts_standard(a2):
     lam = rs.weight((2, 1))
     g = gamma_lambda(rs, lam)
     plus, minus, total = crossing_counts(rs, g)
-    assert (plus, minus) == (int(2 * pairing(lam, rs.rho)), 0)
+    assert (plus, minus) == (rs.height(lam), 0)
     w0g = Gallery(tuple(rs.act(rs.w0, v) for v in g.vertices), g.gtype)
     assert crossing_counts(rs, w0g)[0] == 0
 
@@ -141,7 +142,7 @@ def test_crossing_counts_standard(a2):
 def test_crossings_constant_on_type_and_cell_dim(b2):
     rs = b2
     lam = rs.weight((1, 1))
-    height = int(2 * pairing(lam, rs.rho))
+    height = rs.height(lam)
     for g in enumerate_of_type(rs, type_of_lambda(rs, lam)):
         plus, minus, total = crossing_counts(rs, g)
         assert total == height
@@ -151,12 +152,12 @@ def test_crossings_constant_on_type_and_cell_dim(b2):
 def test_cell_dimension_of_standard_gallery(c3):
     rs = c3
     lam = rs.weight((0, 1, 0))
-    assert cell_dimension(rs, gamma_lambda(rs, lam)) == int(2 * pairing(lam, rs.rho))
+    assert cell_dimension(rs, gamma_lambda(rs, lam)) == rs.height(lam)
 
 
 def test_json_roundtrip_exact(b2):
     g = gamma_lambda(b2, b2.weight((1, 1)))
-    assert json_roundtrip(g) == g
+    assert json_roundtrip(b2, g) == g
 
 
 @settings(max_examples=30, deadline=None)
@@ -165,7 +166,7 @@ def test_json_roundtrip_enumerated(name, pick):
     rs = root_system(name[0], int(name[1]))
     gals = tuple(enumerate_of_type(rs, type_of_lambda(rs, rs.weight((1, 1)))))
     g = gals[pick % len(gals)]
-    assert json_roundtrip(g) == g
+    assert json_roundtrip(rs, g) == g
 
 
 def test_malformed_type_rejected(b2):

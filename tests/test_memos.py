@@ -5,8 +5,6 @@ and the second reads it back; the references below are the unmemoised
 loops, written out here.
 """
 
-from fractions import Fraction as Q
-
 import pytest
 
 from hlgal.apartment import (
@@ -46,8 +44,9 @@ def reference_closest(rs, v, d):
 
 def reference_crossings(rs, v, d):
     plus = minus = 0
+    x = rs.ambient(v)  # exact ambient coordinates, as Fractions
     for c in rs.pos_coroots:
-        if pairing(v, c).denominator != 1:
+        if pairing(x, c).denominator != 1:
             continue
         side = pairing(d, c)
         if side > 0:
@@ -95,7 +94,7 @@ def test_first_factor_exponent_counts_positive_crossings():
     checked = 0
     for family, rank in TYPES_TO_RANK_4:
         rs = root_system(family, rank)
-        origin = tuple(Q(0) for _ in range(rs.dim))
+        origin = (0,) * rs.dim
         for i in range(1, rank + 1):
             head = fundamental_type(rs, i)[0]
             for d in local_data(rs, origin).orbit(expected_germ(rs, head)):

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,16 @@ def test_normalization():
     assert QPoly((1, 2, 0, 0)).coeffs == (1, 2)
     assert QPoly((0, 0)).is_zero()
     assert QPoly.q_power(3).coeffs == (0, 0, 0, 1)
+
+
+def test_non_integral_coefficient_rejected():
+    # coercion comes before trimming, so a fractional coefficient can neither
+    # survive as a nonzero-looking QPoly([0]) nor truncate to a smaller one
+    with pytest.raises(ValueError, match="non-integral"):
+        QPoly((Fraction(1, 2),))
+    with pytest.raises(ValueError, match="non-integral"):
+        QPoly((0, Fraction(3, 2)))
+    assert QPoly((Fraction(4, 2), Fraction(0))) == QPoly((2,))
 
 
 def test_term():

@@ -1,5 +1,3 @@
-from fractions import Fraction as Q
-
 import pytest
 
 from hlgal.apartment import local_data
@@ -14,12 +12,13 @@ from hlgal.residue import (
     junction_factor,
     valid_sector_classes,
 )
-from hlgal.rootdata import vneg
+from hlgal.rootdata import vdiv, vneg
 from hlgal.verify import dominant_lambdas
+from test_lattice import from_ambient
 
 
 def origin(rs):
-    return tuple(Q(0) for _ in range(rs.dim))
+    return (0,) * rs.dim
 
 
 def test_closest_chamber_word_trivial(a2):
@@ -157,16 +156,12 @@ def test_choose_sector_raises_without_candidates(b2):
     # at the omega_1 midpoint, a regular incoming germ whose opposite
     # chamber holds only vertical type-1 germs leaves no valid sector
     rs = b2
-    mid = vscale_half(rs.weight((1, 0)))
-    d_in = (Q(-1), Q(2))
+    mid = vdiv(rs.weight((1, 0)), 2)
+    d_in = from_ambient(rs, (-1, 2))
     d_out = mid
     assert valid_sector_classes(rs, mid, d_in, d_out) == ()
     with pytest.raises(ValueError):
         choose_sector(rs, mid, d_in, d_out)
-
-
-def vscale_half(v):
-    return tuple(Q(1, 2) * x for x in v)
 
 
 def test_junction_factor_sector_and_word_independence(c2):

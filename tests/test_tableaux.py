@@ -18,8 +18,9 @@ from hlgal.tableaux import (
 
 
 def content_weight(rs, tab):
-    """Sum of the letter weights, read from the columns alone: a column of a
-    two-column block, or a spin column, counts half."""
+    """Sum of the letter weights in ambient coordinates, read from the
+    columns alone: a column of a two-column block, or a spin column, counts
+    half."""
     total = [Q(0)] * rs.dim
     for col in tab.columns:
         half = rs.fundamental_scale[len(col) - 1] == 2 or (rs.family == "B" and len(col) == rs.rank)
@@ -129,7 +130,7 @@ def test_content_matches_target(b2):
     rs = b2
     lam = rs.weight((1, 1))
     for g in enumerate_of_type(rs, type_of_lambda(rs, lam)):
-        assert content_weight(rs, gallery_to_tableau(rs, g)) == g.target
+        assert content_weight(rs, gallery_to_tableau(rs, g)) == rs.ambient(g.target)
 
 
 def test_ssyt_count_matches_kostka_and_galleries(a2):
