@@ -77,14 +77,12 @@ class LocalRootSystem(ReflectionGroup):
             if not decomposable:
                 simples.append(c)
         self.simples = tuple(sorted(simples))
-        super().__init__(
-            0,
-            (rs.index[rs.reflection_perm(c)] for c in self.simples),
-            self.pos_functionals,
-            rs.mul,
-            rs.act,
-        )
+        # rs.reflections lines up with rs.pos_coroots, hence with pos_functionals
         self.reflection_indices = tuple(rs.reflections[k] for k in key)
+        reflection_of = dict(zip(self.pos_functionals, self.reflection_indices))
+        super().__init__(
+            0, (reflection_of[c] for c in self.simples), self.pos_functionals, rs.mul, rs.act
+        )
 
         # generic dominant point; its negative is interior to the base chamber
         self.generic_dominant = tuple(rs.dim - k for k in range(rs.dim))

@@ -1,29 +1,21 @@
 """Independent ground-truth computations.
 
 The direct Hall-Littlewood expansion works with Laurent monomial maps:
-exponent vectors (integer tuples after a per-family scaling) mapping to
-polynomials in u = 1/q.  P_lambda is the Hecke symmetriser of x^lambda:
-one Demazure-Lusztig operator per point of the W-orbit of lambda, each
-an exact division by a binomial 1 - x^{-a_i}; any remainder is a fatal
-internal-consistency error.  Characters come from the multiplicity
-recursion on weight norms, dimensions from the product formula over
-positive walls, type-A Kostka numbers from direct tableau counting.
-None of this touches the gallery machinery.
+exponent vectors (``rs.canonical_key`` of a weight, ``rs.key_scale``
+times its canonical ambient form) mapping to polynomials in u = 1/q.
+P_lambda is the Hecke symmetriser of x^lambda: one Demazure-Lusztig
+operator per point of the W-orbit of lambda, each an exact division by
+a binomial 1 - x^{-a_i}; any remainder is a fatal internal-consistency
+error.  Characters come from the multiplicity recursion on weight norms,
+dimensions from the product formula over positive walls, type-A Kostka
+numbers from direct tableau counting.  None of this touches the gallery
+machinery.
 """
 
 from __future__ import annotations
 
 from .qpoly import QPoly
 from .rootdata import RootSystem, Vec, pairing, vadd, vneg, vscale, vsub
-
-
-def exponent_scale(rs: RootSystem) -> int:
-    """Exponent keys are this times the canonical ambient weight."""
-    return rs.key_scale
-
-
-def exponent_key(rs: RootSystem, v: Vec) -> tuple:
-    return rs.canonical_key(v)
 
 
 def _add_term(mapping: dict, key: tuple, coeff: QPoly):
@@ -70,7 +62,7 @@ def _demazure_lusztig(rs: RootSystem, i: int, f: dict) -> dict:
     u = QPoly((0, 1))
     one_minus_u = QPoly((1, -1))
     s_i = rs.simple_reflections[i]
-    shift = exponent_key(rs, vneg(rs.simple_roots[i]))
+    shift = rs.canonical_key(vneg(rs.simple_roots[i]))
     numerator: dict = {}
     for key, c in f.items():
         moved = tuple(k + s for k, s in zip(key, shift))
@@ -93,7 +85,7 @@ def hall_littlewood_direct(rs: RootSystem, lam: Vec) -> dict:
     """
     if not rs.is_dominant_weight(lam):
         raise ValueError("lambda must be a dominant weight")
-    top = exponent_key(rs, lam)
+    top = rs.canonical_key(lam)
     terms = {top: {top: QPoly.one()}}  # orbit point v(lambda) -> T_v x^lambda
     frontier = [top]
     while frontier:
@@ -115,7 +107,7 @@ def hall_littlewood_direct(rs: RootSystem, lam: Vec) -> dict:
 
 def L_from_expansion(rs: RootSystem, pmap: dict, lam: Vec, mu: Vec) -> QPoly:
     """q^{<lambda+mu, rho>} times the x^mu coefficient of an expansion map."""
-    coeff = pmap.get(exponent_key(rs, mu))
+    coeff = pmap.get(rs.canonical_key(mu))
     if coeff is None:
         return QPoly.zero()
     n, rem = divmod(rs.height(vadd(lam, mu)), 2)

@@ -18,7 +18,6 @@ from .gallery import (
 from .hlengine import L_polynomial, character_LS, gallery_term
 from .oracles import (
     L_from_expansion,
-    exponent_scale,
     freudenthal_character,
     hall_littlewood_direct,
     kostka,
@@ -53,22 +52,16 @@ def _dominant_mus(rs: RootSystem, pf_galleries, pmap) -> list:
     for g in pf_galleries:
         if rs.is_dominant(g.target):
             seen.setdefault(rs.canonical_key(g.target), g.target)
-    scale = exponent_scale(rs)
     for key in pmap:
         # lift back to a raw dominant weight with integral coefficients
-        coeffs = [divmod(pairing(key, c), scale) for c in rs.simple_coroots]
+        coeffs = [divmod(pairing(key, c), rs.key_scale) for c in rs.simple_coroots]
         if all(a >= 0 and rem == 0 for a, rem in coeffs):
             raw = rs.weight([a for a, _ in coeffs])
             seen.setdefault(rs.canonical_key(raw), raw)
     return [seen[k] for k in sorted(seen)]
 
 
-def check_system(
-    rs: RootSystem,
-    max_coeff_sum: int = 3,
-    max_height: int = 16,
-    fault: str = None,
-) -> list:
+def check_system(rs: RootSystem, max_coeff_sum: int, max_height: int, fault: str = None) -> list:
     records = []
     name = "%s%d" % (rs.family, rs.rank)
 

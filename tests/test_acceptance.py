@@ -3,8 +3,9 @@
 The shared suite: root systems A1, A2, A3, B2, C2, B3, C3; every dominant
 lambda with coefficient sum <= 3 and <lambda, 2 rho> <= 16; all dominant
 mu seen by either route.  The rank-4 tier runs the `verify` suite on the
-fundamental weights of A4, B4 and C4.  Everything is exact; no tolerances
-anywhere.
+fundamental weights of A4, B4 and C4, and criterion 8 checks every rank-4
+junction of A4 (coefficient sum <= 2), B4 and C4 (sum <= 1).  Everything
+is exact; no tolerances anywhere.
 """
 
 import random
@@ -45,6 +46,7 @@ from hlgal.rootdata import root_system, vadd, vneg
 from hlgal.tableaux import gallery_to_tableau, is_semistandard, tableau_to_gallery
 from hlgal.verify import _dominant_mus, dominant_lambdas, run_suite
 from test_folding import is_minimal
+from test_residue import sector_list
 
 SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("B", 3), ("C", 3)]
 MAX_COEFF_SUM = 3
@@ -198,10 +200,10 @@ def test_criterion_6_combinatorial_invariants():
                     seen_junctions.add(jkey)
                     n_junc += 1
                     pf2 = two_step_positively_folded(rs, d_in, v, d_out)
-                    sectors = valid_sector_classes(rs, v, d_in, d_out)
+                    _, word = closest_chamber_word(rs, v, d_out)
                     nonempty = any(
-                        enumerate_gamma_plus_op(rs, v, d_in, d_out, w)
-                        for w in sectors
+                        enumerate_gamma_plus_op(rs, v, d_in, d_out, w, word)
+                        for w in sector_list(rs, valid_sector_classes(rs, v, d_in, d_out))
                     )
                     assert pf2 == nonempty, (family, rank, v, d_in, d_out)
         # every gallery of a minuscule fundamental type is LS
@@ -217,20 +219,24 @@ def test_criterion_6_combinatorial_invariants():
     )
 
 
-def _junction_keys(rs, bundles):
+def _junction_keys(rs, galleries):
     keys = {}
-    for b in bundles:
-        for g in b["galleries"]:
-            dirs = g.directions()
-            for j in range(1, g.num_edges()):
-                v = g.vertices[j]
-                d_in, d_out = vneg(dirs[j - 1]), dirs[j]
-                keys.setdefault((local_key(rs, v), d_in, d_out), (v, d_in, d_out))
+    for g in galleries:
+        dirs = g.directions()
+        for j in range(1, g.num_edges()):
+            v = g.vertices[j]
+            d_in, d_out = vneg(dirs[j - 1]), dirs[j]
+            keys.setdefault((local_key(rs, v), d_in, d_out), (v, d_in, d_out))
     return list(keys.values())
 
 
+def _bundle_galleries(bundles):
+    return (g for b in bundles for g in b["galleries"])
+
+
 def _assert_choice_independent(rs, v, d_in, d_out):
-    sectors = valid_sector_classes(rs, v, d_in, d_out)
+    """Every valid sector with every reduced word gives junction_factor's value."""
+    sectors = sector_list(rs, valid_sector_classes(rs, v, d_in, d_out))
     if not sectors or not two_step_positively_folded(rs, d_in, v, d_out):
         return 0
     local = local_data(rs, v)
@@ -238,9 +244,18 @@ def _assert_choice_independent(rs, v, d_in, d_out):
     values = set()
     for w in sectors:
         for word in local.all_reduced_words(u):
-            values.add(junction_factor(rs, v, d_in, d_out, w, word))
-    assert len(values) == 1, (v, d_in, d_out, [p.coeffs for p in values])
+            factor = QPoly.zero()
+            for t, r in enumerate_gamma_plus_op(rs, v, d_in, d_out, w, word):
+                factor = factor + QPoly.term(t, r)
+            values.add(factor)
+    assert values == {junction_factor(rs, v, d_in, d_out)}, (
+        v, d_in, d_out, [p.coeffs for p in values]
+    )
     return 1
+
+
+# rank-4 junction keys checked exhaustively: family -> max coefficient sum
+RANK4_CHOICE_SUMS = {"A": 2, "B": 1, "C": 1}
 
 
 def test_criterion_8_choice_independence():
@@ -249,7 +264,7 @@ def test_criterion_8_choice_independence():
         if rank > 2:
             continue
         rs, bundles = suite_bundles(family, rank)
-        for v, d_in, d_out in _junction_keys(rs, bundles):
+        for v, d_in, d_out in _junction_keys(rs, _bundle_galleries(bundles)):
             tested_rank2 += _assert_choice_independent(rs, v, d_in, d_out)
     tested_rank3 = 0
     rng = random.Random(20240817)
@@ -257,7 +272,7 @@ def test_criterion_8_choice_independence():
         if rank != 3:
             continue
         rs, bundles = suite_bundles(family, rank)
-        keys = _junction_keys(rs, bundles)
+        keys = _junction_keys(rs, _bundle_galleries(bundles))
         rng.shuffle(keys)
         done = 0
         for v, d_in, d_out in keys:
@@ -266,9 +281,21 @@ def test_criterion_8_choice_independence():
                 break
         tested_rank3 += done
     assert tested_rank3 >= 100
+    keys_rank4 = tested_rank4 = 0
+    for family, max_sum in RANK4_CHOICE_SUMS.items():
+        rs = root_system(family, 4)
+        galleries = (
+            g
+            for lam in dominant_lambdas(rs, max_sum, 10**6)
+            for g in enumerate_of_type(rs, type_of_lambda(rs, lam))
+        )
+        keys = _junction_keys(rs, galleries)
+        keys_rank4 += len(keys)
+        for v, d_in, d_out in keys:
+            tested_rank4 += _assert_choice_independent(rs, v, d_in, d_out)
     print(
-        "\nACCEPTANCE 8 choice-independence: PASS (%d exhaustive rank-2, %d sampled rank-3)"
-        % (tested_rank2, tested_rank3)
+        "\nACCEPTANCE 8 choice-independence: PASS (%d exhaustive rank-2, %d sampled rank-3,"
+        " %d exhaustive rank-4 of %d keys)" % (tested_rank2, tested_rank3, tested_rank4, keys_rank4)
     )
 
 
