@@ -170,6 +170,34 @@ def test_choose_sector_raises_without_candidates(b2):
         choose_sector(rs, mid, d_in, d_out)
 
 
+def test_junction_factor_sector_and_word_independence(c2):
+    rs = c2
+    lam = rs.weight((1, 1))
+    seen = set()
+    for g in enumerate_of_type(rs, type_of_lambda(rs, lam)):
+        dirs = g.directions()
+        for j in range(1, g.num_edges()):
+            v = g.vertices[j]
+            d_in, d_out = vneg(dirs[j - 1]), dirs[j]
+            key = (v, d_in, d_out)
+            if key in seen:
+                continue
+            seen.add(key)
+            sectors = sector_list(rs, valid_sector_classes(rs, v, d_in, d_out))
+            if not sectors or not two_step_positively_folded(rs, d_in, v, d_out):
+                continue
+            local = local_data(rs, v)
+            u, _ = closest_chamber_word(rs, v, d_out)
+            values = set()
+            for w in sectors:
+                for word in local.all_reduced_words(u):
+                    factor = QPoly.zero()
+                    for t, r in enumerate_gamma_plus_op(rs, v, d_in, d_out, w, word):
+                        factor = factor + QPoly.term(t, r)
+                    values.add(factor)
+            assert values == {junction_factor(rs, v, d_in, d_out)}
+
+
 def test_stats_bounded_by_word_length(b2):
     rs = b2
     lam = rs.weight((1, 1))
