@@ -155,12 +155,5 @@ def enumerate_pf(rs: RootSystem, lam: Vec, mu: Vec) -> tuple:
     """All positively folded galleries of the standard type with target mu."""
     if not rs.is_dominant_weight(lam) or not rs.is_dominant_weight(mu):
         raise ValueError("lambda and mu must be dominant weights")
-    gtype = type_of_lambda(rs, lam)
-    mu_c = rs.canonical_key(mu)
-    out = []
-    for g in enumerate_of_type(rs, gtype):
-        if rs.canonical_key(g.target) != mu_c:
-            continue
-        if is_positively_folded(rs, g):
-            out.append(g)
-    return tuple(out)
+    galleries = enumerate_of_type(rs, type_of_lambda(rs, lam), mu)
+    return tuple(g for g in galleries if is_positively_folded(rs, g))

@@ -10,6 +10,8 @@ omega_1^{a_1} * ... * omega_n^{a_n}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import le
 
 from .apartment import EdgeType, crossings, expected_germ, local_data, phi_a_minus
 from .rootdata import RootSystem, Vec, vadd, vsub
@@ -114,24 +116,51 @@ def _blocks(gtype: GalleryType):
     return blocks
 
 
-def enumerate_of_type(rs: RootSystem, gtype: GalleryType):
+def _hull_sums(rs: RootSystem, v: Vec) -> tuple:
+    """Partial sums of the dominant representative of v's canonical key.
+
+    x lies in the convex hull of the W-orbit of a dominant b exactly when
+    no partial sum for x exceeds the same partial sum for b."""
+    return tuple(accumulate(rs.dominant_rep(rs.canonical_key(v))))
+
+
+def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = None):
     """All galleries with source 0 of the given type, in a reproducible
     depth-first order (direction choices sorted lexicographically).
 
     The germs of an edge are the local orbit of one reference germ: the
     dominant germ of its type for a whole or first edge, the germ just
-    taken for a second half."""
+    taken for a second half.  With a target, only the galleries ending at
+    it (modulo the invariant line in type A) are walked: every edge from
+    step k on lies in the W-orbit of its dominant reference germ, so the
+    rest of the walk stays in the orbit hull of their sum, and a prefix
+    whose target offset lies outside it is cut."""
     gtype = tuple(gtype)
     refs = []
+    germs = []
     for block in _blocks(gtype):
-        refs += [expected_germ(rs, block[0])] + [None] * (len(block) - 1)
+        ref = expected_germ(rs, block[0])
+        refs += [ref] + [None] * (len(block) - 1)
+        germs += [ref] * len(block)
+    if target is not None:
+        rest = [_origin(rs)]  # sums of the last 0, 1, ... reference germs
+        for d in reversed(germs):
+            rest.append(vadd(rest[-1], d))
+        bounds = [_hull_sums(rs, b) for b in reversed(rest)]
+        offsets = {}  # vertex -> hull sums of target - vertex
 
     def rec(vertices, prev):
         k = len(vertices) - 1
+        v = vertices[-1]
+        if target is not None:
+            sums = offsets.get(v)
+            if sums is None:
+                sums = offsets[v] = _hull_sums(rs, vsub(target, v))
+            if not all(map(le, sums, bounds[k])):
+                return
         if k == len(gtype):
             yield Gallery(tuple(vertices), gtype)
             return
-        v = vertices[-1]
         for d in local_data(rs, v).orbit(prev if refs[k] is None else refs[k]):
             yield from rec(vertices + [vadd(v, d)], d)
 

@@ -204,7 +204,6 @@ class ReflectionGroup:
         self.elements = tuple(sorted(self.length, key=lambda w: (self.length[w], w)))
         self._orbits: dict = {}
         self._words: dict = {}
-        self._all_words: dict = {}
 
     def orbit(self, v: Vec) -> tuple:
         hit = self._orbits.get(v)
@@ -232,21 +231,6 @@ class ReflectionGroup:
                 cur = self.mul(self.simple_reflections[k], cur)
             hit = tuple(word)
             self._words[w] = hit
-        return hit
-
-    def all_reduced_words(self, w) -> tuple:
-        hit = self._all_words.get(w)
-        if hit is None:
-            if self.length[w] == 0:
-                hit = ((),)
-            else:
-                words = []
-                for k in self.left_descents(w):
-                    rest = self.mul(self.simple_reflections[k], w)
-                    for tail in self.all_reduced_words(rest):
-                        words.append((k,) + tail)
-                hit = tuple(sorted(words))
-            self._all_words[w] = hit
         return hit
 
 
@@ -418,7 +402,7 @@ class RootSystem:
     def dominant_rep(self, v: Vec) -> Vec:
         if self.family == "A":
             return tuple(sorted(v, reverse=True))
-        return tuple(sorted((abs(a) for a in v), reverse=True))
+        return tuple(sorted(map(abs, v), reverse=True))
 
     # --------------------------------------------------------------- chambers
 

@@ -3,9 +3,10 @@
 The shared suite: root systems A1, A2, A3, B2, C2, B3, C3; every dominant
 lambda with coefficient sum <= 3 and <lambda, 2 rho> <= 16; all dominant
 mu seen by either route.  The rank-4 tier runs the `verify` suite on the
-fundamental weights of A4, B4 and C4, and criterion 8 checks every rank-4
-junction of A4 (coefficient sum <= 2), B4 and C4 (sum <= 1).  Everything
-is exact; no tolerances anywhere.
+fundamental weights of A4, B4 and C4 and checks `L_polynomial` against
+the oracle there for coefficient sum <= 2, and criterion 8 checks every
+rank-4 junction of A4 (coefficient sum <= 2), B4 and C4 (sum <= 1).
+Everything is exact; no tolerances anywhere.
 """
 
 import random
@@ -46,7 +47,7 @@ from hlgal.rootdata import root_system, vadd, vneg
 from hlgal.tableaux import gallery_to_tableau, is_semistandard, tableau_to_gallery
 from hlgal.verify import _dominant_mus, dominant_lambdas, run_suite
 from test_folding import is_minimal
-from test_residue import sector_list
+from test_residue import all_reduced_words, sector_list
 
 SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("B", 3), ("C", 3)]
 MAX_COEFF_SUM = 3
@@ -117,6 +118,7 @@ def test_criterion_2_oracle_equivalence():
             for mu in b["mus"]:
                 direct = L_from_expansion(rs, b["pmap"], b["lam"], mu)
                 assert b["table"][mu] == direct, (family, rank, b["lam"], mu)
+                assert L_polynomial(rs, b["lam"], mu) == direct, (family, rank, b["lam"], mu)
                 checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0
@@ -243,7 +245,7 @@ def _assert_choice_independent(rs, v, d_in, d_out):
     u, _ = closest_chamber_word(rs, v, d_out)
     values = set()
     for w in sectors:
-        for word in local.all_reduced_words(u):
+        for word in all_reduced_words(local, u):
             factor = QPoly.zero()
             for t, r in enumerate_gamma_plus_op(rs, v, d_in, d_out, w, word):
                 factor = factor + QPoly.term(t, r)
@@ -331,3 +333,22 @@ def test_rank4_tier(family, max_height, checks):
     assert report["ok"], report["failures"]
     assert report["checks"] == checks
     print("\nACCEPTANCE rank-4 %s: PASS (%d checks, %.1fs)" % (report["system"], checks, elapsed))
+
+
+def test_rank4_L_polynomial_against_oracle():
+    # the target-pruned walk of L_polynomial against the Hecke symmetriser, on
+    # every dominant mu of the oracle's support and every dominant weight of
+    # coefficient sum <= 2, which includes targets no gallery reaches
+    checked = 0
+    start = time.perf_counter()
+    for family, max_height in (("A", 30), ("B", 40), ("C", 40)):
+        rs = root_system(family, 4)
+        lams = dominant_lambdas(rs, 2, max_height)
+        for lam in lams:
+            pmap = hall_littlewood_direct(rs, lam)
+            mus = {rs.canonical_key(mu): mu for mu in lams + _dominant_mus(rs, (), pmap)}
+            for mu in mus.values():
+                want = L_from_expansion(rs, pmap, lam, mu)
+                assert L_polynomial(rs, lam, mu) == want, (family, lam, mu)
+                checked += 1
+    print("\nACCEPTANCE rank-4 L: PASS (%d pairs, %.1fs)" % (checked, time.perf_counter() - start))

@@ -15,7 +15,9 @@ from hlgal.gallery import (
     gamma_omega,
     type_of_lambda,
 )
-from hlgal.rootdata import root_system, vdiv
+from hlgal.rootdata import root_system, vdiv, vscale
+from hlgal.verify import dominant_lambdas
+from test_acceptance import MAX_COEFF_SUM, MAX_HEIGHT, SYSTEMS
 from test_lattice import from_ambient
 
 
@@ -109,6 +111,22 @@ def test_enumeration_sorted_by_direction_sequence(a2, b2, c3, b3):
         dirs = [g.directions() for g in enumerate_of_type(rs, type_of_lambda(rs, rs.weight(coeffs)))]
         assert dirs == sorted(dirs)
         assert len(set(dirs)) == len(dirs) == count_of_type(rs, rs.weight(coeffs))
+
+
+@pytest.mark.parametrize("family,rank", SYSTEMS)
+def test_target_cut_matches_filtered_walk(family, rank):
+    # every lambda of the acceptance suite, and every target some gallery
+    # reaches, dominant or not
+    rs = root_system(family, rank)
+    for lam in dominant_lambdas(rs, MAX_COEFF_SUM, MAX_HEIGHT):
+        gtype = type_of_lambda(rs, lam)
+        full = tuple(enumerate_of_type(rs, gtype))
+        targets = {rs.canonical_key(g.target): g.target for g in full}
+        for key, target in targets.items():
+            want = tuple(g for g in full if rs.canonical_key(g.target) == key)
+            assert tuple(enumerate_of_type(rs, gtype, target)) == want, (lam, target)
+        if any(lam):
+            assert not tuple(enumerate_of_type(rs, gtype, vscale(2, lam)))
 
 
 def test_concat_target_arithmetic(a2):
