@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rootdata import ReflectionGroup, RootSystem, Vec, pairing, vdiv, vneg, vsub
+from .rootdata import ReflectionGroup, RootSystem, Vec, pairing, vdiv, vsub
 
 SEGMENTS = ("whole", "first", "second")
 
@@ -30,14 +30,6 @@ class EdgeType:
 
     def tag(self) -> str:
         return "%d:%s" % (self.index, self.segment)
-
-
-@dataclass(frozen=True)
-class AffineRoot:
-    """A wall functional (c, n); the hyperplane is {x : <x,c> + n = 0}."""
-
-    root: Vec
-    level: int
 
 
 def local_key(rs: RootSystem, vertex: Vec) -> tuple:
@@ -130,21 +122,6 @@ def local_data_for_key(rs: RootSystem, key: tuple) -> LocalRootSystem:
         hit = LocalRootSystem(rs, key)
         rs.local_groups[key] = hit
     return hit
-
-
-def phi_a_minus(rs: RootSystem, vertex: Vec, direction: Vec) -> frozenset:
-    """Negative wall functionals through the vertex the germ leaves behind.
-
-    {(-c, n) : c positive, <vertex, c> integral, edge not inside H^+}.
-    """
-    out = []
-    for c in rs.pos_coroots:
-        level, rem = divmod(pairing(vertex, c), rs.scale)
-        if rem:
-            continue
-        if pairing(direction, c) > 0:
-            out.append(AffineRoot(vneg(c), level))
-    return frozenset(out)
 
 
 def crossings(rs: RootSystem, vertex: Vec, direction: Vec) -> tuple:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import le
 
-from .apartment import EdgeType, crossings, expected_germ, local_data, phi_a_minus
+from .apartment import EdgeType, crossings, expected_germ, local_data
 from .rootdata import RootSystem, Vec, vadd, vsub
 
 GalleryType = tuple  # tuple of EdgeType
@@ -175,11 +175,6 @@ def crossing_counts(rs: RootSystem, g: Gallery) -> tuple:
         plus += p
         minus += m
     return plus, minus, plus + minus
-
-
-def cell_dimension(rs: RootSystem, g: Gallery) -> int:
-    """Sum of |Phi^a_-(V_i, E_i)|; the attracting-cell dimension."""
-    return sum(len(phi_a_minus(rs, v, d)) for v, d in zip(g.vertices, g.directions()))
 
 
 def frac_str(x) -> str:

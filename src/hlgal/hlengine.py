@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .folding import enumerate_pf, is_LS
+from .folding import enumerate_pf, has_maximal_crossings, is_positively_folded
 from .gallery import Gallery, enumerate_of_type, frac_str, type_of_lambda
 from .qpoly import QPoly
 from .residue import first_factor_exponent, junction_factor
@@ -42,21 +42,28 @@ def L_polynomial(rs: RootSystem, lam: Vec, mu: Vec) -> QPoly:
     return total
 
 
-def character_LS(rs: RootSystem, lam: Vec) -> dict:
-    """Multiplicity map target -> number of LS-galleries of the standard type.
+def ls_character(rs: RootSystem, pf_galleries) -> dict:
+    """Multiplicity map canonical target -> number of LS-galleries among
+    the given positively folded galleries.
 
     Keys are canonical weight vectors in ambient coordinates (type A drops
-    the invariant line); type_of_lambda rejects a lambda that is not a
-    dominant weight.
-    """
+    the invariant line)."""
     counts: Counter = Counter()
-    for g in enumerate_of_type(rs, type_of_lambda(rs, lam)):
-        if is_LS(rs, g):
+    for g in pf_galleries:
+        if has_maximal_crossings(rs, g):
             counts[g.target] += 1
     out: Counter = Counter()
     for target, m in counts.items():
         out[rs.canonical_weight(target)] += m
     return dict(out)
+
+
+def character_LS(rs: RootSystem, lam: Vec) -> dict:
+    """The LS-gallery character of the standard type of lambda, keyed as in
+    ls_character; type_of_lambda rejects a lambda that is not a dominant
+    weight."""
+    galleries = enumerate_of_type(rs, type_of_lambda(rs, lam))
+    return ls_character(rs, (g for g in galleries if is_positively_folded(rs, g)))
 
 
 def character_to_jsonable(char: dict) -> list:

@@ -8,14 +8,11 @@ can prove to itself that it detects disagreements.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .folding import is_positively_folded
-from .gallery import (
-    cell_dimension,
-    crossing_counts,
-    enumerate_of_type,
-    type_of_lambda,
-)
-from .hlengine import L_polynomial, character_LS, gallery_term
+from .gallery import crossing_counts, enumerate_of_type, type_of_lambda
+from .hlengine import L_polynomial, gallery_term, ls_character
 from .oracles import (
     L_from_expansion,
     freudenthal_character,
@@ -46,12 +43,12 @@ def dominant_lambdas(rs: RootSystem, max_coeff_sum: int, max_height: int) -> lis
     return out
 
 
-def _dominant_mus(rs: RootSystem, pf_galleries, pmap) -> list:
+def _dominant_mus(rs: RootSystem, targets, pmap) -> list:
     """Dominant mu seen on either route (gallery targets, oracle support)."""
     seen = {}
-    for g in pf_galleries:
-        if rs.is_dominant(g.target):
-            seen.setdefault(rs.canonical_key(g.target), g.target)
+    for t in targets:
+        if rs.is_dominant(t):
+            seen.setdefault(rs.canonical_key(t), t)
     for key in pmap:
         # lift back to a raw dominant weight with integral coefficients
         coeffs = [divmod(pairing(key, c), rs.key_scale) for c in rs.simple_coroots]
@@ -59,6 +56,9 @@ def _dominant_mus(rs: RootSystem, pf_galleries, pmap) -> list:
             raw = rs.weight([a for a, _ in coeffs])
             seen.setdefault(rs.canonical_key(raw), raw)
     return [seen[k] for k in sorted(seen)]
+
+
+INVARIANTS = ("crossings-constant", "cell-dimension", "semistandard-iff-folded", "tableau-roundtrip")
 
 
 def check_system(rs: RootSystem, max_coeff_sum: int, max_height: int, fault: str = None) -> list:
@@ -77,48 +77,40 @@ def check_system(rs: RootSystem, max_coeff_sum: int, max_height: int, fault: str
 
     for lam in dominant_lambdas(rs, max_coeff_sum, max_height):
         lam_c = list(rs.weight_coeffs(lam))
-        galleries = tuple(enumerate_of_type(rs, type_of_lambda(rs, lam)))
-        folded = [is_positively_folded(rs, g) for g in galleries]
-        pf = tuple(g for g, ok in zip(galleries, folded) if ok)
-        pmap = hall_littlewood_direct(rs, lam)
         height = rs.height(lam)
+        violations = Counter()
+        targets = {}  # canonical target -> the first raw target seen
+        sums = {}  # canonical target -> summed gallery terms
 
-        # combinatorial invariants over every gallery of the type
-        bad_cross = bad_cell = bad_tab = bad_round = 0
-        for g, ok in zip(galleries, folded):
-            plus, minus, both = crossing_counts(rs, g)
-            if both != height:
-                bad_cross += 1
-            if cell_dimension(rs, g) != plus:
-                bad_cell += 1
-            tab = gallery_to_tableau(rs, g)
-            if is_semistandard(tab) != ok:
-                bad_tab += 1
-            if tableau_to_gallery(rs, tab) != g:
-                bad_round += 1
-        record(
-            "crossings-constant[%s]" % lam_c,
-            bad_cross == 0,
-            {"lambda": lam_c, "violations": bad_cross},
-        )
-        record(
-            "cell-dimension[%s]" % lam_c,
-            bad_cell == 0,
-            {"lambda": lam_c, "violations": bad_cell},
-        )
-        record(
-            "semistandard-iff-folded[%s]" % lam_c,
-            bad_tab == 0,
-            {"lambda": lam_c, "violations": bad_tab},
-        )
-        record(
-            "tableau-roundtrip[%s]" % lam_c,
-            bad_round == 0,
-            {"lambda": lam_c, "violations": bad_round},
-        )
+        def folded():
+            """One pass over the type: every gallery is folding-tested once and
+            checked against the invariants; the positively folded ones are
+            summed by target and passed on to the LS count."""
+            for g in enumerate_of_type(rs, type_of_lambda(rs, lam)):
+                ok = is_positively_folded(rs, g)
+                plus, _, both = crossing_counts(rs, g)
+                violations["crossings-constant"] += both != height
+                tab = gallery_to_tableau(rs, g)
+                violations["semistandard-iff-folded"] += is_semistandard(tab) != ok
+                violations["tableau-roundtrip"] += tableau_to_gallery(rs, tab) != g
+                if ok:
+                    # the top term of q^{l(w_D0)} prod_j U_j(q) is q^(cell dimension),
+                    # and the cell dimension is the positive-crossing count
+                    term = gallery_term(rs, g)
+                    violations["cell-dimension"] += (
+                        term.degree() != plus or term.leading_coefficient() != 1
+                    )
+                    key = rs.canonical_key(g.target)
+                    targets.setdefault(key, g.target)
+                    sums[key] = sums.get(key, QPoly.zero()) + term
+                    yield g
+
+        char = ls_character(rs, folded())
+        for check in INVARIANTS:
+            n_bad = violations[check]
+            record("%s[%s]" % (check, lam_c), n_bad == 0, {"lambda": lam_c, "violations": n_bad})
 
         # character against the multiplicity recursion
-        char = character_LS(rs, lam)
         freud = freudenthal_character(rs, lam)
         dim = weyl_dimension(rs, lam)
         record(
@@ -127,13 +119,11 @@ def check_system(rs: RootSystem, max_coeff_sum: int, max_height: int, fault: str
             {"lambda": lam_c, "ls_total": sum(char.values()), "dimension": dim},
         )
 
-        for mu in _dominant_mus(rs, pf, pmap):
+        pmap = hall_littlewood_direct(rs, lam)
+        for mu in _dominant_mus(rs, targets.values(), pmap):
             mu_c = list(rs.weight_coeffs(mu))
             mu_canon = rs.canonical_key(mu)
-            l_gal = QPoly.zero()
-            for g in pf:
-                if rs.canonical_key(g.target) == mu_canon:
-                    l_gal = l_gal + gallery_term(rs, g)
+            l_gal = sums.get(mu_canon, QPoly.zero())
             if fault == "sign-flip" and not l_gal.is_zero():
                 l_gal = -l_gal
             l_dir = L_from_expansion(rs, pmap, lam, mu)

@@ -1,11 +1,6 @@
-from hlgal.apartment import (
-    EdgeType,
-    crossings,
-    expected_germ,
-    local_data,
-    local_key,
-    phi_a_minus,
-)
+from dataclasses import dataclass
+
+from hlgal.apartment import EdgeType, crossings, expected_germ, local_data, local_key
 from hlgal.gallery import enumerate_of_type, gamma_lambda, gamma_omega, type_of_lambda
 from hlgal.rootdata import pairing, root_system, vadd, vdiv, vneg
 from hlgal.verify import dominant_lambdas
@@ -15,6 +10,34 @@ ACCEPTANCE_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("B", 3), 
 
 def origin(rs):
     return (0,) * rs.dim
+
+
+@dataclass(frozen=True)
+class AffineRoot:
+    """A wall functional (c, n); the hyperplane is {x : <x,c> + n = 0}."""
+
+    root: tuple
+    level: int
+
+
+def phi_a_minus(rs, vertex, direction):
+    """Negative wall functionals through the vertex the germ leaves behind:
+    {(-c, n) : c positive, <vertex, c> integral, edge not inside H^+}.
+
+    The definition-level reference for apartment.crossings(...)[0]."""
+    out = []
+    for c in rs.pos_coroots:
+        level, rem = divmod(pairing(vertex, c), rs.scale)
+        if rem:
+            continue
+        if pairing(direction, c) > 0:
+            out.append(AffineRoot(vneg(c), level))
+    return frozenset(out)
+
+
+def cell_dimension(rs, g):
+    """Sum of |Phi^a_-(V_i, E_i)|; the attracting-cell dimension."""
+    return sum(len(phi_a_minus(rs, v, d)) for v, d in zip(g.vertices, g.directions()))
 
 
 def is_special(rs, vertex):

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from hlgal.apartment import EdgeType, local_data
 from hlgal.gallery import (
     Gallery,
-    cell_dimension,
     concat,
     crossing_counts,
     enumerate_of_type,
@@ -18,6 +17,7 @@ from hlgal.gallery import (
 from hlgal.rootdata import root_system, vdiv, vscale
 from hlgal.verify import dominant_lambdas
 from test_acceptance import MAX_COEFF_SUM, MAX_HEIGHT, SYSTEMS
+from test_apartment import cell_dimension
 from test_lattice import from_ambient
 
 

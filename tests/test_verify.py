@@ -1,0 +1,44 @@
+import sys
+
+import hlgal.verify
+from hlgal.folding import is_positively_folded
+from hlgal.gallery import enumerate_of_type, type_of_lambda
+from hlgal.hlengine import gallery_term
+from hlgal.qpoly import QPoly
+from hlgal.rootdata import root_system
+from hlgal.verify import dominant_lambdas, run_suite
+
+
+def test_cell_dimension_record_reads_the_terms(monkeypatch, b2):
+    # a term one degree too high breaks the monic-of-cell-dimension check
+    monkeypatch.setattr(
+        hlgal.verify, "gallery_term", lambda rs, g: gallery_term(rs, g) * QPoly.q_power(1)
+    )
+    report = run_suite(b2, max_coeff_sum=1, max_height=12)
+    cell = [r for r in report["records"] if r["check"].startswith("cell-dimension[")]
+    assert len(cell) == 3
+    assert all(r["status"] == "fail" for r in cell), cell
+    assert all(r["detail"]["violations"] > 0 for r in cell)
+
+
+def test_suite_folding_tests_each_gallery_once(monkeypatch):
+    rs = root_system("B", 3)
+    calls = []
+
+    def counted(rs, g):
+        calls.append(g)
+        return is_positively_folded(rs, g)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hlgal.") and hasattr(module, "is_positively_folded"):
+            monkeypatch.setattr(module, "is_positively_folded", counted)
+    report = run_suite(rs, max_coeff_sum=3, max_height=16)
+    monkeypatch.undo()
+    assert report["ok"]
+    walked = sum(
+        1
+        for lam in dominant_lambdas(rs, 3, 16)
+        for _ in enumerate_of_type(rs, type_of_lambda(rs, lam))
+    )
+    assert walked == 1333
+    assert len(calls) == walked
