@@ -47,11 +47,11 @@ class LocalRootSystem(ReflectionGroup):
     group W_V, a ReflectionGroup on full-group indices whose letters are
     the sorted local simple functionals, plus the base chamber: the
     W_V-chamber whose interior contains the generic antidominant
-    direction.  ``two_step`` and ``factors`` memoise the junction tests
-    and junction factors at this residue, keyed by (d_in, d_out);
-    ``closest`` and ``crossings`` memoise the closest chamber and the
-    (positive, negative) wall-crossing counts of a germ, keyed by its
-    direction.
+    direction.  ``factors`` memoises the junction factors at this residue,
+    keyed by (d_in, d_out); a zero factor is also the junction test's
+    "not positively folded".  ``closest`` and ``crossings`` memoise the
+    closest chamber and the (positive, negative) wall-crossing counts of
+    a germ, keyed by its direction.
     """
 
     def __init__(self, rs: RootSystem, key: tuple):
@@ -80,7 +80,6 @@ class LocalRootSystem(ReflectionGroup):
         self.generic_dominant = tuple(rs.dim - k for k in range(rs.dim))
 
         self._base_face: dict = {}
-        self.two_step: dict = {}
         self.factors: dict = {}
         self.closest: dict = {}
         self.crossings: dict = {}

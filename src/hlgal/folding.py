@@ -1,64 +1,26 @@
-"""Minimality and positive folding of one-skeleton galleries.
+"""Positive folding of one-skeleton galleries.
 
-The two-step test works in the residue at the junction vertex: the
-outgoing germ must be reachable, inside its type orbit, from a germ that
-forms a minimal pair with the incoming one, by reflections in local walls
-that move the germ away from the antidominant cone.  The global test adds
-the existence of a Bruhat-weakly-decreasing defining chain of chamber
-classes containing the successive edges.
+A junction is positively folded exactly when its junction factor (from
+the residue module) is non-zero: the factor sums over the local
+positively folded chamber galleries there, so it vanishes exactly when
+there are none.  The global test adds the existence of a
+Bruhat-weakly-decreasing defining chain of chamber classes containing
+the successive edges.
 """
 
 from __future__ import annotations
 
-from .apartment import LocalRootSystem, local_data
 from .gallery import Gallery, crossing_counts, enumerate_of_type, type_of_lambda
-from .rootdata import RootSystem, Vec, is_zero, pairing, vadd, vneg
-
-
-def is_minimal_pair(rs: RootSystem, d_e: Vec, d_f: Vec) -> bool:
-    """Two germs at a common vertex lying in opposite sectors: d_f lies in
-    w(C) exactly when -d_f lies in w w0(C), the opposite of w(C)."""
-    if is_zero(d_e) or is_zero(d_f):
-        raise ValueError("zero direction")
-    return bool(rs.chamber_class_mask(d_e) & rs.chamber_class_mask(vneg(d_f)))
-
-
-def _two_step_pf(rs: RootSystem, local: LocalRootSystem, d_in: Vec, d_out: Vec) -> bool:
-    reachable = set()
-    frontier = []
-    for f0 in local.orbit(d_out):
-        if is_minimal_pair(rs, d_in, f0):
-            reachable.add(f0)
-            frontier.append(f0)
-    # positive folds move the germ off the antidominant side of a local wall
-    while frontier:
-        nxt = []
-        for d in frontier:
-            for c, refl in zip(local.pos_functionals, local.reflection_indices):
-                if pairing(d, c) < 0:
-                    image = rs.act(refl, d)
-                    if image not in reachable:
-                        reachable.add(image)
-                        nxt.append(image)
-        frontier = nxt
-    return d_out in reachable
-
-
-def two_step_positively_folded(rs: RootSystem, d_in: Vec, vertex: Vec, d_out: Vec) -> bool:
-    """Positive-folding test for a junction (E ⊃ V ⊂ F), given the germs at
-    V: the incoming d_in = V_prev - V and the outgoing d_out = V_next - V."""
-    local = local_data(rs, vertex)
-    hit = local.two_step.get((d_in, d_out))
-    if hit is None:
-        hit = _two_step_pf(rs, local, d_in, d_out)
-        local.two_step[(d_in, d_out)] = hit
-    return hit
+from .residue import junction_factor
+from .rootdata import RootSystem, Vec, vadd, vneg
 
 
 def locally_positively_folded(rs: RootSystem, g: Gallery) -> bool:
+    """Every junction has a non-zero junction factor: some local chamber
+    gallery at it is positively folded."""
     dirs = g.directions()
     for j in range(1, g.num_edges()):
-        if not two_step_positively_folded(rs, vneg(dirs[j - 1]), g.vertices[j], dirs[j]):
+        if junction_factor(rs, g.vertices[j], vneg(dirs[j - 1]), dirs[j]).is_zero():
             return False
     return True
 

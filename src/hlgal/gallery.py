@@ -58,18 +58,6 @@ def fundamental_type(rs: RootSystem, i: int) -> tuple:
     return (EdgeType(i, "first"), EdgeType(i, "second"))
 
 
-def gamma_omega(rs: RootSystem, i: int) -> Gallery:
-    """The fundamental gallery along [0, omega_i]."""
-    if not 1 <= i <= rs.rank:
-        raise ValueError("no fundamental weight with index %d" % i)
-    omega = rs.fundamental_weights[i - 1]
-    o = _origin(rs)
-    gtype = fundamental_type(rs, i)
-    if len(gtype) == 1:
-        return Gallery((o, omega), gtype)
-    return Gallery((o, expected_germ(rs, gtype[0]), omega), gtype)
-
-
 def type_of_lambda(rs: RootSystem, lam: Vec) -> GalleryType:
     if not rs.is_dominant_weight(lam):
         raise ValueError("lambda must be a dominant weight")
@@ -77,24 +65,6 @@ def type_of_lambda(rs: RootSystem, lam: Vec) -> GalleryType:
     for i, a in enumerate(rs.weight_coeffs(lam), start=1):
         gtype.extend(fundamental_type(rs, i) * a)
     return tuple(gtype)
-
-
-def concat(rs: RootSystem, g1: Gallery, g2: Gallery) -> Gallery:
-    """Concatenate, displacing g2 so its source lands on g1's target."""
-    shift = vsub(g1.target, g2.source)
-    moved = tuple(vadd(v, shift) for v in g2.vertices[1:])
-    return Gallery(g1.vertices + moved, g1.gtype + g2.gtype)
-
-
-def gamma_lambda(rs: RootSystem, lam: Vec) -> Gallery:
-    """The standard minimal gallery for a dominant weight, Bourbaki order."""
-    if not rs.is_dominant_weight(lam):
-        raise ValueError("lambda must be a dominant weight")
-    g = Gallery((_origin(rs),), ())
-    for i, a in enumerate(rs.weight_coeffs(lam), start=1):
-        for _ in range(a):
-            g = concat(rs, g, gamma_omega(rs, i))
-    return g
 
 
 def _blocks(gtype: GalleryType):

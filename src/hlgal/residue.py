@@ -16,15 +16,25 @@ points, which keeps the computation free of root-sign conventions:
 The junction factor depends on neither the sector nor the reduced word,
 so ``junction_factor`` uses the least valid class index and the
 lexicographically least word; ``enumerate_gamma_plus_op`` takes both as
-inputs, which is how the tests check that independence.
+inputs, which is how the tests check that independence.  The factor is
+non-zero exactly when the junction is positively folded, and it is the
+folding module's junction test; a junction with no valid sector class
+gets 0, the sum over an empty set.
 """
 
 from __future__ import annotations
 
 from .apartment import local_data
-from .folding import is_minimal_pair
 from .qpoly import QPoly
-from .rootdata import RootSystem, Vec, pairing, vneg
+from .rootdata import RootSystem, Vec, is_zero, pairing, vneg
+
+
+def is_minimal_pair(rs: RootSystem, d_e: Vec, d_f: Vec) -> bool:
+    """Two germs at a common vertex lying in opposite sectors: d_f lies in
+    w(C) exactly when -d_f lies in w w0(C), the opposite of w(C)."""
+    if is_zero(d_e) or is_zero(d_f):
+        raise ValueError("zero direction")
+    return bool(rs.chamber_class_mask(d_e) & rs.chamber_class_mask(vneg(d_f)))
 
 
 def closest_chamber_word(rs: RootSystem, vertex: Vec, d: Vec):
@@ -97,11 +107,12 @@ def junction_factor(rs: RootSystem, vertex: Vec, d_in: Vec, d_out: Vec) -> QPoly
     memo = local_data(rs, vertex).factors
     hit = memo.get((d_in, d_out))
     if hit is None:
-        sector = choose_sector(rs, vertex, d_in, d_out)
-        _, word = closest_chamber_word(rs, vertex, d_out)
         hit = QPoly.zero()
-        for t, r in enumerate_gamma_plus_op(rs, vertex, d_in, d_out, sector, word):
-            hit = hit + QPoly.term(t, r)
+        if valid_sector_classes(rs, vertex, d_in, d_out):  # else a sum over nothing
+            sector = choose_sector(rs, vertex, d_in, d_out)
+            _, word = closest_chamber_word(rs, vertex, d_out)
+            for t, r in enumerate_gamma_plus_op(rs, vertex, d_in, d_out, sector, word):
+                hit = hit + QPoly.term(t, r)
         memo[(d_in, d_out)] = hit
     return hit
 

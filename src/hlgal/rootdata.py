@@ -282,6 +282,7 @@ class RootSystem:
         self._chamber_masks: dict = {}  # germ -> chamber_class_mask
         self.local_groups: dict = {}  # local key -> apartment.LocalRootSystem
         self.vertex_locals: dict = {}  # vertex -> its entry in local_groups
+        self.edge_orbit_keys: dict = {}  # EdgeType -> dominant canonical key of its germ
 
     @staticmethod
     def _vsum(vs):

@@ -166,7 +166,10 @@ def tableau_to_gallery(rs: RootSystem, tab: Tableau) -> Gallery:
 
 
 def _check_orbit_member(rs: RootSystem, d: Vec, etype: EdgeType):
-    want = rs.dominant_rep(rs.canonical_key(expected_germ(rs, etype)))
+    want = rs.edge_orbit_keys.get(etype)
+    if want is None:
+        want = rs.dominant_rep(rs.canonical_key(expected_germ(rs, etype)))
+        rs.edge_orbit_keys[etype] = want
     if rs.dominant_rep(rs.canonical_key(d)) != want:
         raise ValueError("column weight is not in the %s orbit" % etype.tag())
 

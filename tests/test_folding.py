@@ -5,23 +5,15 @@ from hlgal.folding import (
     defining_chain,
     enumerate_pf,
     is_LS,
-    is_minimal_pair,
     is_positively_folded,
     locally_positively_folded,
-    two_step_positively_folded,
 )
-from hlgal.gallery import (
-    Gallery,
-    concat,
-    enumerate_of_type,
-    fundamental_type,
-    gamma_lambda,
-    gamma_omega,
-    type_of_lambda,
-)
+from hlgal.gallery import Gallery, enumerate_of_type, fundamental_type, type_of_lambda
 from hlgal.oracles import weyl_dimension
+from hlgal.residue import is_minimal_pair, junction_factor
 from hlgal.rootdata import pairing, vneg, vsub
 from hlgal.verify import dominant_lambdas
+from standard_galleries import concat, gamma_lambda, gamma_omega
 
 
 def is_minimal(rs, g):
@@ -102,6 +94,28 @@ def ls_fold_check(rs, g):
     return best_flag.get(d2, False)
 
 
+def two_step_reference(rs, d_in, vertex, d_out):
+    """The junction test as a reachability search, independent of the
+    fold/cross words behind junction_factor: the outgoing germ must be
+    reachable, inside its type orbit, from a germ forming a minimal pair
+    with the incoming one, by reflections in local walls that move the germ
+    off their antidominant side."""
+    local = local_data(rs, vertex)
+    frontier = [f0 for f0 in local.orbit(d_out) if is_minimal_pair(rs, d_in, f0)]
+    reachable = set(frontier)
+    while frontier:
+        nxt = []
+        for d in frontier:
+            for c, refl in zip(local.pos_functionals, local.reflection_indices):
+                if pairing(d, c) < 0:
+                    image = rs.act(refl, d)
+                    if image not in reachable:
+                        reachable.add(image)
+                        nxt.append(image)
+        frontier = nxt
+    return d_out in reachable
+
+
 def apply_weyl(rs, w, g):
     return Gallery(tuple(rs.act(w, v) for v in g.vertices), g.gtype)
 
@@ -135,11 +149,12 @@ def test_two_step_pf_cases():
 
     rs = root_system("A", 1)
     w = rs.weight((1,))
-    # dip then recover is positively folded; overshoot back is not
-    assert two_step_positively_folded(rs, w, vneg(w), w)
-    assert not two_step_positively_folded(rs, vneg(w), w, vneg(w))
+    # dip then recover is positively folded; overshoot back is not;
     # straight through is minimal, hence positively folded
-    assert two_step_positively_folded(rs, vneg(w), w, w)
+    for d_in, v, d_out, folded in ((w, vneg(w), w, True), (vneg(w), w, vneg(w), False),
+                                   (vneg(w), w, w, True)):
+        assert two_step_reference(rs, d_in, v, d_out) == folded
+        assert junction_factor(rs, v, d_in, d_out).is_zero() != folded
 
 
 def _nonglobal_counterexample(rs):

@@ -6,16 +6,14 @@ from hypothesis import given, settings, strategies as st
 from hlgal.apartment import EdgeType, local_data
 from hlgal.gallery import (
     Gallery,
-    concat,
     crossing_counts,
     enumerate_of_type,
     gallery_to_jsonable,
-    gamma_lambda,
-    gamma_omega,
     type_of_lambda,
 )
 from hlgal.rootdata import root_system, vdiv, vscale
 from hlgal.verify import dominant_lambdas
+from standard_galleries import concat, gamma_lambda, gamma_omega
 from test_acceptance import MAX_COEFF_SUM, MAX_HEIGHT, SYSTEMS
 from test_apartment import cell_dimension
 from test_lattice import from_ambient

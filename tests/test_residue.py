@@ -3,8 +3,7 @@ from functools import lru_cache
 import pytest
 
 from hlgal.apartment import local_data
-from hlgal.folding import two_step_positively_folded
-from hlgal.gallery import enumerate_of_type, gamma_lambda, type_of_lambda
+from hlgal.gallery import enumerate_of_type, type_of_lambda
 from hlgal.qpoly import QPoly
 from hlgal.residue import (
     choose_sector,
@@ -16,6 +15,8 @@ from hlgal.residue import (
 )
 from hlgal.rootdata import vdiv, vneg
 from hlgal.verify import dominant_lambdas
+from standard_galleries import gamma_lambda
+from test_folding import two_step_reference
 from test_lattice import from_ambient
 
 
@@ -126,7 +127,8 @@ def test_nonfolded_junction_empty(a2):
     rs = a2
     w1 = rs.weight((1, 0))
     # straight overshoot: (in, out) = (-w1 at vertex, -w1) is not folded
-    assert not two_step_positively_folded(rs, vneg(w1), w1, vneg(w1))
+    assert not two_step_reference(rs, vneg(w1), w1, vneg(w1))
+    assert junction_factor(rs, w1, vneg(w1), vneg(w1)).is_zero()
     _, word = closest_chamber_word(rs, w1, vneg(w1))
     for w in sector_list(rs, valid_sector_classes(rs, w1, vneg(w1), vneg(w1))):
         assert enumerate_gamma_plus_op(rs, w1, vneg(w1), vneg(w1), w, word) == ()
@@ -182,6 +184,10 @@ def test_choose_sector_raises_without_candidates(b2):
     assert valid_sector_classes(rs, mid, d_in, d_out) == 0
     with pytest.raises(ValueError):
         choose_sector(rs, mid, d_in, d_out)
+    # the factor is the sum over no local galleries, and the junction is
+    # not positively folded
+    assert junction_factor(rs, mid, d_in, d_out) == QPoly.zero()
+    assert not two_step_reference(rs, d_in, mid, d_out)
 
 
 def test_junction_factor_sector_and_word_independence(c2):
@@ -197,9 +203,9 @@ def test_junction_factor_sector_and_word_independence(c2):
             if key in seen:
                 continue
             seen.add(key)
-            sectors = sector_list(rs, valid_sector_classes(rs, v, d_in, d_out))
-            if not sectors or not two_step_positively_folded(rs, d_in, v, d_out):
+            if junction_factor(rs, v, d_in, d_out).is_zero():
                 continue
+            sectors = sector_list(rs, valid_sector_classes(rs, v, d_in, d_out))
             local = local_data(rs, v)
             u, _ = closest_chamber_word(rs, v, d_out)
             values = set()

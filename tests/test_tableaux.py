@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 import pytest
 
 from hlgal.folding import is_positively_folded
-from hlgal.gallery import enumerate_of_type, gamma_lambda, type_of_lambda
+from hlgal.gallery import enumerate_of_type, type_of_lambda
 from hlgal.oracles import kostka
 from hlgal.tableaux import (
     Tableau,
@@ -15,6 +15,7 @@ from hlgal.tableaux import (
     tableau_to_gallery,
     tableau_to_jsonable,
 )
+from standard_galleries import gamma_lambda
 
 
 def content_weight(rs, tab):
