@@ -1,18 +1,20 @@
-"""The affine apartment: walls, faces and local root systems.
+"""The affine apartment: walls, faces and the local group of a vertex.
 
 A wall is H_{c,n} = {x : <x, c> + n = 0} where c runs over the coroot
 functionals of the root system and n over the integers.  Vertices are
 points of the integer lattice of rootdata; an edge germ at a vertex is the
-lattice vector pointing along the edge.  Sidedness questions are always
-settled by evaluating functionals at exact lattice points, never by sign
-conventions on abstract simple roots.
+lattice vector pointing along the edge.  The walls through a vertex V
+make up Phi_V, and its Weyl group W_V is a rootdata.ReflectionGroup
+memoised on the root system per local key; at the origin it is W itself.
+Sidedness questions are always settled by evaluating functionals at exact
+lattice points, never by sign conventions on abstract simple roots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rootdata import ReflectionGroup, RootSystem, Vec, pairing, vdiv, vsub
+from .rootdata import ReflectionGroup, RootSystem, Vec, pairing, vdiv
 
 SEGMENTS = ("whole", "first", "second")
 
@@ -40,70 +42,7 @@ def local_key(rs: RootSystem, vertex: Vec) -> tuple:
     )
 
 
-class LocalRootSystem(ReflectionGroup):
-    """The finite Coxeter-complex shadow of the apartment at a vertex.
-
-    Carries the sub-root-system Phi_V (as wall functionals) and its Weyl
-    group W_V, a ReflectionGroup on full-group indices whose letters are
-    the sorted local simple functionals, plus the base chamber: the
-    W_V-chamber whose interior contains the generic antidominant
-    direction.  ``factors`` memoises the junction factors at this residue,
-    keyed by (d_in, d_out); a zero factor is also the junction test's
-    "not positively folded".  ``closest`` and ``crossings`` memoise the
-    closest chamber and the (positive, negative) wall-crossing counts of
-    a germ, keyed by its direction.
-    """
-
-    def __init__(self, rs: RootSystem, key: tuple):
-        self.rs = rs
-        self.key = key
-        self.pos_functionals = tuple(rs.pos_coroots[k] for k in key)
-
-        # simple system: indecomposable positive functionals
-        pos_set = set(self.pos_functionals)
-        simples = []
-        for c in self.pos_functionals:
-            decomposable = any(
-                vsub(c, a) in pos_set for a in self.pos_functionals if a != c
-            )
-            if not decomposable:
-                simples.append(c)
-        self.simples = tuple(sorted(simples))
-        # rs.reflections lines up with rs.pos_coroots, hence with pos_functionals
-        self.reflection_indices = tuple(rs.reflections[k] for k in key)
-        reflection_of = dict(zip(self.pos_functionals, self.reflection_indices))
-        super().__init__(
-            0, (reflection_of[c] for c in self.simples), self.pos_functionals, rs.mul, rs.act
-        )
-
-        # generic dominant point; its negative is interior to the base chamber
-        self.generic_dominant = tuple(rs.dim - k for k in range(rs.dim))
-
-        self._base_face: dict = {}
-        self.factors: dict = {}
-        self.closest: dict = {}
-        self.crossings: dict = {}
-
-    # chambers are u * base for u in elements
-    def in_base_closure(self, d: Vec) -> bool:
-        return all(pairing(d, c) <= 0 for c in self.simples)
-
-    def in_chamber_closure(self, u: int, d: Vec) -> bool:
-        return self.in_base_closure(self.rs.act(self.rs.inverse[u], d))
-
-    def base_face(self, d: Vec) -> Vec:
-        """The unique W_V-translate of d lying in the closed base chamber."""
-        hit = self._base_face.get(d)
-        if hit is None:
-            matches = [u for u in self.orbit(d) if self.in_base_closure(u)]
-            if len(matches) != 1:
-                raise AssertionError("orbit meets base closure %d times" % len(matches))
-            hit = matches[0]
-            self._base_face[d] = hit
-        return hit
-
-
-def local_data(rs: RootSystem, vertex: Vec) -> LocalRootSystem:
+def local_data(rs: RootSystem, vertex: Vec) -> ReflectionGroup:
     """Phi_V and its Weyl group; alpha is in Phi_V iff <V, alpha> is integral.
 
     Memoised per vertex on rs, so local_key runs once per distinct vertex."""
@@ -114,13 +53,9 @@ def local_data(rs: RootSystem, vertex: Vec) -> LocalRootSystem:
     return hit
 
 
-def local_data_for_key(rs: RootSystem, key: tuple) -> LocalRootSystem:
-    """One object per local key, cached on rs."""
-    hit = rs.local_groups.get(key)
-    if hit is None:
-        hit = LocalRootSystem(rs, key)
-        rs.local_groups[key] = hit
-    return hit
+def local_data_for_key(rs: RootSystem, key: tuple) -> ReflectionGroup:
+    """One group per local key, memoised on rs."""
+    return rs.local_group(key)
 
 
 def crossings(rs: RootSystem, vertex: Vec, direction: Vec) -> tuple:

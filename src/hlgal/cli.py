@@ -105,7 +105,7 @@ def cmd_galleries(args) -> int:
             {
                 "gallery": gallery_to_jsonable(rs, g),
                 "ls": ls,
-                "defining_chain": [list(rs.reduced_word(w)) for w in chain],
+                "defining_chain": [list(rs.weyl.reduced_word(w)) for w in chain],
                 "term": list(gallery_term(rs, g).coeffs),
             }
         )

@@ -56,9 +56,11 @@ def _reachable_masks(rs: RootSystem, dirs):
 def defining_chain(rs: RootSystem, g: Gallery):
     """A Bruhat-weakly-decreasing witness chain (as element indices), or None.
 
-    The witness walks the forward pass backwards taking the Bruhat-maximal
-    choice, ties broken by shortest lexicographic reduced word; existence,
-    not the particular witness, is the mathematical content.
+    The witness walks the forward pass backwards taking a longest choice,
+    ties broken by the lexicographically least reduced word.  A longest
+    element of a set is Bruhat-maximal in it, since u > w forces
+    l(u) > l(w).  Existence, not the particular witness, is the
+    mathematical content.
     """
     reachable = _reachable_masks(rs, g.directions())
     if reachable is None:
@@ -67,10 +69,7 @@ def defining_chain(rs: RootSystem, g: Gallery):
         return ()
 
     def pick_max(mask):
-        cand = _bits(mask)
-        maximal = [w for w in cand if not any(u != w and rs.bruhat_leq(w, u) for u in cand)]
-        maximal.sort(key=lambda w: (-rs.length[w], rs.reduced_word(w)))
-        return maximal[0]
+        return min(_bits(mask), key=lambda w: (-rs.length[w], rs.weyl.reduced_word(w)))
 
     chain = [pick_max(reachable[-1])]
     for k in range(len(reachable) - 2, -1, -1):

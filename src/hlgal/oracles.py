@@ -121,13 +121,6 @@ def L_from_expansion(rs: RootSystem, pmap: dict, lam: Vec, mu: Vec) -> QPoly:
     return QPoly(out)
 
 
-def L_from_direct(rs: RootSystem, lam: Vec, mu: Vec) -> QPoly:
-    """q^{<lambda+mu, rho>} times the x^mu coefficient of P_lambda."""
-    if not rs.is_dominant_weight(lam) or not rs.is_dominant_weight(mu):
-        raise ValueError("lambda and mu must be dominant weights")
-    return L_from_expansion(rs, hall_littlewood_direct(rs, lam), lam, mu)
-
-
 def weyl_dimension(rs: RootSystem, lam: Vec) -> int:
     num = den = 1
     shifted = vadd(lam, rs.rho_weight)
@@ -144,7 +137,6 @@ def _dominant_weights_below(rs: RootSystem, lam: Vec) -> list:
     """Dominant mu <= lambda, highest first.  Each is reached from lambda by
     subtracting positive roots through dominant weights only (Stembridge,
     "The partial order of dominant weights", 1998, Cor. 2.7)."""
-    v0 = tuple(rs.dim - k for k in range(rs.dim))
     seen = {lam}
     frontier = [lam]
     while frontier:
@@ -156,7 +148,7 @@ def _dominant_weights_below(rs: RootSystem, lam: Vec) -> list:
                     seen.add(t)
                     nxt.append(t)
         frontier = nxt
-    return sorted(seen, key=lambda v: -pairing(v, v0))
+    return sorted(seen, key=lambda v: -pairing(v, rs.generic_dominant))
 
 
 def freudenthal_character(rs: RootSystem, lam: Vec) -> dict:

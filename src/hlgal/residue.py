@@ -1,10 +1,12 @@
 """Local chamber-gallery combinatorics at a junction.
 
-Chambers of the residue at a vertex are indexed by the local Weyl group;
-the base chamber is the one whose interior contains the generic
-antidominant direction.  A fold/cross word is read over a reduced word of
-the closest chamber containing the outgoing germ, with respect to a sector
-whose local chamber is a valid chamber class.  All positivity and crossing
+Chambers of the residue at a vertex are indexed by the local Weyl group
+W_V (at the origin, W itself); the base chamber is the one whose interior
+contains the generic antidominant direction.  A fold/cross word is read
+over a reduced word of the closest chamber u containing the outgoing germ,
+with respect to a sector whose local chamber is a valid chamber class; the
+walk ends on the images of the germ's base face, which is u^-1 applied to
+the germ, since u's closed chamber holds it.  All positivity and crossing
 statistics are decided by evaluating wall functionals at generic interior
 points, which keeps the computation free of root-sign conventions:
 
@@ -80,8 +82,9 @@ def enumerate_gamma_plus_op(
     counts the crossings away from the sector, r the folds."""
     local = local_data(rs, vertex)
     # generic interior point of the sector's local chamber
-    sector_pt = rs.act(sector_class, local.generic_dominant)
-    base_face = local.base_face(d_out)
+    sector_pt = rs.act(sector_class, rs.generic_dominant)
+    u, _ = closest_chamber_word(rs, vertex, d_out)
+    base_face = rs.act(rs.inverse[u], d_out)
     results = []
 
     def rec(k, u, t, r):
@@ -119,6 +122,5 @@ def junction_factor(rs: RootSystem, vertex: Vec, d_in: Vec, d_out: Vec) -> QPoly
 
 def first_factor_exponent(rs: RootSystem, first_direction: Vec) -> int:
     """Length of the closest chamber at the origin containing the first germ."""
-    origin = (0,) * rs.dim
-    u, _ = closest_chamber_word(rs, origin, first_direction)
-    return local_data(rs, origin).length[u]
+    u, _ = closest_chamber_word(rs, (0,) * rs.dim, first_direction)
+    return rs.length[u]

@@ -19,7 +19,10 @@ exactly when it is divisible by ``scale``.  Ambient coordinates, as
 Fractions, appear only at the output boundary: ``ambient`` and
 ``canonical_weight``.
 Weyl group elements are signed permutations of the epsilon basis, stored
-as tuples ``((image, sign), ...)`` meaning ``w(e_j) = sign * e_image``.
+as tuples ``((image, sign), ...)`` meaning ``w(e_j) = sign * e_image``;
+a RootSystem indexes them and multiplies and acts by index.  One
+ReflectionGroup class on those indices serves W and every local group
+W_V: W is the local group at the origin, where every wall passes.
 A RootSystem's root data is immutable after construction; the memo tables
 of everything derived from it, local groups included, live on the object.
 """
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import add, neg, sub
 
 Vec = tuple  # tuple of int lattice coordinates
@@ -181,45 +185,57 @@ def _closure(seed, gens, step) -> set:
 
 
 class ReflectionGroup:
-    """A finite reflection group given by an ordered tuple of simple reflections.
+    """The Weyl group W_V of the walls whose ``rs.pos_coroots`` indices are
+    in ``key``, on full-group indices, sorted by (length, index).
 
-    ``mul(g, w)`` multiplies two elements, ``act(w, v)`` applies one to a
-    vector, and the length of w counts the ``positives`` that w sends
-    outside the positive set.  Letters of words are positions in the simple
-    tuple, so its order decides which reduced word is lexicographically
-    least.  The full Weyl group is one of these on signed permutations in
-    Bourbaki order; each local group W_V is one on full-group indices.
-    Elements are sorted by (length, element).
+    Those functionals are the positive system of W_V; the length of w
+    counts the ones it sends outside.  The simple letters are the
+    indecomposable ones in descending order, so the group of every wall
+    (the origin's) is W with its elements, lengths and Bourbaki letters.
+    The chambers of the residue are u * base for u in elements, base being
+    the one whose interior holds the generic antidominant direction.
+    ``factors`` memoises the junction factors at this residue, keyed by
+    (d_in, d_out); a zero factor is also the junction test's "not
+    positively folded".  ``closest`` and ``crossings`` memoise the closest
+    chamber and the (positive, negative) wall-crossing counts of a germ.
     """
 
-    def __init__(self, identity, simple_reflections, positives, mul, act):
-        self.simple_reflections = tuple(simple_reflections)
-        self.mul = mul
-        self.act = act
-        pos_set = set(positives)
+    def __init__(self, rs: RootSystem, key: tuple):
+        self.rs = rs
+        self.pos_functionals = tuple(rs.pos_coroots[k] for k in key)
+        pos_set = set(self.pos_functionals)
+        sums = {vadd(a, b) for a in self.pos_functionals for b in self.pos_functionals}
+        # the indecomposable positive functionals, in descending order
+        self.simples = tuple(sorted(pos_set - sums, reverse=True))
+        # rs.reflections lines up with rs.pos_coroots, hence with pos_functionals
+        self.reflection_indices = tuple(rs.reflections[k] for k in key)
+        self.simple_reflections = tuple(rs.reflections[rs.pos_coroots.index(c)] for c in self.simples)
         self.length = {
-            w: sum(1 for c in positives if act(w, c) not in pos_set)
-            for w in _closure(identity, self.simple_reflections, mul)
+            w: sum(1 for c in self.pos_functionals if rs.act(w, c) not in pos_set)
+            for w in _closure(0, self.simple_reflections, rs.mul)
         }
         self.elements = tuple(sorted(self.length, key=lambda w: (self.length[w], w)))
         self._orbits: dict = {}
         self._words: dict = {}
+        self.factors: dict = {}
+        self.closest: dict = {}
+        self.crossings: dict = {}
 
     def orbit(self, v: Vec) -> tuple:
         hit = self._orbits.get(v)
         if hit is None:
-            hit = tuple(sorted(_closure(v, self.simple_reflections, self.act)))
+            hit = tuple(sorted(_closure(v, self.simple_reflections, self.rs.act)))
             self._orbits[v] = hit
         return hit
 
-    def left_descents(self, w) -> list:
+    def left_descents(self, w: int) -> list:
         return [
             k
             for k, s in enumerate(self.simple_reflections)
-            if self.length[self.mul(s, w)] < self.length[w]
+            if self.length[self.rs.mul(s, w)] < self.length[w]
         ]
 
-    def reduced_word(self, w) -> tuple:
+    def reduced_word(self, w: int) -> tuple:
         """Lexicographically least reduced word."""
         hit = self._words.get(w)
         if hit is None:
@@ -228,10 +244,16 @@ class ReflectionGroup:
             while self.length[cur] > 0:
                 k = min(self.left_descents(cur))
                 word.append(k)
-                cur = self.mul(self.simple_reflections[k], cur)
+                cur = self.rs.mul(self.simple_reflections[k], cur)
             hit = tuple(word)
             self._words[w] = hit
         return hit
+
+    def in_base_closure(self, d: Vec) -> bool:
+        return all(pairing(d, c) <= 0 for c in self.simples)
+
+    def in_chamber_closure(self, u: int, d: Vec) -> bool:
+        return self.in_base_closure(self.rs.act(self.rs.inverse[u], d))
 
 
 class RootSystem:
@@ -239,8 +261,8 @@ class RootSystem:
 
     Elements of W are addressed by integer index; index 0 is the identity
     and the list is sorted by (length, signed permutation) so that the
-    ordering is reproducible.  ``weyl`` is W as a ReflectionGroup on the
-    signed permutations themselves.
+    ordering is reproducible.  ``weyl`` is W as the ReflectionGroup of
+    every wall, built on first use and shared with the origin's residue.
     """
 
     def __init__(self, spec: RootSystemSpec):
@@ -274,13 +296,15 @@ class RootSystem:
         # rho as a weight, the sum of the fundamental weights; in type A it is
         # half the sum of the positive roots only modulo the invariant line
         self.rho_weight = self._vsum(self.fundamental_weights)
+        # a generic dominant point; its negative is interior to every base chamber
+        self.generic_dominant = tuple(self.dim - k for k in range(self.dim))
 
         self._build_group()
         self._build_bruhat()
 
         # memo tables
         self._chamber_masks: dict = {}  # germ -> chamber_class_mask
-        self.local_groups: dict = {}  # local key -> apartment.LocalRootSystem
+        self.local_groups: dict = {}  # local key -> its ReflectionGroup
         self.vertex_locals: dict = {}  # vertex -> its entry in local_groups
         self.edge_orbit_keys: dict = {}  # EdgeType -> dominant canonical key of its germ
 
@@ -308,11 +332,15 @@ class RootSystem:
 
     def _build_group(self):
         gens = [self.reflection_perm(a) for a in self.simple_roots]
-        self.weyl = ReflectionGroup(sp_identity(self.dim), gens, self.pos_roots, sp_mul, sp_act)
-        ranked = self.weyl.elements
+        pos_set = set(self.pos_roots)
+        length = {
+            w: sum(1 for c in self.pos_roots if sp_act(w, c) not in pos_set)
+            for w in _closure(sp_identity(self.dim), gens, sp_mul)
+        }
+        ranked = tuple(sorted(length, key=lambda w: (length[w], w)))
         self.elements = ranked
         self.index = {w: i for i, w in enumerate(ranked)}
-        self.length = tuple(self.weyl.length[w] for w in ranked)
+        self.length = tuple(length[w] for w in ranked)
         self.inverse = tuple(self.index[sp_inv(w)] for w in ranked)
         self.simple_reflections = tuple(self.index[g] for g in gens)
         self.reflections = tuple(self.index[self.reflection_perm(a)] for a in self.pos_roots)
@@ -326,6 +354,19 @@ class RootSystem:
 
     def order(self) -> int:
         return len(self.elements)
+
+    def local_group(self, key: tuple) -> ReflectionGroup:
+        """The Weyl group of the walls in key, built once per key."""
+        hit = self.local_groups.get(key)
+        if hit is None:
+            hit = ReflectionGroup(self, key)
+            self.local_groups[key] = hit
+        return hit
+
+    @cached_property
+    def weyl(self) -> ReflectionGroup:
+        """W, the local group of every wall: the one at the origin."""
+        return self.local_group(tuple(range(len(self.pos_coroots))))
 
     # ----------------------------------------------------------------- bruhat
 
@@ -431,12 +472,6 @@ class RootSystem:
             mask ^= low
         return out
 
-    # ----------------------------------------------------------- words/cosets
-
-    def reduced_word(self, w: int) -> tuple:
-        """Lexicographically least reduced word in the Bourbaki simple letters."""
-        return self.weyl.reduced_word(self.elements[w])
-
 
 _CACHE: dict = {}
 
@@ -449,7 +484,3 @@ def build_root_system(spec: RootSystemSpec) -> RootSystem:
         rs = RootSystem(spec)
         _CACHE[key] = rs
     return rs
-
-
-def root_system(family: str, rank: int) -> RootSystem:
-    return build_root_system(RootSystemSpec(family, rank))

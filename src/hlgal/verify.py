@@ -188,11 +188,7 @@ def a2_example_records(rs: RootSystem, fault: str = None) -> list:
 
 
 def run_suite(
-    rs: RootSystem,
-    suite: str = "default",
-    max_coeff_sum: int = 2,
-    max_height: int = 12,
-    fault: str = None,
+    rs: RootSystem, max_coeff_sum: int, max_height: int, suite: str = "default", fault: str = None
 ) -> dict:
     if suite == "a2-example":
         if (rs.family, rs.rank) != ("A", 2):

@@ -1,6 +1,6 @@
 import pytest
 
-from hlgal.rootdata import root_system
+from systems import root_system
 
 
 @pytest.fixture(scope="session")

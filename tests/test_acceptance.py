@@ -35,9 +35,10 @@ from hlgal.residue import (
     junction_factor,
     valid_sector_classes,
 )
-from hlgal.rootdata import root_system, vadd, vneg
+from hlgal.rootdata import vadd, vneg
 from hlgal.tableaux import gallery_to_tableau, is_semistandard, tableau_to_gallery
 from hlgal.verify import _dominant_mus, dominant_lambdas, run_suite
+from systems import root_system
 from test_apartment import cell_dimension
 from test_folding import is_minimal, two_step_reference
 from test_residue import all_reduced_words, sector_list

@@ -2,9 +2,10 @@ from dataclasses import dataclass
 
 from hlgal.apartment import EdgeType, crossings, expected_germ, local_data, local_key
 from hlgal.gallery import enumerate_of_type, type_of_lambda
-from hlgal.rootdata import pairing, root_system, vadd, vdiv, vneg
+from hlgal.rootdata import pairing, vadd, vdiv, vneg
 from hlgal.verify import dominant_lambdas
 from standard_galleries import gamma_lambda, gamma_omega
+from systems import root_system
 
 ACCEPTANCE_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("B", 3), ("C", 3)]
 

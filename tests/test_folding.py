@@ -145,7 +145,7 @@ def test_minimal_pair_exhaustive_against_definition(a2, b2, c2):
 
 
 def test_two_step_pf_cases():
-    from hlgal.rootdata import root_system
+    from systems import root_system
 
     rs = root_system("A", 1)
     w = rs.weight((1,))

@@ -11,9 +11,10 @@ from hlgal.gallery import (
     gallery_to_jsonable,
     type_of_lambda,
 )
-from hlgal.rootdata import root_system, vdiv, vscale
+from hlgal.rootdata import vdiv, vscale
 from hlgal.verify import dominant_lambdas
 from standard_galleries import concat, gamma_lambda, gamma_omega
+from systems import root_system
 from test_acceptance import MAX_COEFF_SUM, MAX_HEIGHT, SYSTEMS
 from test_apartment import cell_dimension
 from test_lattice import from_ambient

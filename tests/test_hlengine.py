@@ -4,9 +4,10 @@ import weakref
 import pytest
 
 from hlgal.hlengine import L_polynomial, character_LS
-from hlgal.oracles import L_from_direct, freudenthal_character, weyl_dimension
+from hlgal.oracles import freudenthal_character, weyl_dimension
 from hlgal.qpoly import QPoly
 from hlgal.rootdata import RootSystem, RootSystemSpec, vadd, vneg
+from test_oracles import L_from_direct
 
 
 def test_worked_values_a2(a2):

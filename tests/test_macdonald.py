@@ -25,9 +25,10 @@ from hlgal.folding import enumerate_pf
 from hlgal.hlengine import gallery_term
 from hlgal.oracles import L_from_expansion, hall_littlewood_direct
 from hlgal.qpoly import QPoly
-from hlgal.rootdata import root_system, vadd
+from hlgal.rootdata import vadd
 from hlgal.tableaux import gallery_to_tableau
 from hlgal.verify import _dominant_mus, dominant_lambdas
+from systems import root_system
 
 
 def _conjugate_shape(columns, i: int) -> list:

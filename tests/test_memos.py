@@ -16,8 +16,9 @@ from hlgal.apartment import (
 )
 from hlgal.gallery import enumerate_of_type, fundamental_type, type_of_lambda
 from hlgal.residue import closest_chamber_word, first_factor_exponent
-from hlgal.rootdata import RootSystem, RootSystemSpec, pairing, root_system, vneg
+from hlgal.rootdata import RootSystem, RootSystemSpec, pairing, vneg
 from hlgal.verify import dominant_lambdas
+from systems import root_system
 
 ACCEPTANCE_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("B", 3), ("C", 3)]
 
@@ -78,6 +79,19 @@ def test_memos_match_reference_loops(family, rank):
                 assert first[(v, d)][1] is closest
                 assert local.closest[d] is closest and local.crossings[d] == pair
     assert set(rs.vertex_locals) == {v for v, _ in germs}
+
+
+@pytest.mark.parametrize("family,rank", ACCEPTANCE_TYPES, ids=lambda x: str(x))
+def test_base_face_is_the_closest_chamber_preimage(family, rank):
+    # the fold/cross walk ends on u^-1 d for the closest chamber u of d:
+    # the orbit of d meets the closed base chamber exactly once, there
+    rs = root_system(family, rank)
+    for v, d in reached_germs(rs):
+        local = local_data(rs, v)
+        scan = [x for x in local.orbit(d) if local.in_base_closure(x)]
+        assert len(scan) == 1, (v, d, scan)
+        u, _ = closest_chamber_word(rs, v, d)
+        assert rs.act(rs.inverse[u], d) == scan[0]
 
 
 TYPES_TO_RANK_4 = [

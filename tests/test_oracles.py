@@ -1,7 +1,7 @@
 import pytest
 
 from hlgal.oracles import (
-    L_from_direct,
+    L_from_expansion,
     _add_term,
     freudenthal_character,
     hall_littlewood_direct,
@@ -9,8 +9,16 @@ from hlgal.oracles import (
     weyl_dimension,
 )
 from hlgal.qpoly import QPoly
-from hlgal.rootdata import root_system, vneg
+from hlgal.rootdata import vneg
 from hlgal.verify import dominant_lambdas
+from systems import root_system
+
+
+def L_from_direct(rs, lam, mu):
+    """q^{<lambda+mu, rho>} times the x^mu coefficient of P_lambda."""
+    if not rs.is_dominant_weight(lam) or not rs.is_dominant_weight(mu):
+        raise ValueError("lambda and mu must be dominant weights")
+    return L_from_expansion(rs, hall_littlewood_direct(rs, lam), lam, mu)
 
 
 def _mul_binomial(mapping, shift, a, b):

@@ -40,7 +40,7 @@ def all_reduced_words(group, w):
         return ((),)
     words = []
     for k in group.left_descents(w):
-        rest = group.mul(group.simple_reflections[k], w)
+        rest = group.rs.mul(group.simple_reflections[k], w)
         words += [(k,) + tail for tail in all_reduced_words(group, rest)]
     return tuple(sorted(words))
 
@@ -112,7 +112,7 @@ def test_worked_junction_stats(a2):
 
 
 def test_stats_empty_word():
-    from hlgal.rootdata import root_system
+    from systems import root_system
 
     rs = root_system("A", 1)
     w = rs.weight((1,))

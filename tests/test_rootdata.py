@@ -1,14 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hlgal.apartment import expected_germ
+from hlgal.apartment import expected_germ, local_data
 from hlgal.gallery import type_of_lambda
 from hlgal.rootdata import (
     RootSystem,
     RootSystemSpec,
     build_root_system,
     pairing,
-    root_system,
     sp_act,
     sp_inv,
     sp_mul,
@@ -16,6 +15,7 @@ from hlgal.rootdata import (
     vneg,
 )
 from hlgal.verify import dominant_lambdas
+from systems import root_system
 from test_folding import min_coset_rep
 
 
@@ -74,7 +74,7 @@ def test_fundamental_weights_dual_to_simple_walls(a3, b3, c3):
 def test_length_matches_inversions_and_words(b2):
     rs = b2
     for w in range(rs.order()):
-        word = rs.reduced_word(w)
+        word = rs.weyl.reduced_word(w)
         assert len(word) == rs.length[w]
         acc = 0
         for k in word:
@@ -102,7 +102,7 @@ def test_bruhat_matches_subword_criterion(family, rank):
     # products of subwords of a reduced word of w are exactly {u : u <= w}
     rs = root_system(family, rank)
     for w in range(rs.order()):
-        below = _subword_products(rs, rs.reduced_word(w))
+        below = _subword_products(rs, rs.weyl.reduced_word(w))
         for u in range(rs.order()):
             assert rs.bruhat_leq(u, w) == (u in below)
 
@@ -222,6 +222,36 @@ def test_min_coset_rep_is_the_shortest_element(name):
             least = min(rs.length[w] for w in coset)
             (rep,) = [w for w in coset if rs.length[w] == least]
             assert min_coset_rep(rs, x) == rep
+
+
+def signed_perm_words(rs):
+    """The lexicographically least reduced word of every element of W,
+    found on its signed permutation with the Bourbaki simple reflections
+    as letters."""
+    gens = [rs.reflection_perm(a) for a in rs.simple_roots]
+    pos = set(rs.pos_roots)
+    length = {x: sum(1 for a in rs.pos_roots if sp_act(x, a) not in pos) for x in rs.elements}
+    words = []
+    for cur in rs.elements:
+        word = []
+        while length[cur]:
+            k = min(k for k, g in enumerate(gens) if length[sp_mul(g, cur)] < length[cur])
+            word.append(k)
+            cur = sp_mul(gens[k], cur)
+        words.append(tuple(word))
+    return words
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS)
+def test_weyl_is_the_origin_local_group(name):
+    # W is the local group of the origin, where every wall passes; its
+    # letters are the Bourbaki simple reflections
+    rs = RootSystem(RootSystemSpec(name[0], int(name[1])))
+    assert local_data(rs, (0,) * rs.dim) is rs.weyl
+    assert rs.weyl.elements == tuple(range(rs.order()))
+    assert rs.weyl.simple_reflections == rs.simple_reflections
+    assert [rs.weyl.length[w] for w in range(rs.order())] == list(rs.length)
+    assert [rs.weyl.reduced_word(w) for w in range(rs.order())] == signed_perm_words(rs)
 
 
 @settings(max_examples=50, deadline=None)

@@ -70,7 +70,7 @@ def test_known_example_tableaux_are_valid():
     # three known semistandard fillings for lambda = w1+w2+w3, written
     # column by column from the right
     from hlgal.folding import is_LS
-    from hlgal.rootdata import root_system
+    from systems import root_system
 
     a3 = root_system("A", 3)
     t_a = Tableau("A", 3, ((3,), (1, 3), (1, 2, 3)))

@@ -5,8 +5,8 @@ from hlgal.folding import is_positively_folded
 from hlgal.gallery import enumerate_of_type, type_of_lambda
 from hlgal.hlengine import gallery_term
 from hlgal.qpoly import QPoly
-from hlgal.rootdata import root_system
 from hlgal.verify import dominant_lambdas, run_suite
+from systems import root_system
 
 
 def test_cell_dimension_record_reads_the_terms(monkeypatch, b2):
