@@ -203,7 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-coeff-sum", type=nonnegative_int, default=2)
     p.add_argument("--max-height", type=nonnegative_int, default=12)
     p.add_argument("--format", choices=("json", "pretty"), default="pretty")
-    p.add_argument("--verbose", action="store_true")
+    p.add_argument(
+        "--verbose",
+        action="store_true",
+        help="with --format json, or on a failing run, print every record",
+    )
     p.add_argument(
         "--inject-fault",
         choices=("sign-flip",),

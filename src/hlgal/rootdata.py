@@ -207,8 +207,6 @@ class ReflectionGroup:
         sums = {vadd(a, b) for a in self.pos_functionals for b in self.pos_functionals}
         # the indecomposable positive functionals, in descending order
         self.simples = tuple(sorted(pos_set - sums, reverse=True))
-        # rs.reflections lines up with rs.pos_coroots, hence with pos_functionals
-        self.reflection_indices = tuple(rs.reflections[k] for k in key)
         self.simple_reflections = tuple(rs.reflections[rs.pos_coroots.index(c)] for c in self.simples)
         self.length = {
             w: sum(1 for c in self.pos_functionals if rs.act(w, c) not in pos_set)
@@ -306,7 +304,6 @@ class RootSystem:
         self._chamber_masks: dict = {}  # germ -> chamber_class_mask
         self.local_groups: dict = {}  # local key -> its ReflectionGroup
         self.vertex_locals: dict = {}  # vertex -> its entry in local_groups
-        self.edge_orbit_keys: dict = {}  # EdgeType -> dominant canonical key of its germ
 
     @staticmethod
     def _vsum(vs):

@@ -1,21 +1,23 @@
 """Young tableaux of types A, B, C and the gallery correspondence.
 
 Columns are enumerated right to left: the first stored column is the
-rightmost of the diagram and belongs to the first gallery block.  Letters
+rightmost of the diagram and belongs to the first gallery edge.  Letters
 are coded as integers: 1..n+1 for type A; for B/C the ordered alphabet
 1 < ... < n < barred n < ... < barred 1 is coded 1..2n with
-bar(k) = 2n+1-k.  A one-column block records the weight of its edge; a
-two-column block (a non-minuscule fundamental weight) records the pair of
-half-edge weights, first column to the right.
+bar(k) = 2n+1-k.  Every edge gives one column, its germ read by signs:
+a germ of an edge of type i has i non-zero coordinates, all of one
+absolute value, and the column holds k where coordinate k is positive and
+bar(k) where it is negative.  A non-minuscule omega_i is a block of two
+half-edges, hence of two columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .apartment import EdgeType, expected_germ, local_data
-from .gallery import Gallery
-from .rootdata import RootSystem, Vec, vadd, vdiv, vscale
+from .apartment import local_data
+from .gallery import Gallery, fundamental_type
+from .rootdata import RootSystem, Vec, vadd
 
 
 @dataclass(frozen=True)
@@ -36,154 +38,71 @@ def letter_str(family: str, rank: int, letter: int) -> str:
 
 
 def shape_partition(rs: RootSystem, lam: Vec) -> tuple:
-    """Row lengths of the diagram attached to a dominant weight."""
+    """Row lengths of the diagram attached to a dominant weight: omega_i
+    adds as many columns of height i as its block has edges."""
     a = rs.weight_coeffs(lam)
-    n = rs.rank
-    if rs.family == "A":
-        rows = [sum(a[i:]) for i in range(n)]
-    elif rs.family == "B":
-        rows = [2 * sum(a[i : n - 1]) + a[n - 1] for i in range(n)]
-    else:
-        rows = [a[0] + 2 * sum(a[1:])] + [2 * sum(a[i:]) for i in range(1, n)]
+    rows = [
+        sum(a[i] * rs.fundamental_scale[i] for i in range(r, rs.rank))
+        for r in range(rs.rank)
+    ]
     return tuple(r for r in rows if r > 0)
 
 
-def _column_valid(rs: RootSystem, col) -> bool:
-    if list(col) != sorted(col) or len(set(col)) != len(col):
-        return False
-    if rs.family == "A":
-        return all(1 <= x <= rs.rank + 1 for x in col)
-    n = rs.rank
-    if not all(1 <= x <= 2 * n for x in col):
-        return False
-    plain = {x if x <= n else bar(n, x) for x in col}
-    return len(plain) == len(col)  # never both k and bar(k)
-
-
-def _column_factor(rs: RootSystem, halved: bool) -> int:
-    """Lattice vector of an edge over its column's 0/+-1 vector: a halved
-    column (a spin column or one of a two-column block) is half an edge."""
-    return rs.scale // 2 if halved else rs.scale
-
-
-def _column_weight(rs: RootSystem, col, halved: bool) -> Vec:
+def _column_germ(rs: RootSystem, col, step: int) -> Vec:
+    """The germ a column encodes: coordinate k is step for the letter k and
+    -step for bar(k).  ValueError unless the letters increase and name
+    distinct coordinates, so never both k and bar(k)."""
     coords = [0] * rs.dim
     for x in col:
-        if rs.family == "A" or x <= rs.rank:
-            coords[x - 1] += 1
-        else:
-            coords[bar(rs.rank, x) - 1] -= 1
-    return vscale(_column_factor(rs, halved), coords)
-
-
-def _weight_column(rs: RootSystem, v: Vec, halved: bool) -> tuple:
-    letters = []
-    for k, x in enumerate(vdiv(v, _column_factor(rs, halved)), start=1):
-        if x == 1:
-            letters.append(k)
-        elif x == -1:
-            letters.append(bar(rs.rank, k))
-        elif x != 0:
-            raise ValueError("vector is not a single-column weight: %r" % (v,))
-    return tuple(sorted(letters))
-
-
-def _block_columns(rs: RootSystem, i: int):
-    """(number of columns, spin flag) for an omega_i block; the column
-    count is omega_i's wall scale."""
-    spin = rs.family == "B" and i == rs.rank
-    return rs.fundamental_scale[i - 1], spin
+        k, sign = (x, step) if rs.family == "A" or x <= rs.rank else (bar(rs.rank, x), -step)
+        if not 1 <= k <= rs.dim or coords[k - 1]:
+            raise ValueError("invalid column %r" % (col,))
+        coords[k - 1] = sign
+    if list(col) != sorted(col):
+        raise ValueError("invalid column %r" % (col,))
+    return tuple(coords)
 
 
 def gallery_to_tableau(rs: RootSystem, g: Gallery) -> Tableau:
-    """Columns of the blocks, rightmost column first."""
-    columns = []
-    dirs = g.directions()
-    k = 0
-    while k < len(g.gtype):
-        t = g.gtype[k]
-        ncols, spin = _block_columns(rs, t.index)
-        if ncols == 1:
-            columns.append(_weight_column(rs, _canon_block(rs, dirs[k], t.index), spin))
-            k += 1
-        else:
-            columns.append(_weight_column(rs, dirs[k], True))
-            columns.append(_weight_column(rs, dirs[k + 1], True))
-            k += 2
-    return Tableau(rs.family, rs.rank, tuple(columns))
-
-
-def _canon_block(rs: RootSystem, v: Vec, index: int) -> Vec:
-    """Strip the invariant-line drift so the vector lies in the 0/1 orbit."""
-    if rs.family != "A":
-        return v
-    shift, rem = divmod(sum(v) - index, rs.dim)
-    if rem:
-        raise ValueError("vector is not a single-column weight: %r" % (v,))
-    return tuple(x - shift for x in v)
+    """One column per edge, in edge order: the signs of its germ."""
+    n = rs.rank
+    columns = tuple(
+        tuple(sorted(k if x > 0 else bar(n, k) for k, x in enumerate(d, start=1) if x))
+        for d in g.directions()
+    )
+    return Tableau(rs.family, n, columns)
 
 
 def tableau_to_gallery(rs: RootSystem, tab: Tableau) -> Gallery:
-    """Inverse of gallery_to_tableau; validates columns and block pairing."""
+    """Inverse of gallery_to_tableau; validates the columns and, in a
+    two-column block, that the second germ is reachable at the midpoint."""
     if (tab.family, tab.rank) != (rs.family, rs.rank):
         raise ValueError("tableau family/rank does not match the root system")
-    cols = list(tab.columns)
+    cols = tab.columns
     vertices = [(0,) * rs.dim]
     gtype = []
     pos = 0
-    # deduce the block sequence from the column heights
+    # a column of height i opens a block of omega_i
     while pos < len(cols):
-        height = len(cols[pos])
-        i = height
+        i = len(cols[pos])
         if not 1 <= i <= rs.rank:
-            raise ValueError("column height %d out of range" % height)
-        ncols, spin = _block_columns(rs, i)
-        block = cols[pos : pos + ncols]
-        if len(block) != ncols or any(len(c) != height for c in block):
+            raise ValueError("column height %d out of range" % i)
+        block_type = fundamental_type(rs, i)
+        block = cols[pos : pos + len(block_type)]
+        if len(block) != len(block_type) or any(len(c) != i for c in block):
             raise ValueError("truncated block in tableau")
-        for c in block:
-            if not _column_valid(rs, c):
-                raise ValueError("invalid column %r" % (c,))
-        if ncols == 1:
-            d = _column_weight(rs, block[0], spin)
-            _check_orbit_member(rs, d, EdgeType(i, "whole"))
-            vertices.append(vadd(vertices[-1], d))
-            gtype.append(EdgeType(i, "whole"))
-        else:
-            _check_pair_exchange(rs, block[0], block[1])
-            d1 = _column_weight(rs, block[0], True)
-            _check_orbit_member(rs, d1, EdgeType(i, "first"))
-            mid = vadd(vertices[-1], d1)
-            d2 = _column_weight(rs, block[1], True)
-            if d2 not in local_data(rs, mid).orbit(d1):
+        # every letter of the block moves its coordinate by one step
+        step = max(rs.fundamental_weights[i - 1]) // rs.fundamental_scale[i - 1]
+        germs = [_column_germ(rs, c, step) for c in block]
+        if len(germs) == 2:
+            mid = vadd(vertices[-1], germs[0])
+            if germs[1] not in local_data(rs, mid).orbit(germs[0]):
                 raise ValueError("second column is not reachable at the midpoint")
-            vertices.append(mid)
-            vertices.append(vadd(mid, d2))
-            gtype.append(EdgeType(i, "first"))
-            gtype.append(EdgeType(i, "second"))
-        pos += ncols
+        for d in germs:
+            vertices.append(vadd(vertices[-1], d))
+        gtype.extend(block_type)
+        pos += len(block_type)
     return Gallery(tuple(vertices), tuple(gtype))
-
-
-def _check_orbit_member(rs: RootSystem, d: Vec, etype: EdgeType):
-    want = rs.edge_orbit_keys.get(etype)
-    if want is None:
-        want = rs.dominant_rep(rs.canonical_key(expected_germ(rs, etype)))
-        rs.edge_orbit_keys[etype] = want
-    if rs.dominant_rep(rs.canonical_key(d)) != want:
-        raise ValueError("column weight is not in the %s orbit" % etype.tag())
-
-
-def _check_pair_exchange(rs: RootSystem, c1, c2):
-    n = rs.rank
-    plain1 = [x if x <= n else bar(n, x) for x in c1]
-    plain2 = [x if x <= n else bar(n, x) for x in c2]
-    if sorted(plain1) != sorted(plain2):
-        raise ValueError("paired columns differ beyond sign exchanges")
-    if rs.family == "C":
-        flips = sum(1 for x in c2 if x not in c1)
-        if flips % 2 != 0:
-            raise ValueError("odd number of sign exchanges in a C pair")
 
 
 def is_semistandard(tab: Tableau) -> bool:

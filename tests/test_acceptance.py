@@ -319,7 +319,9 @@ def test_criterion_7_bijection_roundtrips():
 
 
 # rank-4 verify tier: family -> max coefficient sum.  B4 and C4 stay at 1:
-# at 2 each takes 10-14 s, mostly in the tableau round-trip.
+# at 2 they take 11-12.5 s and 8.5-9 s cold (2 CPUs, Python 3.11), led by
+# the folding test (its junction factors), with the tableau round-trip close
+# behind.
 RANK4_TIER_SUMS = {"A": 2, "B": 1, "C": 1}
 
 

@@ -26,6 +26,12 @@ def is_minimal(rs, g):
     return True
 
 
+def local_reflections(rs, local):
+    """The reflections of W in the walls of a local group, aligned with
+    its pos_functionals."""
+    return [rs.reflections[rs.pos_coroots.index(c)] for c in local.pos_functionals]
+
+
 def min_coset_rep(rs, x):
     """Minimal-length w with w(dominant_rep(x)) = x: the lowest bit of the
     chamber-class mask, since W is sorted by length."""
@@ -73,7 +79,7 @@ def ls_fold_check(rs, g):
         for d in frontier:
             # a half-edge germ d has the W/Stab(omega) class of 2d in W.omega
             tau = min_coset_rep(rs, d)
-            for refl in local.reflection_indices:
+            for refl in local_reflections(rs, local):
                 image = rs.act(refl, d)
                 if image == d:
                     continue
@@ -106,7 +112,7 @@ def two_step_reference(rs, d_in, vertex, d_out):
     while frontier:
         nxt = []
         for d in frontier:
-            for c, refl in zip(local.pos_functionals, local.reflection_indices):
+            for c, refl in zip(local.pos_functionals, local_reflections(rs, local)):
                 if pairing(d, c) < 0:
                     image = rs.act(refl, d)
                     if image not in reachable:

@@ -1,9 +1,11 @@
 from fractions import Fraction as Q
+from itertools import combinations, product
 
 import pytest
 
+from hlgal.apartment import expected_germ
 from hlgal.folding import is_positively_folded
-from hlgal.gallery import enumerate_of_type, type_of_lambda
+from hlgal.gallery import Gallery, enumerate_of_type, fundamental_type, type_of_lambda
 from hlgal.oracles import kostka
 from hlgal.tableaux import (
     Tableau,
@@ -16,6 +18,7 @@ from hlgal.tableaux import (
     tableau_to_jsonable,
 )
 from standard_galleries import gamma_lambda
+from systems import root_system
 
 
 def content_weight(rs, tab):
@@ -70,7 +73,6 @@ def test_known_example_tableaux_are_valid():
     # three known semistandard fillings for lambda = w1+w2+w3, written
     # column by column from the right
     from hlgal.folding import is_LS
-    from systems import root_system
 
     a3 = root_system("A", 3)
     t_a = Tableau("A", 3, ((3,), (1, 3), (1, 2, 3)))
@@ -148,7 +150,70 @@ def test_ssyt_count_matches_kostka_and_galleries(a2):
         assert n_tab == kostka(rs, lam, mu)
 
 
-def test_malformed_tableaux_rejected(b2, c2):
+def valid_columns(rs, i):
+    """Every column of height i, built from the alphabet alone: i increasing
+    letters, and in B/C one of k and bar(k) for each of i distinct k."""
+    if rs.family == "A":
+        return set(combinations(range(1, rs.rank + 2), i))
+    return {
+        tuple(sorted(k if s > 0 else bar(rs.rank, k) for k, s in zip(plain, signs)))
+        for plain in combinations(range(1, rs.rank + 1), i)
+        for signs in product((1, -1), repeat=i)
+    }
+
+
+def pair_exchange_ok(rs, c1, c2):
+    """The two columns of a block agree up to sign exchanges, an even number
+    of them in type C: a rule on letters alone, for reference."""
+    n = rs.rank
+    plain1 = sorted(x if x <= n else bar(n, x) for x in c1)
+    plain2 = sorted(x if x <= n else bar(n, x) for x in c2)
+    if plain1 != plain2:
+        return False
+    return rs.family != "C" or sum(1 for x in c2 if x not in c1) % 2 == 0
+
+
+@pytest.mark.parametrize("family,rank", [(f, n) for f in "ABC" for n in range(1, 5)])
+def test_valid_columns_are_the_reference_orbit(family, rank):
+    # the columns of the germs in the W-orbit of omega_i's reference germ
+    # (whole or half) are the valid height-i columns, each exactly once,
+    # and each decodes back to its germ
+    rs = root_system(family, rank)
+    origin = (0,) * rs.dim
+    for i in range(1, rank + 1):
+        block_type = fundamental_type(rs, i)
+        orbit = rs.weyl.orbit(expected_germ(rs, block_type[0]))
+        germ_of = {
+            gallery_to_tableau(rs, Gallery((origin, d), block_type[:1])).columns[0]: d
+            for d in orbit
+        }
+        assert len(germ_of) == len(orbit)
+        assert set(germ_of) == valid_columns(rs, i)
+        for col, d in germ_of.items():
+            g = tableau_to_gallery(rs, Tableau(family, rank, (col,) * len(block_type)))
+            assert g.directions()[0] == d
+
+
+@pytest.mark.parametrize("family,rank", [(f, n) for f in "BC" for n in range(2, 5)])
+def test_pair_exchange_rule_is_the_midpoint_test(family, rank):
+    rs = root_system(family, rank)
+    pairs = 0
+    for i in range(1, rank + 1):
+        if len(fundamental_type(rs, i)) != 2:
+            continue
+        cols = sorted(valid_columns(rs, i))
+        for c1, c2 in product(cols, repeat=2):
+            try:
+                tableau_to_gallery(rs, Tableau(family, rank, (c1, c2)))
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == pair_exchange_ok(rs, c1, c2), (i, c1, c2)
+            pairs += 1
+    assert pairs > 0
+
+
+def test_malformed_tableaux_rejected(a2, b2, c2, b3):
     with pytest.raises(ValueError):
         tableau_to_gallery(b2, Tableau("B", 2, ((1, bar(2, 1)),)))  # 1 and barred 1
     with pytest.raises(ValueError):
@@ -159,6 +224,18 @@ def test_malformed_tableaux_rejected(b2, c2):
     with pytest.raises(ValueError):
         # paired columns must agree up to sign exchanges
         tableau_to_gallery(b2, Tableau("B", 2, ((1,), (2,), (1, 2), (1, 2))))
+    with pytest.raises(ValueError, match="height 0"):
+        tableau_to_gallery(b2, Tableau("B", 2, ((),)))  # empty column
+    with pytest.raises(ValueError, match="height 3"):
+        tableau_to_gallery(a2, Tableau("A", 2, ((1, 2, 3),)))  # taller than the rank
+    with pytest.raises(ValueError, match="truncated"):
+        tableau_to_gallery(b3, Tableau("B", 3, ((1, 2, 3), (1,))))  # omega_1 cut short
+    with pytest.raises(ValueError, match="truncated"):
+        tableau_to_gallery(c2, Tableau("C", 2, ((1, 2), (1,))))  # heights differ in a block
+    with pytest.raises(ValueError, match="family/rank"):
+        tableau_to_gallery(b2, Tableau("C", 2, ((1, 2), (1, 2))))
+    with pytest.raises(ValueError, match="family/rank"):
+        tableau_to_gallery(b2, Tableau("B", 3, ((1, 2, 3),)))
 
 
 def test_json_and_pretty(b2):
