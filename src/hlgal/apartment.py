@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rootdata import ReflectionGroup, RootSystem, Vec, pairing, vdiv
+from .rootdata import ReflectionGroup, RootSystem, Vec, pairing
 
 SEGMENTS = ("whole", "first", "second")
 
@@ -71,9 +71,7 @@ def crossings(rs: RootSystem, vertex: Vec, direction: Vec) -> tuple:
 
 
 def expected_germ(rs: RootSystem, etype: EdgeType) -> Vec:
-    """The dominant reference germ for an edge type."""
-    omega = rs.fundamental_weights[etype.index - 1]
-    if etype.segment == "whole":
-        return omega
-    return vdiv(omega, 2)
+    """The dominant reference germ for an edge type: omega_i over the
+    number of edges in its block, whichever segment the edge is."""
+    return rs.fundamental_germs[etype.index - 1]
 

@@ -148,13 +148,16 @@ def cmd_tableaux(args) -> int:
 
 def cmd_verify(args) -> int:
     rs = parse_type(args.type)
-    if args.suite == "a2-example" and (rs.family, rs.rank) != ("A", 2):
-        raise UsageError("the a2-example suite runs on --type A2")
+    if args.suite == "a2-example":
+        if (rs.family, rs.rank) != ("A", 2):
+            raise UsageError("the a2-example suite runs on --type A2")
+        if (args.max_coeff_sum, args.max_height) != (None, None):
+            raise UsageError("--max-coeff-sum and --max-height bound the default suite only")
     report = run_suite(
         rs,
         suite=args.suite,
-        max_coeff_sum=args.max_coeff_sum,
-        max_height=args.max_height,
+        max_coeff_sum=2 if args.max_coeff_sum is None else args.max_coeff_sum,
+        max_height=12 if args.max_height is None else args.max_height,
         fault=args.inject_fault,
     )
     if args.format == "json" or not report["ok"]:
@@ -200,8 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the oracle-equality and invariant suite")
     p.add_argument("--type", default="A1", help="root system, e.g. A2")
     p.add_argument("--suite", default="default", choices=("default", "a2-example"))
-    p.add_argument("--max-coeff-sum", type=nonnegative_int, default=2)
-    p.add_argument("--max-height", type=nonnegative_int, default=12)
+    p.add_argument("--max-coeff-sum", type=nonnegative_int, help="default suite only; default 2")
+    p.add_argument("--max-height", type=nonnegative_int, help="default suite only; default 12")
     p.add_argument("--format", choices=("json", "pretty"), default="pretty")
     p.add_argument(
         "--verbose",

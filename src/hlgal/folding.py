@@ -10,6 +10,7 @@ the successive edges.
 
 from __future__ import annotations
 
+from .apartment import expected_germ
 from .gallery import Gallery, crossing_counts, enumerate_of_type, type_of_lambda
 from .residue import junction_factor
 from .rootdata import RootSystem, Vec, vadd, vneg
@@ -89,11 +90,11 @@ def is_positively_folded(rs: RootSystem, g: Gallery) -> bool:
 
 
 def type_weight(rs: RootSystem, gtype) -> Vec:
-    """Sum of the block fundamental weights of a gallery type."""
+    """Sum of the reference germs of a gallery type: the block fundamental
+    weights."""
     acc = tuple(0 for _ in range(rs.dim))
     for t in gtype:
-        if t.segment in ("whole", "first"):
-            acc = vadd(acc, rs.fundamental_weights[t.index - 1])
+        acc = vadd(acc, expected_germ(rs, t))
     return acc
 
 

@@ -67,25 +67,6 @@ def type_of_lambda(rs: RootSystem, lam: Vec) -> GalleryType:
     return tuple(gtype)
 
 
-def _blocks(gtype: GalleryType):
-    """Split an edge-type sequence into fundamental blocks."""
-    blocks = []
-    k = 0
-    while k < len(gtype):
-        t = gtype[k]
-        if t.segment == "whole":
-            blocks.append((t,))
-            k += 1
-        elif t.segment == "first":
-            if k + 1 >= len(gtype) or gtype[k + 1] != EdgeType(t.index, "second"):
-                raise ValueError("dangling first-half edge in gallery type")
-            blocks.append((t, gtype[k + 1]))
-            k += 2
-        else:
-            raise ValueError("gallery type starts a block with a second half")
-    return blocks
-
-
 def _hull_sums(rs: RootSystem, v: Vec) -> tuple:
     """Partial sums of the dominant representative of v's canonical key.
 
@@ -100,18 +81,20 @@ def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = N
 
     The germs of an edge are the local orbit of one reference germ: the
     dominant germ of its type for a whole or first edge, the germ just
-    taken for a second half.  With a target, only the galleries ending at
+    taken for a second half.  ValueError unless the type splits into
+    fundamental blocks.  With a target, only the galleries ending at
     it (modulo the invariant line in type A) are walked: every edge from
     step k on lies in the W-orbit of its dominant reference germ, so the
     rest of the walk stays in the orbit hull of their sum, and a prefix
     whose target offset lies outside it is cut."""
     gtype = tuple(gtype)
-    refs = []
-    germs = []
-    for block in _blocks(gtype):
-        ref = expected_germ(rs, block[0])
-        refs += [ref] + [None] * (len(block) - 1)
-        germs += [ref] * len(block)
+    k = 0
+    while k < len(gtype):
+        block = fundamental_type(rs, gtype[k].index)
+        if gtype[k : k + len(block)] != block:
+            raise ValueError("gallery type does not split into fundamental blocks")
+        k += len(block)
+    germs = [expected_germ(rs, t) for t in gtype]
     if target is not None:
         rest = [_origin(rs)]  # sums of the last 0, 1, ... reference germs
         for d in reversed(germs):
@@ -131,7 +114,7 @@ def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = N
         if k == len(gtype):
             yield Gallery(tuple(vertices), gtype)
             return
-        for d in local_data(rs, v).orbit(prev if refs[k] is None else refs[k]):
+        for d in local_data(rs, v).orbit(prev if gtype[k].segment == "second" else germs[k]):
             yield from rec(vertices + [vadd(v, d)], d)
 
     yield from rec([_origin(rs)], None)

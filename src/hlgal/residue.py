@@ -6,7 +6,9 @@ contains the generic antidominant direction.  A fold/cross word is read
 over a reduced word of the closest chamber u containing the outgoing germ,
 with respect to a sector whose local chamber is a valid chamber class; the
 walk ends on the images of the germ's base face, which is u^-1 applied to
-the germ, since u's closed chamber holds it.  All positivity and crossing
+the germ, since u's closed chamber holds it.  The local group's
+``closest_chamber`` gives u and its least reduced word together, by
+descent to the base chamber.  All positivity and crossing
 statistics are decided by evaluating wall functionals at generic interior
 points, which keeps the computation free of root-sign conventions:
 
@@ -39,21 +41,6 @@ def is_minimal_pair(rs: RootSystem, d_e: Vec, d_f: Vec) -> bool:
     return bool(rs.chamber_class_mask(d_e) & rs.chamber_class_mask(vneg(d_f)))
 
 
-def closest_chamber_word(rs: RootSystem, vertex: Vec, d: Vec):
-    """Minimal local element whose closed chamber contains the germ, with
-    its lexicographically least local reduced word."""
-    local = local_data(rs, vertex)
-    hit = local.closest.get(d)
-    if hit is None:
-        # elements are sorted by length, so the first chamber found is closest
-        best = next((u for u in local.elements if local.in_chamber_closure(u, d)), None)
-        if best is None:
-            raise ValueError("direction is not a germ at this vertex")
-        hit = (best, local.reduced_word(best))
-        local.closest[d] = hit
-    return hit
-
-
 def valid_sector_classes(rs: RootSystem, vertex: Vec, d_in: Vec, d_out: Vec) -> int:
     """Bit mask of the chamber classes w whose sector contains the incoming
     germ and whose opposite contains a germ of the outgoing type."""
@@ -83,7 +70,7 @@ def enumerate_gamma_plus_op(
     local = local_data(rs, vertex)
     # generic interior point of the sector's local chamber
     sector_pt = rs.act(sector_class, rs.generic_dominant)
-    u, _ = closest_chamber_word(rs, vertex, d_out)
+    u, _ = local.closest_chamber(d_out)
     base_face = rs.act(rs.inverse[u], d_out)
     results = []
 
@@ -107,20 +94,20 @@ def enumerate_gamma_plus_op(
 def junction_factor(rs: RootSystem, vertex: Vec, d_in: Vec, d_out: Vec) -> QPoly:
     """Sum of q^t (q-1)^r over the local positively folded galleries,
     memoised on the local group at the vertex."""
-    memo = local_data(rs, vertex).factors
-    hit = memo.get((d_in, d_out))
+    local = local_data(rs, vertex)
+    hit = local.factors.get((d_in, d_out))
     if hit is None:
         hit = QPoly.zero()
         if valid_sector_classes(rs, vertex, d_in, d_out):  # else a sum over nothing
             sector = choose_sector(rs, vertex, d_in, d_out)
-            _, word = closest_chamber_word(rs, vertex, d_out)
+            _, word = local.closest_chamber(d_out)
             for t, r in enumerate_gamma_plus_op(rs, vertex, d_in, d_out, sector, word):
                 hit = hit + QPoly.term(t, r)
-        memo[(d_in, d_out)] = hit
+        local.factors[(d_in, d_out)] = hit
     return hit
 
 
 def first_factor_exponent(rs: RootSystem, first_direction: Vec) -> int:
     """Length of the closest chamber at the origin containing the first germ."""
-    u, _ = closest_chamber_word(rs, (0,) * rs.dim, first_direction)
+    u, _ = local_data(rs, (0,) * rs.dim).closest_chamber(first_direction)
     return rs.length[u]

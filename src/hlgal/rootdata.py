@@ -186,35 +186,28 @@ def _closure(seed, gens, step) -> set:
 
 class ReflectionGroup:
     """The Weyl group W_V of the walls whose ``rs.pos_coroots`` indices are
-    in ``key``, on full-group indices, sorted by (length, index).
+    in ``key``, on full-group indices, given by its walls alone.
 
-    Those functionals are the positive system of W_V; the length of w
-    counts the ones it sends outside.  The simple letters are the
-    indecomposable ones in descending order, so the group of every wall
-    (the origin's) is W with its elements, lengths and Bourbaki letters.
-    The chambers of the residue are u * base for u in elements, base being
-    the one whose interior holds the generic antidominant direction.
+    Those functionals are the positive system of W_V.  The simple letters
+    are the indecomposable ones in descending order, so the group of every
+    wall (the origin's) is W with its Bourbaki letters.  The chambers of
+    the residue are u * base for u in W_V, base being the one whose
+    interior holds the generic antidominant direction.  No element list is
+    kept: closest chambers and reduced words come from descent to base.
     ``factors`` memoises the junction factors at this residue, keyed by
     (d_in, d_out); a zero factor is also the junction test's "not
     positively folded".  ``closest`` and ``crossings`` memoise the closest
-    chamber and the (positive, negative) wall-crossing counts of a germ.
+    chamber and the (positive, negative) wall-crossing counts of a vector.
     """
 
     def __init__(self, rs: RootSystem, key: tuple):
         self.rs = rs
         self.pos_functionals = tuple(rs.pos_coroots[k] for k in key)
-        pos_set = set(self.pos_functionals)
         sums = {vadd(a, b) for a in self.pos_functionals for b in self.pos_functionals}
         # the indecomposable positive functionals, in descending order
-        self.simples = tuple(sorted(pos_set - sums, reverse=True))
+        self.simples = tuple(sorted(set(self.pos_functionals) - sums, reverse=True))
         self.simple_reflections = tuple(rs.reflections[rs.pos_coroots.index(c)] for c in self.simples)
-        self.length = {
-            w: sum(1 for c in self.pos_functionals if rs.act(w, c) not in pos_set)
-            for w in _closure(0, self.simple_reflections, rs.mul)
-        }
-        self.elements = tuple(sorted(self.length, key=lambda w: (self.length[w], w)))
         self._orbits: dict = {}
-        self._words: dict = {}
         self.factors: dict = {}
         self.closest: dict = {}
         self.crossings: dict = {}
@@ -226,32 +219,33 @@ class ReflectionGroup:
             self._orbits[v] = hit
         return hit
 
-    def left_descents(self, w: int) -> list:
-        return [
-            k
-            for k, s in enumerate(self.simple_reflections)
-            if self.length[self.rs.mul(s, w)] < self.length[w]
-        ]
+    def closest_chamber(self, d: Vec) -> tuple:
+        """(u, word): the shortest u whose closed chamber holds d, and u's
+        lexicographically least reduced word.
 
-    def reduced_word(self, w: int) -> tuple:
-        """Lexicographically least reduced word."""
-        hit = self._words.get(w)
+        d is reflected into the closed base chamber, each time in the least
+        simple wall it lies strictly beyond.  The walls it lies strictly
+        beyond are the left descents of the part of u still to undo, so
+        each letter is the least of them (Humphreys, Reflection Groups and
+        Coxeter Groups, 1990, ch. 1)."""
+        hit = self.closest.get(d)
         if hit is None:
-            word = []
-            cur = w
-            while self.length[cur] > 0:
-                k = min(self.left_descents(cur))
+            u, word, x = 0, [], d
+            while True:
+                k = next((k for k, c in enumerate(self.simples) if pairing(x, c) > 0), None)
+                if k is None:
+                    break
+                s = self.simple_reflections[k]
+                u, x = self.rs.mul(u, s), self.rs.act(s, x)
                 word.append(k)
-                cur = self.rs.mul(self.simple_reflections[k], cur)
-            hit = tuple(word)
-            self._words[w] = hit
+            hit = (u, tuple(word))
+            self.closest[d] = hit
         return hit
 
-    def in_base_closure(self, d: Vec) -> bool:
-        return all(pairing(d, c) <= 0 for c in self.simples)
-
-    def in_chamber_closure(self, u: int, d: Vec) -> bool:
-        return self.in_base_closure(self.rs.act(self.rs.inverse[u], d))
+    def reduced_word(self, w: int) -> tuple:
+        """Lexicographically least reduced word of w in W_V: the word of
+        the closest chamber of a point interior to w * base."""
+        return self.closest_chamber(self.rs.act(w, vneg(self.rs.generic_dominant)))[1]
 
 
 class RootSystem:
@@ -265,7 +259,6 @@ class RootSystem:
 
     def __init__(self, spec: RootSystemSpec):
         spec.validate()
-        self.spec = spec
         self.family = spec.family
         self.rank = spec.rank
         self.dim = spec.ambient_dim
@@ -290,6 +283,8 @@ class RootSystem:
         if any(t not in (1, 2) for t in tops):
             raise AssertionError("fundamental weight pairs beyond 2; outside A/B/C scope")
         self.fundamental_scale = tuple(tops)
+        # omega_i over its scale: the dominant germ of each edge of its block
+        self.fundamental_germs = tuple(map(vdiv, self.fundamental_weights, tops))
         self.two_rho = self._vsum(self.pos_coroots)  # 2 rho^vee, an integral functional
         # rho as a weight, the sum of the fundamental weights; in type A it is
         # half the sum of the positive roots only modulo the invariant line

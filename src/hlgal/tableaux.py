@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .apartment import local_data
+from .apartment import expected_germ, local_data
 from .gallery import Gallery, fundamental_type
 from .rootdata import RootSystem, Vec, vadd
 
@@ -92,7 +92,7 @@ def tableau_to_gallery(rs: RootSystem, tab: Tableau) -> Gallery:
         if len(block) != len(block_type) or any(len(c) != i for c in block):
             raise ValueError("truncated block in tableau")
         # every letter of the block moves its coordinate by one step
-        step = max(rs.fundamental_weights[i - 1]) // rs.fundamental_scale[i - 1]
+        step = max(expected_germ(rs, block_type[0]))
         germs = [_column_germ(rs, c, step) for c in block]
         if len(germs) == 2:
             mid = vadd(vertices[-1], germs[0])

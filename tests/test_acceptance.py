@@ -30,7 +30,6 @@ from hlgal.oracles import (
 )
 from hlgal.qpoly import QPoly
 from hlgal.residue import (
-    closest_chamber_word,
     enumerate_gamma_plus_op,
     junction_factor,
     valid_sector_classes,
@@ -38,10 +37,10 @@ from hlgal.residue import (
 from hlgal.rootdata import vadd, vneg
 from hlgal.tableaux import gallery_to_tableau, is_semistandard, tableau_to_gallery
 from hlgal.verify import _dominant_mus, dominant_lambdas, run_suite
-from systems import root_system
+from systems import all_reduced_words, root_system
 from test_apartment import cell_dimension
 from test_folding import is_minimal, two_step_reference
-from test_residue import all_reduced_words, sector_list
+from test_residue import sector_list
 
 SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("B", 3), ("C", 3)]
 MAX_COEFF_SUM = 3
@@ -236,7 +235,7 @@ def _assert_choice_independent(rs, v, d_in, d_out):
         return 0
     sectors = sector_list(rs, valid_sector_classes(rs, v, d_in, d_out))
     local = local_data(rs, v)
-    u, _ = closest_chamber_word(rs, v, d_out)
+    u, _ = local.closest_chamber(d_out)
     values = set()
     for w in sectors:
         for word in all_reduced_words(local, u):

@@ -140,6 +140,14 @@ def test_a2_example_on_other_type_is_usage_error(capsys):
     assert err.startswith("error: ") and "internal" not in err
 
 
+@pytest.mark.parametrize("flag,value", [("--max-coeff-sum", "1"), ("--max-height", "12")])
+def test_a2_example_rejects_default_suite_bounds(capsys, flag, value):
+    # the a2-example suite has fixed inputs; a bound it would ignore is refused
+    code, out, err = run(capsys, "verify", "--type", "A2", "--suite", "a2-example", flag, value)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and flag in err
+
+
 @pytest.mark.parametrize("fault", [ValueError, ArithmeticError, AssertionError])
 def test_library_fault_is_internal_error(capsys, monkeypatch, fault):
     def broken(rs, lam, mu):

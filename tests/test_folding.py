@@ -14,6 +14,7 @@ from hlgal.residue import is_minimal_pair, junction_factor
 from hlgal.rootdata import pairing, vneg, vsub
 from hlgal.verify import dominant_lambdas
 from standard_galleries import concat, gamma_lambda, gamma_omega
+from systems import group_elements, group_length
 
 
 def is_minimal(rs, g):
@@ -65,8 +66,8 @@ def ls_fold_check(rs, g):
             if all(pairing(u, c) >= 0 for c in local.pos_functionals)
         ]
         assert len(dominant) == 1
-        # local.elements is sorted by length, so the first match is minimal
-        return next(local.length[u] for u in local.elements if rs.act(u, dominant[0]) == d)
+        # the elements come sorted by length, so the first match is minimal
+        return next(group_length(local, u) for u in group_elements(local) if rs.act(u, dominant[0]) == d)
 
     best_flag = {}
     frontier = []

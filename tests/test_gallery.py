@@ -191,3 +191,6 @@ def test_malformed_type_rejected(b2):
         tuple(enumerate_of_type(b2, (EdgeType(1, "first"),)))
     with pytest.raises(ValueError):
         tuple(enumerate_of_type(b2, (EdgeType(1, "second"),)))
+    # omega_1 of B2 is not minuscule, so its block is two half-edges
+    with pytest.raises(ValueError):
+        tuple(enumerate_of_type(b2, (EdgeType(1, "whole"),)))

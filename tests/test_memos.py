@@ -15,32 +15,35 @@ from hlgal.apartment import (
     local_key,
 )
 from hlgal.gallery import enumerate_of_type, fundamental_type, type_of_lambda
-from hlgal.residue import closest_chamber_word, first_factor_exponent
+from hlgal.residue import first_factor_exponent
 from hlgal.rootdata import RootSystem, RootSystemSpec, pairing, vneg
 from hlgal.verify import dominant_lambdas
-from systems import root_system
+from systems import (
+    all_reduced_words,
+    group_elements,
+    group_length,
+    in_chamber_closure,
+    root_system,
+    scan_closest,
+)
 
 ACCEPTANCE_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("B", 3), ("C", 3)]
+RANK_4_TYPES = [("A", 4), ("B", 4), ("C", 4)]
+# (coefficient sum, height) bounds of the dominant weights walked
+BOUNDS = {name: (2, 16) for name in ACCEPTANCE_TYPES} | {name: (1, 40) for name in RANK_4_TYPES}
 
 
 def reached_germs(rs):
     """Every (vertex, germ) met by the standard galleries of the dominant
-    weights with coefficient sum <= 2: each edge's outgoing germ at its
+    weights of bounded coefficient sum: each edge's outgoing germ at its
     start and its incoming germ at its end."""
     out = {}
-    for lam in dominant_lambdas(rs, 2, 16):
+    for lam in dominant_lambdas(rs, *BOUNDS[(rs.family, rs.rank)]):
         for g in enumerate_of_type(rs, type_of_lambda(rs, lam)):
             for j, d in enumerate(g.directions()):
                 out[(g.vertices[j], d)] = None
                 out[(g.vertices[j + 1], vneg(d))] = None
     return list(out)
-
-
-def reference_closest(rs, v, d):
-    local = local_data_for_key(rs, local_key(rs, v))
-    hits = [u for u in local.elements if local.in_chamber_closure(u, d)]
-    u = min(hits, key=lambda x: local.length[x])
-    return u, local.reduced_word(u)
 
 
 def reference_crossings(rs, v, d):
@@ -57,7 +60,7 @@ def reference_crossings(rs, v, d):
     return plus, minus
 
 
-@pytest.mark.parametrize("family,rank", ACCEPTANCE_TYPES, ids=lambda x: str(x))
+@pytest.mark.parametrize("family,rank", ACCEPTANCE_TYPES + RANK_4_TYPES, ids=lambda x: str(x))
 def test_memos_match_reference_loops(family, rank):
     germs = reached_germs(root_system(family, rank))
     rs = RootSystem(RootSystemSpec(family, rank))
@@ -67,8 +70,8 @@ def test_memos_match_reference_loops(family, rank):
         for v, d in germs:
             local = local_data(rs, v)
             assert local is local_data_for_key(rs, local_key(rs, v))
-            closest = closest_chamber_word(rs, v, d)
-            assert closest == reference_closest(rs, v, d)
+            closest = local.closest_chamber(d)
+            assert closest == scan_closest(local, d)
             pair = reference_crossings(rs, v, d)
             assert crossings(rs, v, d) == pair
             if pass_no == 0:
@@ -88,11 +91,25 @@ def test_base_face_is_the_closest_chamber_preimage(family, rank):
     rs = root_system(family, rank)
     for v, d in reached_germs(rs):
         local = local_data(rs, v)
-        scan = [x for x in local.orbit(d) if local.in_base_closure(x)]
+        scan = [x for x in local.orbit(d) if in_chamber_closure(local, 0, x)]
         assert len(scan) == 1, (v, d, scan)
-        u, _ = closest_chamber_word(rs, v, d)
+        u, _ = local.closest_chamber(d)
         assert rs.act(rs.inverse[u], d) == scan[0]
 
+
+
+@pytest.mark.parametrize("family,rank", ACCEPTANCE_TYPES, ids=lambda x: str(x))
+def test_local_reduced_words_are_least(family, rank):
+    # reduced_word is the descent of a point interior to w * base; at every
+    # local group the standard galleries meet (only W in type A, where every
+    # vertex is special) it is w's least reduced word
+    rs = root_system(family, rank)
+    groups = {id(g): g for g in (local_data(rs, v) for v, _ in reached_germs(rs))}
+    for group in groups.values():
+        for w in group_elements(group):
+            word = group.reduced_word(w)
+            assert word == min(all_reduced_words(group, w)), (group.simples, w)
+            assert len(word) == group_length(group, w)
 
 TYPES_TO_RANK_4 = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),

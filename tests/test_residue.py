@@ -1,5 +1,3 @@
-from functools import lru_cache
-
 import pytest
 
 from hlgal.apartment import local_data
@@ -7,7 +5,6 @@ from hlgal.gallery import enumerate_of_type, type_of_lambda
 from hlgal.qpoly import QPoly
 from hlgal.residue import (
     choose_sector,
-    closest_chamber_word,
     enumerate_gamma_plus_op,
     first_factor_exponent,
     junction_factor,
@@ -16,6 +13,7 @@ from hlgal.residue import (
 from hlgal.rootdata import vdiv, vneg
 from hlgal.verify import dominant_lambdas
 from standard_galleries import gamma_lambda
+from systems import all_reduced_words, group_elements, group_length, in_chamber_closure
 from test_folding import two_step_reference
 from test_lattice import from_ambient
 
@@ -26,45 +24,33 @@ def origin(rs):
 
 def default_choices(rs, v, d_in, d_out):
     """The sector and reduced word that junction_factor uses."""
-    return choose_sector(rs, v, d_in, d_out), closest_chamber_word(rs, v, d_out)[1]
+    return choose_sector(rs, v, d_in, d_out), local_data(rs, v).closest_chamber(d_out)[1]
 
 
 def sector_list(rs, mask):
     return [w for w in range(rs.order()) if mask >> w & 1]
 
 
-@lru_cache(maxsize=None)
-def all_reduced_words(group, w):
-    """Every reduced word of w in a ReflectionGroup's simple letters, sorted."""
-    if group.length[w] == 0:
-        return ((),)
-    words = []
-    for k in group.left_descents(w):
-        rest = group.rs.mul(group.simple_reflections[k], w)
-        words += [(k,) + tail for tail in all_reduced_words(group, rest)]
-    return tuple(sorted(words))
-
-
 def test_closest_chamber_word_trivial(a2):
     rs = a2
     antidom = vneg(rs.weight((1, 1)))
-    u, word = closest_chamber_word(rs, origin(rs), antidom)
+    u, word = local_data(rs, origin(rs)).closest_chamber(antidom)
     assert u == 0 and word == ()
 
 
 def test_closest_chamber_word_dominant_omega1(a2):
     rs = a2
-    u, word = closest_chamber_word(rs, origin(rs), rs.weight((1, 0)))
     local = local_data(rs, origin(rs))
-    assert local.length[u] == 2
+    u, word = local.closest_chamber(rs.weight((1, 0)))
+    assert group_length(local, u) == 2
     assert len(word) == 2
     # minimality against exhaustive scan
     best = min(
-        local.length[v]
-        for v in local.elements
-        if local.in_chamber_closure(v, rs.weight((1, 0)))
+        group_length(local, v)
+        for v in group_elements(local)
+        if in_chamber_closure(local, v, rs.weight((1, 0)))
     )
-    assert local.length[u] == best
+    assert group_length(local, u) == best
 
 
 def test_first_factor_is_origin_length(a2):
@@ -129,7 +115,7 @@ def test_nonfolded_junction_empty(a2):
     # straight overshoot: (in, out) = (-w1 at vertex, -w1) is not folded
     assert not two_step_reference(rs, vneg(w1), w1, vneg(w1))
     assert junction_factor(rs, w1, vneg(w1), vneg(w1)).is_zero()
-    _, word = closest_chamber_word(rs, w1, vneg(w1))
+    _, word = local_data(rs, w1).closest_chamber(vneg(w1))
     for w in sector_list(rs, valid_sector_classes(rs, w1, vneg(w1), vneg(w1))):
         assert enumerate_gamma_plus_op(rs, w1, vneg(w1), vneg(w1), w, word) == ()
 
@@ -207,7 +193,7 @@ def test_junction_factor_sector_and_word_independence(c2):
                 continue
             sectors = sector_list(rs, valid_sector_classes(rs, v, d_in, d_out))
             local = local_data(rs, v)
-            u, _ = closest_chamber_word(rs, v, d_out)
+            u, _ = local.closest_chamber(d_out)
             values = set()
             for w in sectors:
                 for word in all_reduced_words(local, u):

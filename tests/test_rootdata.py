@@ -15,7 +15,7 @@ from hlgal.rootdata import (
     vneg,
 )
 from hlgal.verify import dominant_lambdas
-from systems import root_system
+from systems import group_elements, group_length, root_system
 from test_folding import min_coset_rep
 
 
@@ -248,9 +248,9 @@ def test_weyl_is_the_origin_local_group(name):
     # letters are the Bourbaki simple reflections
     rs = RootSystem(RootSystemSpec(name[0], int(name[1])))
     assert local_data(rs, (0,) * rs.dim) is rs.weyl
-    assert rs.weyl.elements == tuple(range(rs.order()))
+    assert group_elements(rs.weyl) == tuple(range(rs.order()))
     assert rs.weyl.simple_reflections == rs.simple_reflections
-    assert [rs.weyl.length[w] for w in range(rs.order())] == list(rs.length)
+    assert [group_length(rs.weyl, w) for w in range(rs.order())] == list(rs.length)
     assert [rs.weyl.reduced_word(w) for w in range(rs.order())] == signed_perm_words(rs)
 
 
