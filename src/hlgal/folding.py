@@ -5,7 +5,8 @@ the residue module) is non-zero: the factor sums over the local
 positively folded chamber galleries there, so it vanishes exactly when
 there are none.  The global test adds the existence of a
 Bruhat-weakly-decreasing defining chain of chamber classes containing
-the successive edges.
+the successive edges; its forward pass is one chain_step per edge, the
+step the LS character walk of the hlengine module also takes.
 """
 
 from __future__ import annotations
@@ -37,19 +38,24 @@ def _bits(mask: int) -> list:
     return out
 
 
-def _reachable_masks(rs: RootSystem, dirs):
-    """Forward pass of the defining chain, or None once it dies.
+def chain_step(rs: RootSystem, reachable: int | None, d: Vec) -> int:
+    """One step of the defining chain's forward pass: the chamber classes
+    (as a bit mask) containing germ d that lie Bruhat-below something in
+    ``reachable``, every class containing d on the first edge (reachable
+    None).  0 when the chain dies here."""
+    mask = rs.chamber_class_mask(d)
+    return mask if reachable is None else mask & rs.below_closure_mask(reachable)
 
-    reachable_k is the set (as a bit mask) of chamber classes containing
-    edge k that lie Bruhat-below something reachable at k-1.
-    """
+
+def _reachable_masks(rs: RootSystem, dirs):
+    """Forward pass of the defining chain, one chain_step per edge, or
+    None once it dies."""
     reachable = []
+    mask = None
     for d in dirs:
-        mask = rs.chamber_class_mask(d)
-        if reachable:
-            mask &= rs.below_closure_mask(reachable[-1])
-            if mask == 0:
-                return None
+        mask = chain_step(rs, mask, d)
+        if not mask:
+            return None
         reachable.append(mask)
     return reachable
 
@@ -98,14 +104,20 @@ def type_weight(rs: RootSystem, gtype) -> Vec:
     return acc
 
 
+def reaches_degree_bound(rs: RootSystem, weight: Vec, target: Vec, plus: int) -> bool:
+    """``plus`` positive crossings equal the degree bound <lambda+mu, rho>
+    of a positively folded gallery of type weight lambda and target mu.
+    No such gallery exceeds the bound, so AssertionError if one would."""
+    twice_bound = rs.height(vadd(weight, target))
+    if 2 * plus > twice_bound:
+        raise AssertionError("positive crossings exceed the degree bound")
+    return 2 * plus == twice_bound
+
+
 def has_maximal_crossings(rs: RootSystem, g: Gallery) -> bool:
     """Positive-crossing count equal to the degree bound <lambda+mu, rho>;
     the LS test for a gallery already known to be positively folded."""
-    twice_bound = rs.height(vadd(type_weight(rs, g.gtype), g.target))
-    twice_plus = 2 * crossing_counts(rs, g)[0]
-    if twice_plus > twice_bound:
-        raise AssertionError("positive crossings exceed the degree bound")
-    return twice_plus == twice_bound
+    return reaches_degree_bound(rs, type_weight(rs, g.gtype), g.target, crossing_counts(rs, g)[0])
 
 
 def is_LS(rs: RootSystem, g: Gallery) -> bool:

@@ -75,26 +75,42 @@ def _hull_sums(rs: RootSystem, v: Vec) -> tuple:
     return tuple(accumulate(rs.dominant_rep(rs.canonical_key(v))))
 
 
+def reference_germs(rs: RootSystem, gtype: GalleryType) -> list:
+    """The dominant reference germ of each edge of the type.
+
+    ValueError unless the type splits into fundamental blocks of indices
+    1 .. rank."""
+    k = 0
+    while k < len(gtype):
+        index = gtype[k].index
+        if not 1 <= index <= rs.rank:
+            raise ValueError("edge type index %d is outside 1..%d" % (index, rs.rank))
+        block = fundamental_type(rs, index)
+        if gtype[k : k + len(block)] != block:
+            raise ValueError("gallery type does not split into fundamental blocks")
+        k += len(block)
+    return [expected_germ(rs, t) for t in gtype]
+
+
+def edge_germs(rs: RootSystem, vertex: Vec, etype: EdgeType, reference: Vec, prev: Vec | None) -> tuple:
+    """The germs an edge of the given type can take at the vertex: the
+    local orbit of the germ just taken for a second half, else of the
+    edge's reference germ."""
+    return local_data(rs, vertex).orbit(prev if etype.segment == "second" else reference)
+
+
 def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = None):
     """All galleries with source 0 of the given type, in a reproducible
     depth-first order (direction choices sorted lexicographically).
 
-    The germs of an edge are the local orbit of one reference germ: the
-    dominant germ of its type for a whole or first edge, the germ just
-    taken for a second half.  ValueError unless the type splits into
-    fundamental blocks.  With a target, only the galleries ending at
-    it (modulo the invariant line in type A) are walked: every edge from
-    step k on lies in the W-orbit of its dominant reference germ, so the
-    rest of the walk stays in the orbit hull of their sum, and a prefix
-    whose target offset lies outside it is cut."""
+    Each edge takes its germs from edge_germs.  ValueError unless the
+    type splits into fundamental blocks.  With a target, only the
+    galleries ending at it (modulo the invariant line in type A) are
+    walked: every edge from step k on lies in the W-orbit of its dominant
+    reference germ, so the rest of the walk stays in the orbit hull of
+    their sum, and a prefix whose target offset lies outside it is cut."""
     gtype = tuple(gtype)
-    k = 0
-    while k < len(gtype):
-        block = fundamental_type(rs, gtype[k].index)
-        if gtype[k : k + len(block)] != block:
-            raise ValueError("gallery type does not split into fundamental blocks")
-        k += len(block)
-    germs = [expected_germ(rs, t) for t in gtype]
+    germs = reference_germs(rs, gtype)
     if target is not None:
         rest = [_origin(rs)]  # sums of the last 0, 1, ... reference germs
         for d in reversed(germs):
@@ -114,7 +130,7 @@ def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = N
         if k == len(gtype):
             yield Gallery(tuple(vertices), gtype)
             return
-        for d in local_data(rs, v).orbit(prev if gtype[k].segment == "second" else germs[k]):
+        for d in edge_germs(rs, v, gtype[k], germs[k], prev):
             yield from rec(vertices + [vadd(v, d)], d)
 
     yield from rec([_origin(rs)], None)

@@ -1,21 +1,35 @@
 """Assembly of the coefficient polynomials L_{lambda,mu}(q) and the
 LS-gallery character.
 
-Each positively folded gallery with target mu contributes
-q^(length of the closest chamber at the origin) times the product of its
-junction factors; the factors come from the residue module and all
-arithmetic is exact, so the accumulation order does not matter.
+L_{lambda,mu}(q) is still a sum over galleries: the target-pruned walk of
+enumerate_pf yields each positively folded gallery with target mu, and
+each contributes q^(length of the closest chamber at the origin) times
+the product of its junction factors; the factors come from the residue
+module and all arithmetic is exact, so the accumulation order does not
+matter.
+
+The LS character is a forward walk over the states (vertex, incoming
+germ, chain mask), one layer per edge, with no gallery built.  An edge is
+cut when its junction factor is zero or when folding.chain_step empties
+the defining chain's mask, the same two tests is_positively_folded makes
+gallery by gallery, so the walk sees exactly the positively folded
+galleries.  Each edge (V_i, E_i) adds its own positive crossings, so a
+state keeps the largest count of any prefix reaching it and how many
+prefixes attain it; at the end that count is held against the degree
+bound <lambda+mu, rho> of the state's vertex.  ls_character is the
+per-gallery count, which verify keeps.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .folding import enumerate_pf, has_maximal_crossings, is_positively_folded
-from .gallery import Gallery, enumerate_of_type, frac_str, type_of_lambda
+from .apartment import crossings
+from .folding import chain_step, enumerate_pf, has_maximal_crossings, reaches_degree_bound, type_weight
+from .gallery import Gallery, GalleryType, edge_germs, frac_str, reference_germs, type_of_lambda
 from .qpoly import QPoly
 from .residue import first_factor_exponent, junction_factor
-from .rootdata import RootSystem, Vec, vneg
+from .rootdata import RootSystem, Vec, vadd, vneg
 
 
 def gallery_term(rs: RootSystem, g: Gallery) -> QPoly:
@@ -49,18 +63,59 @@ def ls_character(rs: RootSystem, pf_galleries) -> dict:
     for g in pf_galleries:
         if has_maximal_crossings(rs, g):
             counts[g.target] += 1
+    return _canonical_counts(rs, counts)
+
+
+def _canonical_counts(rs: RootSystem, counts: Counter) -> dict:
+    """Counts by lattice target regrouped by canonical weight, converting
+    each distinct target once."""
     out: Counter = Counter()
     for target, m in counts.items():
         out[rs.canonical_weight(target)] += m
     return dict(out)
 
 
+def ls_character_of_type(rs: RootSystem, gtype: GalleryType) -> dict:
+    """The LS-gallery character of a gallery type, keyed as in
+    ls_character, by the walk over (vertex, incoming germ, chain mask).
+
+    Two prefixes that reach the same state share every suffix, so only a
+    prefix with the state's largest positive-crossing count can end LS;
+    ValueError unless the type splits into fundamental blocks."""
+    gtype = tuple(gtype)
+    germs = reference_germs(rs, gtype)
+    layer = {((0,) * rs.dim, None, None): (0, 1)}  # state -> (max plus, prefixes attaining it)
+    for etype, reference in zip(gtype, germs):
+        nxt: dict = {}
+        for (v, prev, mask), (best, n) in layer.items():
+            d_in = None if prev is None else vneg(prev)
+            for d in edge_germs(rs, v, etype, reference, prev):
+                if d_in is not None and junction_factor(rs, v, d_in, d).is_zero():
+                    continue
+                reachable = chain_step(rs, mask, d)
+                if not reachable:
+                    continue
+                plus = best + crossings(rs, v, d)[0]
+                key = (vadd(v, d), d, reachable)
+                old = nxt.get(key)
+                if old is None or plus > old[0]:
+                    nxt[key] = (plus, n)
+                elif plus == old[0]:
+                    nxt[key] = (plus, old[1] + n)
+        layer = nxt
+    weight = type_weight(rs, gtype)
+    counts: Counter = Counter()
+    for (v, _, _), (best, n) in layer.items():
+        if reaches_degree_bound(rs, weight, v, best):
+            counts[v] += n
+    return _canonical_counts(rs, counts)
+
+
 def character_LS(rs: RootSystem, lam: Vec) -> dict:
     """The LS-gallery character of the standard type of lambda, keyed as in
     ls_character; type_of_lambda rejects a lambda that is not a dominant
     weight."""
-    galleries = enumerate_of_type(rs, type_of_lambda(rs, lam))
-    return ls_character(rs, (g for g in galleries if is_positively_folded(rs, g)))
+    return ls_character_of_type(rs, type_of_lambda(rs, lam))
 
 
 def character_to_jsonable(char: dict) -> list:

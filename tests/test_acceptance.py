@@ -4,8 +4,9 @@ The shared suite: root systems A1, A2, A3, B2, C2, B3, C3; every dominant
 lambda with coefficient sum <= 3 and <lambda, 2 rho> <= 16; all dominant
 mu seen by either route.  The rank-4 tier runs the `verify` suite on A4
 with coefficient sum <= 2 and on the fundamental weights of B4 and C4,
-and checks `L_polynomial` against the oracle there for coefficient sum
-<= 2, and criterion 8 checks every rank-4 junction of A4 (coefficient
+and checks `L_polynomial` against the oracle there, and `character_LS`
+against the recursion and the Weyl dimension, for coefficient sum <= 2,
+and criterion 8 checks every rank-4 junction of A4 (coefficient
 sum <= 2), B4 and C4 (sum <= 1): its factor is non-zero exactly when the
 test-local reachability reference folds it, and is then independent of
 the sector and the reduced word.
@@ -20,7 +21,7 @@ import pytest
 from hlgal.apartment import local_data, local_key
 from hlgal.folding import is_LS, is_positively_folded, locally_positively_folded
 from hlgal.gallery import crossing_counts, enumerate_of_type, fundamental_type, type_of_lambda
-from hlgal.hlengine import L_polynomial, character_LS, gallery_term
+from hlgal.hlengine import L_polynomial, character_LS, gallery_term, ls_character
 from hlgal.oracles import (
     L_from_expansion,
     freudenthal_character,
@@ -139,6 +140,8 @@ def test_criterion_4_character_formula():
         rs, bundles = suite_bundles(family, rank)
         for b in bundles:
             char = character_LS(rs, b["lam"])
+            # the state walk against the per-gallery LS count
+            assert char == ls_character(rs, b["pf"]), (family, rank, b["lam"])
             assert char == freudenthal_character(rs, b["lam"]), (family, rank, b["lam"])
             assert sum(char.values()) == weyl_dimension(rs, b["lam"])
     rs = root_system("A", 2)
@@ -318,9 +321,9 @@ def test_criterion_7_bijection_roundtrips():
 
 
 # rank-4 verify tier: family -> max coefficient sum.  B4 and C4 stay at 1:
-# at 2 they take 11-12.5 s and 8.5-9 s cold (2 CPUs, Python 3.11), led by
-# the folding test (its junction factors), with the tableau round-trip close
-# behind.
+# at 2 (height <= 30) they took 3.5-4.1 s (221 checks) and 5.2-6.9 s (215
+# checks) cold in single runs (2 CPUs, Python 3.11.7), led by the folding
+# test's junction factors, with the tableau round-trip behind.
 RANK4_TIER_SUMS = {"A": 2, "B": 1, "C": 1}
 
 
@@ -352,3 +355,19 @@ def test_rank4_L_polynomial_against_oracle():
                 assert L_polynomial(rs, lam, mu) == want, (family, lam, mu)
                 checked += 1
     print("\nACCEPTANCE rank-4 L: PASS (%d pairs, %.1fs)" % (checked, time.perf_counter() - start))
+
+
+def test_rank4_character_against_oracle():
+    # the state walk of character_LS against Freudenthal's recursion and the
+    # Weyl dimension, on every dominant weight of coefficient sum <= 2
+    start = time.perf_counter()
+    checked = 0
+    for family, max_height in (("A", 30), ("B", 40), ("C", 40)):
+        rs = root_system(family, 4)
+        for lam in dominant_lambdas(rs, 2, max_height):
+            char = character_LS(rs, lam)
+            assert char == freudenthal_character(rs, lam), (family, lam)
+            assert sum(char.values()) == weyl_dimension(rs, lam), (family, lam)
+            checked += 1
+    assert checked == 45
+    print("\nACCEPTANCE rank-4 character: PASS (%d lambdas, %.1fs)" % (checked, time.perf_counter() - start))

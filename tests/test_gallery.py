@@ -194,3 +194,8 @@ def test_malformed_type_rejected(b2):
     # omega_1 of B2 is not minuscule, so its block is two half-edges
     with pytest.raises(ValueError):
         tuple(enumerate_of_type(b2, (EdgeType(1, "whole"),)))
+    # indices run over 1 .. rank: 0 is not read as the last weight, and an
+    # index past the rank is a ValueError, not an IndexError
+    for index in (0, 3):
+        with pytest.raises(ValueError, match="outside"):
+            tuple(enumerate_of_type(b2, (EdgeType(index, "whole"),)))

@@ -3,7 +3,9 @@ import weakref
 
 import pytest
 
-from hlgal.hlengine import L_polynomial, character_LS
+from hlgal.folding import is_positively_folded, locally_positively_folded
+from hlgal.gallery import enumerate_of_type, fundamental_type
+from hlgal.hlengine import L_polynomial, character_LS, ls_character, ls_character_of_type
 from hlgal.oracles import freudenthal_character, weyl_dimension
 from hlgal.qpoly import QPoly
 from hlgal.rootdata import RootSystem, RootSystemSpec, vadd, vneg
@@ -77,6 +79,21 @@ def test_character_matches_recursion(b2):
     char = character_LS(rs, lam)
     assert char == freudenthal_character(rs, lam)
     assert sum(char.values()) == weyl_dimension(rs, lam)
+
+
+def test_character_walk_keeps_the_chain_mask(a2, b2, c2):
+    # on the zigzag types w_i w_j w_i some galleries fold at every junction
+    # yet have no defining chain; a walk that dropped the chain mask from its
+    # state would count them, and its characters differ on all six types
+    chainless = 0
+    for rs in (a2, b2, c2):
+        for i, j in ((1, 2), (2, 1)):
+            gtype = fundamental_type(rs, i) + fundamental_type(rs, j) + fundamental_type(rs, i)
+            galleries = tuple(enumerate_of_type(rs, gtype))
+            pf = [g for g in galleries if is_positively_folded(rs, g)]
+            chainless += sum(locally_positively_folded(rs, g) for g in galleries) - len(pf)
+            assert ls_character_of_type(rs, gtype) == ls_character(rs, pf), (rs.family, i, j)
+    assert chainless == 96
 
 
 def test_character_total_fifteen(a2):
