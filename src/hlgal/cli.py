@@ -160,7 +160,7 @@ def cmd_verify(args) -> int:
         max_height=12 if args.max_height is None else args.max_height,
         fault=args.inject_fault,
     )
-    if args.format == "json" or not report["ok"]:
+    if args.format == "json" or args.verbose or not report["ok"]:
         payload = report if args.verbose else {k: report[k] for k in ("system", "suite", "checks", "failures", "ok")}
         print(json.dumps(payload, indent=2, sort_keys=True, default=str))
     else:
@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verbose",
         action="store_true",
-        help="with --format json, or on a failing run, print every record",
+        help="print the full report, every record included, as JSON",
     )
     p.add_argument(
         "--inject-fault",

@@ -16,8 +16,8 @@ gallery by gallery, so the walk sees exactly the positively folded
 galleries.  Each edge (V_i, E_i) adds its own positive crossings, so a
 state keeps the largest count of any prefix reaching it and how many
 prefixes attain it; at the end that count is held against the degree
-bound <lambda+mu, rho> of the state's vertex.  ls_character is the
-per-gallery count, which verify keeps.
+bound <lambda+mu, rho> of the state's vertex.  It is the library's only
+LS count: the character command and verify both read it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .apartment import crossings
-from .folding import chain_step, enumerate_pf, has_maximal_crossings, reaches_degree_bound, type_weight
+from .folding import chain_step, enumerate_pf, reaches_degree_bound, type_weight
 from .gallery import Gallery, GalleryType, edge_germs, frac_str, reference_germs, type_of_lambda
 from .qpoly import QPoly
 from .residue import first_factor_exponent, junction_factor
@@ -53,31 +53,11 @@ def L_polynomial(rs: RootSystem, lam: Vec, mu: Vec) -> QPoly:
     return total
 
 
-def ls_character(rs: RootSystem, pf_galleries) -> dict:
-    """Multiplicity map canonical target -> number of LS-galleries among
-    the given positively folded galleries.
-
-    Keys are canonical weight vectors in ambient coordinates (type A drops
-    the invariant line)."""
-    counts: Counter = Counter()
-    for g in pf_galleries:
-        if has_maximal_crossings(rs, g):
-            counts[g.target] += 1
-    return _canonical_counts(rs, counts)
-
-
-def _canonical_counts(rs: RootSystem, counts: Counter) -> dict:
-    """Counts by lattice target regrouped by canonical weight, converting
-    each distinct target once."""
-    out: Counter = Counter()
-    for target, m in counts.items():
-        out[rs.canonical_weight(target)] += m
-    return dict(out)
-
-
 def ls_character_of_type(rs: RootSystem, gtype: GalleryType) -> dict:
-    """The LS-gallery character of a gallery type, keyed as in
-    ls_character, by the walk over (vertex, incoming germ, chain mask).
+    """The LS-gallery character of a gallery type, by the walk over
+    (vertex, incoming germ, chain mask): canonical target -> number of
+    LS-galleries, keyed by canonical weight vectors in ambient coordinates
+    (type A drops the invariant line).
 
     Two prefixes that reach the same state share every suffix, so only a
     prefix with the state's largest positive-crossing count can end LS;
@@ -108,13 +88,16 @@ def ls_character_of_type(rs: RootSystem, gtype: GalleryType) -> dict:
     for (v, _, _), (best, n) in layer.items():
         if reaches_degree_bound(rs, weight, v, best):
             counts[v] += n
-    return _canonical_counts(rs, counts)
+    out: Counter = Counter()  # regrouped by canonical weight, one conversion per target
+    for target, m in counts.items():
+        out[rs.canonical_weight(target)] += m
+    return dict(out)
 
 
 def character_LS(rs: RootSystem, lam: Vec) -> dict:
     """The LS-gallery character of the standard type of lambda, keyed as in
-    ls_character; type_of_lambda rejects a lambda that is not a dominant
-    weight."""
+    ls_character_of_type; type_of_lambda rejects a lambda that is not a
+    dominant weight."""
     return ls_character_of_type(rs, type_of_lambda(rs, lam))
 
 

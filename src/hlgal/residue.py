@@ -50,10 +50,8 @@ def valid_sector_classes(rs: RootSystem, vertex: Vec, d_in: Vec, d_out: Vec) -> 
     return rs.chamber_class_mask(d_in) & opposite
 
 
-def choose_sector(rs: RootSystem, vertex: Vec, d_in: Vec, d_out: Vec) -> int:
-    """The least valid class index.  W is indexed in length order and
-    u < w in Bruhat order forces l(u) < l(w), so it is Bruhat-minimal."""
-    mask = valid_sector_classes(rs, vertex, d_in, d_out)
+def choose_sector(mask: int) -> int:
+    """The least class index in a valid_sector_classes mask."""
     if not mask:
         raise ValueError("no valid sector at this junction")
     return (mask & -mask).bit_length() - 1
@@ -93,15 +91,17 @@ def enumerate_gamma_plus_op(
 
 def junction_factor(rs: RootSystem, vertex: Vec, d_in: Vec, d_out: Vec) -> QPoly:
     """Sum of q^t (q-1)^r over the local positively folded galleries,
-    memoised on the local group at the vertex."""
+    memoised on the local group at the vertex.  The sector is the least
+    valid class index: W is indexed in length order and u < w in Bruhat
+    order forces l(u) < l(w), so it is Bruhat-minimal."""
     local = local_data(rs, vertex)
     hit = local.factors.get((d_in, d_out))
     if hit is None:
         hit = QPoly.zero()
-        if valid_sector_classes(rs, vertex, d_in, d_out):  # else a sum over nothing
-            sector = choose_sector(rs, vertex, d_in, d_out)
+        mask = valid_sector_classes(rs, vertex, d_in, d_out)
+        if mask:  # else a sum over nothing
             _, word = local.closest_chamber(d_out)
-            for t, r in enumerate_gamma_plus_op(rs, vertex, d_in, d_out, sector, word):
+            for t, r in enumerate_gamma_plus_op(rs, vertex, d_in, d_out, choose_sector(mask), word):
                 hit = hit + QPoly.term(t, r)
         local.factors[(d_in, d_out)] = hit
     return hit

@@ -12,7 +12,7 @@ from collections import Counter
 
 from .folding import is_positively_folded
 from .gallery import crossing_counts, enumerate_of_type, type_of_lambda
-from .hlengine import L_polynomial, gallery_term, ls_character
+from .hlengine import L_polynomial, character_LS, gallery_term
 from .oracles import (
     L_from_expansion,
     freudenthal_character,
@@ -82,35 +82,33 @@ def check_system(rs: RootSystem, max_coeff_sum: int, max_height: int, fault: str
         targets = {}  # canonical target -> the first raw target seen
         sums = {}  # canonical target -> summed gallery terms
 
-        def folded():
-            """One pass over the type: every gallery is folding-tested once and
-            checked against the invariants; the positively folded ones are
-            summed by target and passed on to the LS count."""
-            for g in enumerate_of_type(rs, type_of_lambda(rs, lam)):
-                ok = is_positively_folded(rs, g)
-                plus, _, both = crossing_counts(rs, g)
-                violations["crossings-constant"] += both != height
-                tab = gallery_to_tableau(rs, g)
-                violations["semistandard-iff-folded"] += is_semistandard(tab) != ok
-                violations["tableau-roundtrip"] += tableau_to_gallery(rs, tab) != g
-                if ok:
-                    # the top term of q^{l(w_D0)} prod_j U_j(q) is q^(cell dimension),
-                    # and the cell dimension is the positive-crossing count
-                    term = gallery_term(rs, g)
-                    violations["cell-dimension"] += (
-                        term.degree() != plus or term.leading_coefficient() != 1
-                    )
-                    key = rs.canonical_key(g.target)
-                    targets.setdefault(key, g.target)
-                    sums[key] = sums.get(key, QPoly.zero()) + term
-                    yield g
+        # one pass over the type: every gallery is folding-tested once and
+        # checked against the invariants; the positively folded ones are
+        # summed by target
+        for g in enumerate_of_type(rs, type_of_lambda(rs, lam)):
+            ok = is_positively_folded(rs, g)
+            plus, _, both = crossing_counts(rs, g)
+            violations["crossings-constant"] += both != height
+            tab = gallery_to_tableau(rs, g)
+            violations["semistandard-iff-folded"] += is_semistandard(tab) != ok
+            violations["tableau-roundtrip"] += tableau_to_gallery(rs, tab) != g
+            if ok:
+                # the top term of q^{l(w_D0)} prod_j U_j(q) is q^(cell dimension),
+                # and the cell dimension is the positive-crossing count
+                term = gallery_term(rs, g)
+                violations["cell-dimension"] += (
+                    term.degree() != plus or term.leading_coefficient() != 1
+                )
+                key = rs.canonical_key(g.target)
+                targets.setdefault(key, g.target)
+                sums[key] = sums.get(key, QPoly.zero()) + term
 
-        char = ls_character(rs, folded())
         for check in INVARIANTS:
             n_bad = violations[check]
             record("%s[%s]" % (check, lam_c), n_bad == 0, {"lambda": lam_c, "violations": n_bad})
 
-        # character against the multiplicity recursion
+        # the character walk of `hlgal char` against the multiplicity recursion
+        char = character_LS(rs, lam)
         freud = freudenthal_character(rs, lam)
         dim = weyl_dimension(rs, lam)
         record(
@@ -143,6 +141,8 @@ def check_system(rs: RootSystem, max_coeff_sum: int, max_height: int, fault: str
             )
             twice_bound = rs.height(vadd(lam, mu))  # 2 <lambda + mu, rho>
             ok_deg = l_gal.is_zero() or 2 * l_gal.degree() <= twice_bound
+            # two independent routes: the gallery sum's top coefficient and
+            # the character walk's LS count
             n_ls = char.get(rs.canonical_weight(mu), 0)
             if n_ls:
                 ok_deg = (

@@ -21,7 +21,7 @@ import pytest
 from hlgal.apartment import local_data, local_key
 from hlgal.folding import is_LS, is_positively_folded, locally_positively_folded
 from hlgal.gallery import crossing_counts, enumerate_of_type, fundamental_type, type_of_lambda
-from hlgal.hlengine import L_polynomial, character_LS, gallery_term, ls_character
+from hlgal.hlengine import L_polynomial, character_LS, gallery_term
 from hlgal.oracles import (
     L_from_expansion,
     freudenthal_character,
@@ -41,6 +41,7 @@ from hlgal.verify import _dominant_mus, dominant_lambdas, run_suite
 from systems import all_reduced_words, root_system
 from test_apartment import cell_dimension
 from test_folding import is_minimal, two_step_reference
+from test_hlengine import ls_character
 from test_residue import sector_list
 
 SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("B", 3), ("C", 3)]

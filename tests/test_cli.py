@@ -93,6 +93,14 @@ def test_verify_suites(capsys):
     assert code == 0
 
 
+def test_verify_verbose_prints_every_record(capsys):
+    # a passing pretty run prints the full report, not the summary line
+    code, out, _ = run(capsys, "verify", "--type", "A1", "--verbose")
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"] and len(report["records"]) == report["checks"]
+
+
 def test_verify_fault_injection(capsys):
     code, out, _ = run(
         capsys,

@@ -1,15 +1,27 @@
 import gc
 import weakref
+from collections import Counter
 
 import pytest
 
-from hlgal.folding import is_positively_folded, locally_positively_folded
+from hlgal.folding import has_maximal_crossings, is_positively_folded, locally_positively_folded
 from hlgal.gallery import enumerate_of_type, fundamental_type
-from hlgal.hlengine import L_polynomial, character_LS, ls_character, ls_character_of_type
+from hlgal.hlengine import L_polynomial, character_LS, ls_character_of_type
 from hlgal.oracles import freudenthal_character, weyl_dimension
 from hlgal.qpoly import QPoly
 from hlgal.rootdata import RootSystem, RootSystemSpec, vadd, vneg
 from test_oracles import L_from_direct
+
+
+def ls_character(rs, pf_galleries) -> dict:
+    """Reference LS count, gallery by gallery: canonical target -> number of
+    LS-galleries among the given positively folded galleries, keyed as in
+    ls_character_of_type."""
+    counts: Counter = Counter()
+    for g in pf_galleries:
+        if has_maximal_crossings(rs, g):
+            counts[rs.canonical_weight(g.target)] += 1
+    return dict(counts)
 
 
 def test_worked_values_a2(a2):

@@ -24,7 +24,8 @@ def origin(rs):
 
 def default_choices(rs, v, d_in, d_out):
     """The sector and reduced word that junction_factor uses."""
-    return choose_sector(rs, v, d_in, d_out), local_data(rs, v).closest_chamber(d_out)[1]
+    sector = choose_sector(valid_sector_classes(rs, v, d_in, d_out))
+    return sector, local_data(rs, v).closest_chamber(d_out)[1]
 
 
 def sector_list(rs, mask):
@@ -126,7 +127,7 @@ def test_choose_sector_deterministic_and_valid(b2):
     dirs = g.directions()
     for j in range(1, g.num_edges()):
         d_in, d_out = vneg(dirs[j - 1]), dirs[j]
-        w = choose_sector(rs, g.vertices[j], d_in, d_out)
+        w = choose_sector(valid_sector_classes(rs, g.vertices[j], d_in, d_out))
         assert valid_sector_classes(rs, g.vertices[j], d_in, d_out) >> w & 1
 
 
@@ -155,7 +156,7 @@ def test_sector_classes_match_the_w0_product_definition(b2, c2):
                     assert set(sector_list(rs, mask)) == valid
                     if not valid:
                         continue
-                    chosen = choose_sector(rs, v, d_in, d_out)
+                    chosen = choose_sector(valid_sector_classes(rs, v, d_in, d_out))
                     assert chosen == min(valid)
                     assert not any(u != chosen and rs.bruhat_leq(u, chosen) for u in valid)
 
@@ -169,7 +170,7 @@ def test_choose_sector_raises_without_candidates(b2):
     d_out = mid
     assert valid_sector_classes(rs, mid, d_in, d_out) == 0
     with pytest.raises(ValueError):
-        choose_sector(rs, mid, d_in, d_out)
+        choose_sector(valid_sector_classes(rs, mid, d_in, d_out))
     # the factor is the sum over no local galleries, and the junction is
     # not positively folded
     assert junction_factor(rs, mid, d_in, d_out) == QPoly.zero()

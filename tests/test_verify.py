@@ -1,5 +1,6 @@
 import sys
 
+import hlgal.hlengine
 import hlgal.verify
 from hlgal.folding import is_positively_folded
 from hlgal.gallery import enumerate_of_type, type_of_lambda
@@ -42,3 +43,18 @@ def test_suite_folding_tests_each_gallery_once(monkeypatch):
     )
     assert walked == 1333
     assert len(calls) == walked
+
+
+def test_character_record_reads_the_character_walk(monkeypatch, a2):
+    # dropping one weight from the walk's character must fail a character record
+    walk = hlgal.hlengine.ls_character_of_type
+
+    def corrupted(rs, gtype):
+        char = walk(rs, gtype)
+        del char[min(char)]
+        return char
+
+    monkeypatch.setattr(hlgal.hlengine, "ls_character_of_type", corrupted)
+    report = run_suite(a2, max_coeff_sum=2, max_height=12)
+    failed = [r["check"] for r in report["failures"]]
+    assert any(check.startswith("character[") for check in failed), failed
