@@ -92,11 +92,16 @@ def reference_germs(rs: RootSystem, gtype: GalleryType) -> list:
     return [expected_germ(rs, t) for t in gtype]
 
 
+def edge_source(etype: EdgeType, reference: Vec, prev: Vec | None) -> Vec:
+    """The germ whose local orbit an edge of the type takes: the germ just
+    taken for a second half, else the edge's reference germ."""
+    return prev if etype.segment == "second" else reference
+
+
 def edge_germs(rs: RootSystem, vertex: Vec, etype: EdgeType, reference: Vec, prev: Vec | None) -> tuple:
     """The germs an edge of the given type can take at the vertex: the
-    local orbit of the germ just taken for a second half, else of the
-    edge's reference germ."""
-    return local_data(rs, vertex).orbit(prev if etype.segment == "second" else reference)
+    local orbit of its edge_source."""
+    return local_data(rs, vertex).orbit(edge_source(etype, reference, prev))
 
 
 def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = None):

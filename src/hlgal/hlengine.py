@@ -16,17 +16,29 @@ gallery by gallery, so the walk sees exactly the positively folded
 galleries.  Each edge (V_i, E_i) adds its own positive crossings, so a
 state keeps the largest count of any prefix reaching it and how many
 prefixes attain it; at the end that count is held against the degree
-bound <lambda+mu, rho> of the state's vertex.  It is the library's only
-LS count: the character command and verify both read it.
+bound <lambda+mu, rho> of the state's vertex.  Every one of those rules
+reads the vertex only through its local group, so each state reads its
+surviving edges from the ``edges`` table of that group, filled once per
+(incoming germ, orbit source, chain mask).  It is the library's only LS
+count: the character command and verify both read it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .apartment import crossings
+from .apartment import crossings, local_data
 from .folding import chain_step, enumerate_pf, reaches_degree_bound, type_weight
-from .gallery import Gallery, GalleryType, edge_germs, frac_str, reference_germs, type_of_lambda
+from .gallery import (
+    EdgeType,
+    Gallery,
+    GalleryType,
+    edge_germs,
+    edge_source,
+    frac_str,
+    reference_germs,
+    type_of_lambda,
+)
 from .qpoly import QPoly
 from .residue import first_factor_exponent, junction_factor
 from .rootdata import RootSystem, Vec, vadd, vneg
@@ -53,6 +65,30 @@ def L_polynomial(rs: RootSystem, lam: Vec, mu: Vec) -> QPoly:
     return total
 
 
+def outgoing_edges(
+    rs: RootSystem, v: Vec, etype: EdgeType, reference: Vec, prev: Vec | None, mask: int | None
+) -> tuple:
+    """(d, reachable, plus) for every germ d an edge of the type can take
+    out of the walk's state (v, prev, mask) with a non-zero junction factor
+    and a live chain: the chain mask after d and d's positive crossings.
+
+    Memoised on the local group at v, keyed by (prev, edge_source, mask)."""
+    local = local_data(rs, v)
+    key = (prev, edge_source(etype, reference, prev), mask)
+    hit = local.edges.get(key)
+    if hit is None:
+        d_in = None if prev is None else vneg(prev)
+        hit = []
+        for d in edge_germs(rs, v, etype, reference, prev):
+            if d_in is not None and junction_factor(rs, v, d_in, d).is_zero():
+                continue
+            reachable = chain_step(rs, mask, d)
+            if reachable:
+                hit.append((d, reachable, crossings(rs, v, d)[0]))
+        hit = local.edges[key] = tuple(hit)
+    return hit
+
+
 def ls_character_of_type(rs: RootSystem, gtype: GalleryType) -> dict:
     """The LS-gallery character of a gallery type, by the walk over
     (vertex, incoming germ, chain mask): canonical target -> number of
@@ -68,14 +104,8 @@ def ls_character_of_type(rs: RootSystem, gtype: GalleryType) -> dict:
     for etype, reference in zip(gtype, germs):
         nxt: dict = {}
         for (v, prev, mask), (best, n) in layer.items():
-            d_in = None if prev is None else vneg(prev)
-            for d in edge_germs(rs, v, etype, reference, prev):
-                if d_in is not None and junction_factor(rs, v, d_in, d).is_zero():
-                    continue
-                reachable = chain_step(rs, mask, d)
-                if not reachable:
-                    continue
-                plus = best + crossings(rs, v, d)[0]
+            for d, reachable, plus in outgoing_edges(rs, v, etype, reference, prev, mask):
+                plus += best
                 key = (vadd(v, d), d, reachable)
                 old = nxt.get(key)
                 if old is None or plus > old[0]:
@@ -84,14 +114,11 @@ def ls_character_of_type(rs: RootSystem, gtype: GalleryType) -> dict:
                     nxt[key] = (plus, old[1] + n)
         layer = nxt
     weight = type_weight(rs, gtype)
-    counts: Counter = Counter()
+    counts: Counter = Counter()  # by canonical key; one Fraction conversion per target
     for (v, _, _), (best, n) in layer.items():
         if reaches_degree_bound(rs, weight, v, best):
-            counts[v] += n
-    out: Counter = Counter()  # regrouped by canonical weight, one conversion per target
-    for target, m in counts.items():
-        out[rs.canonical_weight(target)] += m
-    return dict(out)
+            counts[rs.canonical_key(v)] += n
+    return {rs.key_weight(key): m for key, m in counts.items()}
 
 
 def character_LS(rs: RootSystem, lam: Vec) -> dict:

@@ -101,8 +101,13 @@ def junction_factor(rs: RootSystem, vertex: Vec, d_in: Vec, d_out: Vec) -> QPoly
         mask = valid_sector_classes(rs, vertex, d_in, d_out)
         if mask:  # else a sum over nothing
             _, word = local.closest_chamber(d_out)
+            by_r: dict = {}  # r -> coefficients of the sum of q^t over the words with r folds
             for t, r in enumerate_gamma_plus_op(rs, vertex, d_in, d_out, choose_sector(mask), word):
-                hit = hit + QPoly.term(t, r)
+                row = by_r.setdefault(r, [])
+                row.extend([0] * (t + 1 - len(row)))
+                row[t] += 1
+            for r, row in by_r.items():
+                hit = hit + QPoly(row) * QPoly.q_minus_one() ** r
         local.factors[(d_in, d_out)] = hit
     return hit
 

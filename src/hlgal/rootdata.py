@@ -198,6 +198,8 @@ class ReflectionGroup:
     (d_in, d_out); a zero factor is also the junction test's "not
     positively folded".  ``closest`` and ``crossings`` memoise the closest
     chamber and the (positive, negative) wall-crossing counts of a vector.
+    ``edges`` memoises the LS character walk's outgoing edges, keyed by
+    (incoming germ, germ whose orbit the edge takes, chain mask).
     """
 
     def __init__(self, rs: RootSystem, key: tuple):
@@ -211,6 +213,7 @@ class ReflectionGroup:
         self.factors: dict = {}
         self.closest: dict = {}
         self.crossings: dict = {}
+        self.edges: dict = {}
 
     def orbit(self, v: Vec) -> tuple:
         hit = self._orbits.get(v)
@@ -431,7 +434,11 @@ class RootSystem:
     def canonical_weight(self, v: Vec) -> tuple:
         """The canonical representative modulo the invariant line (type A
         only), in ambient coordinates."""
-        return tuple(Fraction(a, self.key_scale) for a in self.canonical_key(v))
+        return self.key_weight(self.canonical_key(v))
+
+    def key_weight(self, key: Vec) -> tuple:
+        """A canonical key in ambient coordinates."""
+        return tuple(Fraction(a, self.key_scale) for a in key)
 
     def dominant_rep(self, v: Vec) -> Vec:
         if self.family == "A":

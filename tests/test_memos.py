@@ -14,9 +14,11 @@ from hlgal.apartment import (
     local_data_for_key,
     local_key,
 )
-from hlgal.gallery import enumerate_of_type, fundamental_type, type_of_lambda
-from hlgal.residue import first_factor_exponent
-from hlgal.rootdata import RootSystem, RootSystemSpec, pairing, vneg
+from hlgal.folding import chain_step
+from hlgal.gallery import enumerate_of_type, fundamental_type, reference_germs, type_of_lambda
+from hlgal.hlengine import character_LS, outgoing_edges
+from hlgal.residue import first_factor_exponent, junction_factor
+from hlgal.rootdata import RootSystem, RootSystemSpec, pairing, vadd, vneg
 from hlgal.verify import dominant_lambdas
 from systems import (
     all_reduced_words,
@@ -132,3 +134,69 @@ def test_first_factor_exponent_counts_positive_crossings():
                 assert first_factor_exponent(rs, d) == crossings(rs, origin, d)[0]
                 checked += 1
     assert checked == 280
+
+
+def reference_edges(rs, v, etype, reference, prev, mask):
+    """The walk's edges out of the state (v, prev, mask): the germs of the
+    edge's local orbit with a non-zero junction factor and a live chain."""
+    out = []
+    source = prev if etype.segment == "second" else reference
+    for d in local_data(rs, v).orbit(source):
+        if prev is not None and junction_factor(rs, v, vneg(prev), d).is_zero():
+            continue
+        reachable = chain_step(rs, mask, d)
+        if reachable:
+            out.append((d, reachable, reference_crossings(rs, v, d)[0]))
+    return tuple(out)
+
+
+def reached_states(rs):
+    """(v, etype, reference, prev, mask) -> its reference edges, for every
+    state the walk meets on the standard types of the dominant weights of
+    bounded coefficient sum, found layer by layer from the reference."""
+    out = {}
+    for lam in dominant_lambdas(rs, *BOUNDS[(rs.family, rs.rank)]):
+        gtype = type_of_lambda(rs, lam)
+        layer = {((0,) * rs.dim, None, None)}
+        for etype, reference in zip(gtype, reference_germs(rs, gtype)):
+            nxt = set()
+            for v, prev, mask in layer:
+                edges = reference_edges(rs, v, etype, reference, prev, mask)
+                out[(v, etype, reference, prev, mask)] = edges
+                nxt.update((vadd(v, d), d, reachable) for d, reachable, _ in edges)
+            layer = nxt
+    return out
+
+
+@pytest.mark.parametrize("family,rank", ACCEPTANCE_TYPES + RANK_4_TYPES, ids=lambda x: str(x))
+def test_edge_table_matches_reference_loop(family, rank):
+    states = reached_states(root_system(family, rank))
+    rs = RootSystem(RootSystemSpec(family, rank))
+    first = {}
+    keys = set()
+    for pass_no in range(2):
+        for state, want in states.items():
+            v, etype, reference, prev, mask = state
+            hit = outgoing_edges(rs, v, etype, reference, prev, mask)
+            assert hit == want, state
+            key = (prev, prev if etype.segment == "second" else reference, mask)
+            keys.add((id(local_data(rs, v)),) + key)
+            if pass_no == 0:
+                first[state] = hit
+            else:
+                # the second pass reads the tuples the first one stored
+                assert first[state] is hit
+                assert local_data(rs, v).edges[key] is hit
+    # one entry per (local group, prev, source, mask) the states meet
+    assert sum(len(group.edges) for group in rs.local_groups.values()) == len(keys)
+
+
+@pytest.mark.parametrize("family,rank", ACCEPTANCE_TYPES + RANK_4_TYPES, ids=lambda x: str(x))
+def test_edge_tables_serve_lambdas_in_any_order(family, rank):
+    # the tables one lambda fills serve the next: the characters agree when
+    # two fresh root systems take the lambdas in opposite orders
+    lams = dominant_lambdas(root_system(family, rank), *BOUNDS[(family, rank)])
+    forward, backward = RootSystem(RootSystemSpec(family, rank)), RootSystem(RootSystemSpec(family, rank))
+    chars = [character_LS(forward, lam) for lam in lams]
+    assert chars == [character_LS(backward, lam) for lam in reversed(lams)][::-1]
+
