@@ -158,7 +158,6 @@ def cmd_verify(args) -> int:
         suite=args.suite,
         max_coeff_sum=2 if args.max_coeff_sum is None else args.max_coeff_sum,
         max_height=12 if args.max_height is None else args.max_height,
-        fault=args.inject_fault,
     )
     if args.format == "json" or args.verbose or not report["ok"]:
         payload = report if args.verbose else {k: report[k] for k in ("system", "suite", "checks", "failures", "ok")}
@@ -210,11 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--verbose",
         action="store_true",
         help="print the full report, every record included, as JSON",
-    )
-    p.add_argument(
-        "--inject-fault",
-        choices=("sign-flip",),
-        help="self-test switch: corrupt the gallery side to prove mismatches are caught",
     )
     p.set_defaults(func=cmd_verify)
     return parser

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import hlgal.verify
 from hlgal.cli import main
 
 
@@ -101,17 +102,11 @@ def test_verify_verbose_prints_every_record(capsys):
     assert report["ok"] and len(report["records"]) == report["checks"]
 
 
-def test_verify_fault_injection(capsys):
-    code, out, _ = run(
-        capsys,
-        "verify",
-        "--type",
-        "A2",
-        "--suite",
-        "a2-example",
-        "--inject-fault",
-        "sign-flip",
-    )
+def test_verify_fault_injection(capsys, monkeypatch):
+    # a negated gallery side must exit 1 with a counterexample on stdout
+    L = hlgal.verify.L_polynomial
+    monkeypatch.setattr(hlgal.verify, "L_polynomial", lambda rs, lam, mu: -L(rs, lam, mu))
+    code, out, _ = run(capsys, "verify", "--type", "A2", "--suite", "a2-example")
     assert code == 1
     payload = json.loads(out)
     assert payload["failures"]
@@ -129,6 +124,13 @@ def test_l_rejects_csv(capsys):
 def test_verify_rejects_csv(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--type", "A1", "--format", "csv"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_refuses_removed_fault_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--type", "A2", "--inject-fault", "sign-flip"])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
 

@@ -1,9 +1,11 @@
 import sys
 
+import pytest
+
 import hlgal.hlengine
 import hlgal.verify
 from hlgal.folding import is_positively_folded
-from hlgal.gallery import enumerate_of_type, type_of_lambda
+from hlgal.gallery import Gallery, enumerate_of_type, type_of_lambda
 from hlgal.hlengine import gallery_term
 from hlgal.qpoly import QPoly
 from hlgal.verify import dominant_lambdas, run_suite
@@ -58,3 +60,41 @@ def test_character_record_reads_the_character_walk(monkeypatch, a2):
     report = run_suite(a2, max_coeff_sum=2, max_height=12)
     failed = [r["check"] for r in report["failures"]]
     assert any(check.startswith("character[") for check in failed), failed
+
+
+def _total_off_by_one(counts):
+    def corrupted(rs, g):
+        plus, minus, both = counts(rs, g)
+        return plus, minus, both + 1
+
+    return corrupted
+
+
+# record kind -> (name on hlgal.verify, corruption of what that name holds);
+# cell-dimension and character have tests of their own above
+CORRUPTIONS = {
+    "crossings-constant": ("crossing_counts", _total_off_by_one),
+    "semistandard-iff-folded": ("is_semistandard", lambda f: lambda tab: not f(tab)),
+    "tableau-roundtrip": (
+        "tableau_to_gallery",
+        lambda f: lambda rs, tab: Gallery(f(rs, tab).vertices[::-1], f(rs, tab).gtype),
+    ),
+    "oracle-equality": (
+        "hall_littlewood_direct",
+        lambda f: lambda rs, lam: {k: c + c for k, c in f(rs, lam).items()},
+    ),
+    "euler": ("gallery_term", lambda f: lambda rs, g: -f(rs, g)),
+    "degree-leading": ("kostka", lambda f: lambda rs, lam, mu: f(rs, lam, mu) + 1),
+    "a2-example": ("L_polynomial", lambda f: lambda rs, lam, mu: -f(rs, lam, mu)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+def test_each_record_kind_catches_a_corrupted_input(monkeypatch, a2, kind):
+    name, corrupt = CORRUPTIONS[kind]
+    monkeypatch.setattr(hlgal.verify, name, corrupt(getattr(hlgal.verify, name)))
+    suite = "a2-example" if kind == "a2-example" else "default"
+    report = run_suite(a2, max_coeff_sum=2, max_height=12, suite=suite)
+    failed = [r for r in report["failures"] if r["check"].startswith(kind + "[")]
+    assert failed, report["failures"]
+    assert all(r["detail"] for r in failed)
