@@ -40,7 +40,8 @@ class Gallery:
         return len(self.gtype)
 
     def directions(self) -> tuple:
-        """The germs V_{i+1} - V_i, built on the first call and kept."""
+        """The germs V_{i+1} - V_i: those enumerate_of_type took, for a
+        walked gallery, else built on the first call and kept."""
         dirs = self.__dict__.get("_directions")
         if dirs is None:
             dirs = tuple(vsub(b, a) for a, b in zip(self.vertices, self.vertices[1:]))
@@ -106,39 +107,62 @@ def edge_germs(rs: RootSystem, vertex: Vec, etype: EdgeType, reference: Vec, pre
 
 def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = None):
     """All galleries with source 0 of the given type, in a reproducible
-    depth-first order (direction choices sorted lexicographically).
+    depth-first order (each edge's germs in edge_germs order, which sorts
+    them lexicographically).
 
-    Each edge takes its germs from edge_germs.  ValueError unless the
-    type splits into fundamental blocks.  With a target, only the
+    The walk is one loop over an explicit stack of per-step germ
+    iterators, so a long type needs no deeper Python stack than a short
+    one.  Each edge takes its germs from edge_germs, and each gallery
+    comes with the germs taken as its directions().  ValueError unless
+    the type splits into fundamental blocks.  With a target, only the
     galleries ending at it (modulo the invariant line in type A) are
     walked: every edge from step k on lies in the W-orbit of its dominant
     reference germ, so the rest of the walk stays in the orbit hull of
-    their sum, and a prefix whose target offset lies outside it is cut."""
+    their sum, and a prefix whose target offset lies outside it is cut.
+    The hull sums of each offset are memoised on the root system
+    (``rs.hulls``), as they depend on nothing else."""
     gtype = tuple(gtype)
     germs = reference_germs(rs, gtype)
+    origin = _origin(rs)
     if target is not None:
-        rest = [_origin(rs)]  # sums of the last 0, 1, ... reference germs
+        hulls = rs.hulls
+        rest = [origin]  # sums of the last 0, 1, ... reference germs
         for d in reversed(germs):
             rest.append(vadd(rest[-1], d))
         bounds = [_hull_sums(rs, b) for b in reversed(rest)]
-        offsets = {}  # vertex -> hull sums of target - vertex
-
-    def rec(vertices, prev):
-        k = len(vertices) - 1
-        v = vertices[-1]
-        if target is not None:
-            sums = offsets.get(v)
-            if sums is None:
-                sums = offsets[v] = _hull_sums(rs, vsub(target, v))
-            if not all(map(le, sums, bounds[k])):
-                return
-        if k == len(gtype):
-            yield Gallery(tuple(vertices), gtype)
+        if not all(map(le, _hull_sums(rs, target), bounds[0])):
             return
-        for d in edge_germs(rs, v, gtype[k], germs[k], prev):
-            yield from rec(vertices + [vadd(v, d)], d)
-
-    yield from rec([_origin(rs)], None)
+    if not gtype:
+        yield Gallery((origin,), gtype)
+        return
+    last = len(gtype) - 1
+    path, taken = [origin], []  # the prefix: vertices V_0 .. V_k, germs E_0 .. E_{k-1}
+    stack = [iter(edge_germs(rs, origin, gtype[0], germs[0], None))]
+    while stack:
+        k = len(taken)
+        for d in stack[-1]:
+            v = vadd(path[k], d)
+            if target is not None:
+                offset = vsub(target, v)
+                sums = hulls.get(offset)
+                if sums is None:
+                    sums = hulls[offset] = _hull_sums(rs, offset)
+                if not all(map(le, sums, bounds[k + 1])):
+                    continue
+            if k == last:
+                g = Gallery((*path, v), gtype)
+                object.__setattr__(g, "_directions", (*taken, d))
+                yield g
+                continue
+            path.append(v)
+            taken.append(d)
+            stack.append(iter(edge_germs(rs, v, gtype[k + 1], germs[k + 1], d)))
+            break
+        else:
+            stack.pop()
+            path.pop()
+            if taken:
+                taken.pop()
 
 
 def crossing_counts(rs: RootSystem, g: Gallery) -> tuple:

@@ -15,12 +15,13 @@ the defining chain's mask, the same two tests is_positively_folded makes
 gallery by gallery, so the walk sees exactly the positively folded
 galleries.  Each edge (V_i, E_i) adds its own positive crossings, so a
 state keeps the largest count of any prefix reaching it and how many
-prefixes attain it; at the end that count is held against the degree
-bound <lambda+mu, rho> of the state's vertex.  Every one of those rules
-reads the vertex only through its local group, so each state reads its
-surviving edges from the ``edges`` table of that group, filled once per
-(incoming germ, orbit source, chain mask).  It is the library's only LS
-count: the character command and verify both read it.
+prefixes attain it; at the end the largest count at each final vertex
+is held against that vertex's degree bound <lambda+mu, rho>, once per
+vertex.  Every one of those rules reads the vertex only through its
+local group, so each state reads its surviving edges from the ``edges``
+table of that group, filled once per (incoming germ, orbit source,
+chain mask).  It is the library's only LS count: the character command
+and verify both read it.
 """
 
 from __future__ import annotations
@@ -89,6 +90,16 @@ def outgoing_edges(
     return hit
 
 
+def _keep_best(table: dict, key, plus: int, n: int):
+    """Record n prefixes with ``plus`` positive crossings at key, keeping
+    only the largest count and how many prefixes attain it."""
+    old = table.get(key)
+    if old is None or plus > old[0]:
+        table[key] = (plus, n)
+    elif plus == old[0]:
+        table[key] = (plus, old[1] + n)
+
+
 def ls_character_of_type(rs: RootSystem, gtype: GalleryType) -> dict:
     """The LS-gallery character of a gallery type, by the walk over
     (vertex, incoming germ, chain mask): canonical target -> number of
@@ -105,17 +116,15 @@ def ls_character_of_type(rs: RootSystem, gtype: GalleryType) -> dict:
         nxt: dict = {}
         for (v, prev, mask), (best, n) in layer.items():
             for d, reachable, plus in outgoing_edges(rs, v, etype, reference, prev, mask):
-                plus += best
-                key = (vadd(v, d), d, reachable)
-                old = nxt.get(key)
-                if old is None or plus > old[0]:
-                    nxt[key] = (plus, n)
-                elif plus == old[0]:
-                    nxt[key] = (plus, old[1] + n)
+                _keep_best(nxt, (vadd(v, d), d, reachable), best + plus, n)
         layer = nxt
+    # the bound depends on the final vertex alone
+    ends: dict = {}
+    for (v, _, _), (best, n) in layer.items():
+        _keep_best(ends, v, best, n)
     weight = type_weight(rs, gtype)
     counts: Counter = Counter()  # by canonical key; one Fraction conversion per target
-    for (v, _, _), (best, n) in layer.items():
+    for v, (best, n) in ends.items():
         if reaches_degree_bound(rs, weight, v, best):
             counts[rs.canonical_key(v)] += n
     return {rs.key_weight(key): m for key, m in counts.items()}

@@ -300,8 +300,10 @@ class RootSystem:
 
         # memo tables
         self._chamber_masks: dict = {}  # germ -> chamber_class_mask
+        self._key_weights: dict = {}  # canonical key -> key_weight
         self.local_groups: dict = {}  # local key -> its ReflectionGroup
         self.vertex_locals: dict = {}  # vertex -> its entry in local_groups
+        self.hulls: dict = {}  # offset -> its orbit-hull partial sums (gallery walk)
 
     @staticmethod
     def _vsum(vs):
@@ -437,8 +439,11 @@ class RootSystem:
         return self.key_weight(self.canonical_key(v))
 
     def key_weight(self, key: Vec) -> tuple:
-        """A canonical key in ambient coordinates."""
-        return tuple(Fraction(a, self.key_scale) for a in key)
+        """A canonical key in ambient coordinates, memoised per key."""
+        hit = self._key_weights.get(key)
+        if hit is None:
+            hit = self._key_weights[key] = tuple(Fraction(a, self.key_scale) for a in key)
+        return hit
 
     def dominant_rep(self, v: Vec) -> Vec:
         if self.family == "A":

@@ -5,6 +5,8 @@ import pytest
 
 import hlgal.verify
 from hlgal.cli import main
+from hlgal.oracles import L_from_expansion, hall_littlewood_direct
+from systems import root_system
 
 
 def run(capsys, *argv):
@@ -169,12 +171,14 @@ def test_library_fault_is_internal_error(capsys, monkeypatch, fault):
     assert err == "error: internal: no valid sector at this junction\n"
 
 
-def test_deep_recursion_is_internal_error(capsys):
-    # the depth-first walk recurses once per edge, so a very long gallery
-    # type runs out of stack; that is a fault, not a verification mismatch
+def test_long_gallery_type_is_walked(capsys):
+    # the walk keeps its own stack, so a type of 1200 edges needs no deeper
+    # Python stack than a short one; the value matches the oracle
     code, out, err = run(capsys, "L", "--type", "A1", "--lambda", "1200", "--mu", "1200")
-    assert code == 3 and out == ""
-    assert err.startswith("error: internal: ")
+    rs = root_system("A", 1)
+    lam = rs.weight((1200,))
+    assert code == 0 and err == ""
+    assert out == L_from_expansion(rs, hall_littlewood_direct(rs, lam), lam, lam).pretty() + "\n"
 
 
 def test_determinism_across_runs(capsys):

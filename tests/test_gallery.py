@@ -1,4 +1,5 @@
 import json
+from operator import le
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,12 +7,15 @@ from hypothesis import given, settings, strategies as st
 from hlgal.apartment import EdgeType, local_data
 from hlgal.gallery import (
     Gallery,
+    _hull_sums,
     crossing_counts,
+    edge_germs,
     enumerate_of_type,
     gallery_to_jsonable,
+    reference_germs,
     type_of_lambda,
 )
-from hlgal.rootdata import vdiv, vscale
+from hlgal.rootdata import vadd, vdiv, vscale, vsub
 from hlgal.verify import dominant_lambdas
 from standard_galleries import concat, gamma_lambda, gamma_omega
 from systems import root_system
@@ -27,6 +31,33 @@ def count_of_type(rs, lam):
     for v, d in zip(g.vertices, g.directions()):
         total *= len(local_data(rs, v).orbit(d))
     return total
+
+
+def recursive_walk(rs, gtype, target=None):
+    """The depth-first walk as one recursive generator per edge, with the
+    same germ order and hull cut as enumerate_of_type; the reference its
+    explicit-stack loop is checked against."""
+    gtype = tuple(gtype)
+    germs = reference_germs(rs, gtype)
+    origin = (0,) * rs.dim
+    if target is not None:
+        rest = [origin]  # sums of the last 0, 1, ... reference germs
+        for d in reversed(germs):
+            rest.append(vadd(rest[-1], d))
+        bounds = [_hull_sums(rs, b) for b in reversed(rest)]
+
+    def rec(vertices, prev):
+        k = len(vertices) - 1
+        v = vertices[-1]
+        if target is not None and not all(map(le, _hull_sums(rs, vsub(target, v)), bounds[k])):
+            return
+        if k == len(gtype):
+            yield Gallery(tuple(vertices), gtype)
+            return
+        for d in edge_germs(rs, v, gtype[k], germs[k], prev):
+            yield from rec(vertices + [vadd(v, d)], d)
+
+    yield from rec([origin], None)
 
 
 def gallery_from_jsonable(rs, data):
@@ -126,6 +157,29 @@ def test_target_cut_matches_filtered_walk(family, rank):
             assert tuple(enumerate_of_type(rs, gtype, target)) == want, (lam, target)
         if any(lam):
             assert not tuple(enumerate_of_type(rs, gtype, vscale(2, lam)))
+
+
+WALK_SUITE = [(name, MAX_COEFF_SUM, MAX_HEIGHT) for name in SYSTEMS] + [
+    (("A", 4), 1, 40), (("B", 4), 1, 40), (("C", 4), 1, 40),
+]
+
+
+@pytest.mark.parametrize("name,max_sum,max_height", WALK_SUITE, ids=lambda x: str(x))
+def test_walk_matches_recursive_reference(name, max_sum, max_height):
+    # the same galleries in the same order, with no target and with every
+    # target some gallery reaches; each carries its vertex differences
+    rs = root_system(*name)
+    for lam in dominant_lambdas(rs, max_sum, max_height):
+        gtype = type_of_lambda(rs, lam)
+        full = tuple(enumerate_of_type(rs, gtype))
+        assert full == tuple(recursive_walk(rs, gtype)), lam
+        walks = [full]
+        targets = {rs.canonical_key(g.target): g.target for g in full}
+        for target in targets.values():
+            walks.append(tuple(enumerate_of_type(rs, gtype, target)))
+            assert walks[-1] == tuple(recursive_walk(rs, gtype, target)), (lam, target)
+        for g in (g for walk in walks for g in walk):
+            assert g.directions() == tuple(map(vsub, g.vertices[1:], g.vertices)), g
 
 
 def test_concat_target_arithmetic(a2):

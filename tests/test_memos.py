@@ -5,6 +5,8 @@ and the second reads it back; the references below are the unmemoised
 loops, written out here.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from hlgal.apartment import (
@@ -15,7 +17,13 @@ from hlgal.apartment import (
     local_key,
 )
 from hlgal.folding import chain_step
-from hlgal.gallery import enumerate_of_type, fundamental_type, reference_germs, type_of_lambda
+from hlgal.gallery import (
+    _hull_sums,
+    enumerate_of_type,
+    fundamental_type,
+    reference_germs,
+    type_of_lambda,
+)
 from hlgal.hlengine import character_LS, outgoing_edges
 from hlgal.residue import first_factor_exponent, junction_factor
 from hlgal.rootdata import RootSystem, RootSystemSpec, pairing, vadd, vneg
@@ -200,3 +208,37 @@ def test_edge_tables_serve_lambdas_in_any_order(family, rank):
     chars = [character_LS(forward, lam) for lam in lams]
     assert chars == [character_LS(backward, lam) for lam in reversed(lams)][::-1]
 
+
+@pytest.mark.parametrize("family,rank", ACCEPTANCE_TYPES + RANK_4_TYPES, ids=lambda x: str(x))
+def test_hull_memo_serves_targets_in_any_order(family, rank):
+    # the offsets one target's walk memoises serve the next: two fresh root
+    # systems taking every (type, reached target) in opposite orders walk
+    # the same galleries, and every memo entry is the unmemoised hull sums
+    ref = root_system(family, rank)
+    runs = []
+    for lam in dominant_lambdas(ref, *BOUNDS[(family, rank)]):
+        gtype = type_of_lambda(ref, lam)
+        targets = {ref.canonical_key(g.target): g.target for g in enumerate_of_type(ref, gtype)}
+        runs += [(gtype, target) for target in targets.values()]
+    forward, backward = RootSystem(RootSystemSpec(family, rank)), RootSystem(RootSystemSpec(family, rank))
+    assert not forward.hulls and not backward.hulls
+    walked = [tuple(enumerate_of_type(forward, gtype, target)) for gtype, target in runs]
+    assert walked == [tuple(enumerate_of_type(backward, gtype, target)) for gtype, target in reversed(runs)][::-1]
+    assert forward.hulls and forward.hulls.keys() == backward.hulls.keys()
+    for rs in (forward, backward):
+        for offset, sums in rs.hulls.items():
+            assert sums == _hull_sums(rs, offset), offset
+
+
+@pytest.mark.parametrize("family,rank", ACCEPTANCE_TYPES + RANK_4_TYPES, ids=lambda x: str(x))
+def test_key_weight_memo_matches_fractions(family, rank):
+    # the characters' weights are the memo's tuples, each one the key over
+    # key_scale in Fractions
+    rs = RootSystem(RootSystemSpec(family, rank))
+    for lam in dominant_lambdas(rs, *BOUNDS[(family, rank)]):
+        for weight in character_LS(rs, lam):
+            key = tuple(int(x * rs.key_scale) for x in weight)
+            assert rs.key_weight(key) is weight
+    assert rs._key_weights
+    for key, weight in rs._key_weights.items():
+        assert weight == tuple(Fraction(a, rs.key_scale) for a in key)
