@@ -5,14 +5,18 @@ the residue module) is non-zero: the factor sums over the local
 positively folded chamber galleries there, so it vanishes exactly when
 there are none.  The global test adds the existence of a
 Bruhat-weakly-decreasing defining chain of chamber classes containing
-the successive edges; its forward pass is one chain_step per edge, the
-step the LS character walk of the hlengine module also takes.
+the successive edges; its forward pass is one gallery.chain_step per
+edge.  Both parts are decided edge by edge, so enumerate_pf does not test
+galleries one by one: it runs the gallery walk with folded=True, which
+cuts a germ at a zero junction factor or an empty chain mask, as the LS
+character walk of the hlengine module also does.  is_positively_folded
+stays the per-gallery test, for callers that walk every gallery.
 """
 
 from __future__ import annotations
 
 from .apartment import expected_germ
-from .gallery import Gallery, crossing_counts, enumerate_of_type, type_of_lambda
+from .gallery import Gallery, chain_step, crossing_counts, enumerate_of_type, type_of_lambda
 from .residue import junction_factor
 from .rootdata import RootSystem, Vec, vadd, vneg
 
@@ -36,15 +40,6 @@ def _bits(mask: int) -> list:
         mask >>= 1
         i += 1
     return out
-
-
-def chain_step(rs: RootSystem, reachable: int | None, d: Vec) -> int:
-    """One step of the defining chain's forward pass: the chamber classes
-    (as a bit mask) containing germ d that lie Bruhat-below something in
-    ``reachable``, every class containing d on the first edge (reachable
-    None).  0 when the chain dies here."""
-    mask = rs.chamber_class_mask(d)
-    return mask if reachable is None else mask & rs.below_closure_mask(reachable)
 
 
 def _reachable_masks(rs: RootSystem, dirs):
@@ -126,8 +121,10 @@ def is_LS(rs: RootSystem, g: Gallery) -> bool:
 
 
 def enumerate_pf(rs: RootSystem, lam: Vec, mu: Vec) -> tuple:
-    """All positively folded galleries of the standard type with target mu."""
+    """All positively folded galleries of the standard type with target mu,
+    in the walk's depth-first order: the galleries of
+    enumerate_of_type(..., mu) that is_positively_folded accepts, walked
+    with folded=True so that unfolded prefixes are cut, not built."""
     if not rs.is_dominant_weight(lam) or not rs.is_dominant_weight(mu):
         raise ValueError("lambda and mu must be dominant weights")
-    galleries = enumerate_of_type(rs, type_of_lambda(rs, lam), mu)
-    return tuple(g for g in galleries if is_positively_folded(rs, g))
+    return tuple(enumerate_of_type(rs, type_of_lambda(rs, lam), mu, folded=True))

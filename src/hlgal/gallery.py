@@ -14,7 +14,8 @@ from itertools import accumulate
 from operator import le
 
 from .apartment import EdgeType, crossings, expected_germ, local_data
-from .rootdata import RootSystem, Vec, vadd, vsub
+from .residue import junction_factor
+from .rootdata import RootSystem, Vec, vadd, vneg, vsub
 
 GalleryType = tuple  # tuple of EdgeType
 
@@ -105,7 +106,16 @@ def edge_germs(rs: RootSystem, vertex: Vec, etype: EdgeType, reference: Vec, pre
     return local_data(rs, vertex).orbit(edge_source(etype, reference, prev))
 
 
-def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = None):
+def chain_step(rs: RootSystem, reachable: int | None, d: Vec) -> int:
+    """One step of the defining chain's forward pass: the chamber classes
+    (as a bit mask) containing germ d that lie Bruhat-below something in
+    ``reachable``, every class containing d on the first edge (reachable
+    None).  0 when the chain dies here."""
+    mask = rs.chamber_class_mask(d)
+    return mask if reachable is None else mask & rs.below_closure_mask(reachable)
+
+
+def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = None, folded: bool = False):
     """All galleries with source 0 of the given type, in a reproducible
     depth-first order (each edge's germs in edge_germs order, which sorts
     them lexicographically).
@@ -120,7 +130,13 @@ def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = N
     reference germ, so the rest of the walk stays in the orbit hull of
     their sum, and a prefix whose target offset lies outside it is cut.
     The hull sums of each offset are memoised on the root system
-    (``rs.hulls``), as they depend on nothing else."""
+    (``rs.hulls``), as they depend on nothing else.
+
+    With folded, only the positively folded galleries are walked, in the
+    same order: both halves of the folding test are decided edge by edge,
+    so a germ is cut, after the hull test, when its junction factor with
+    the incoming germ is zero or when chain_step empties the defining
+    chain's mask, which each level of the stack keeps beside its vertex."""
     gtype = tuple(gtype)
     germs = reference_germs(rs, gtype)
     origin = _origin(rs)
@@ -136,7 +152,9 @@ def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = N
         yield Gallery((origin,), gtype)
         return
     last = len(gtype) - 1
-    path, taken = [origin], []  # the prefix: vertices V_0 .. V_k, germs E_0 .. E_{k-1}
+    # the prefix: vertices V_0 .. V_k, germs E_0 .. E_{k-1}, chain masks after each
+    path, taken, masks = [origin], [], [None]
+    mask = None  # stays None unless folded
     stack = [iter(edge_germs(rs, origin, gtype[0], germs[0], None))]
     while stack:
         k = len(taken)
@@ -149,6 +167,12 @@ def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = N
                     sums = hulls[offset] = _hull_sums(rs, offset)
                 if not all(map(le, sums, bounds[k + 1])):
                     continue
+            if folded:
+                if k and junction_factor(rs, path[k], vneg(taken[-1]), d).is_zero():
+                    continue
+                mask = chain_step(rs, masks[k], d)
+                if not mask:
+                    continue
             if k == last:
                 g = Gallery((*path, v), gtype)
                 object.__setattr__(g, "_directions", (*taken, d))
@@ -156,11 +180,13 @@ def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = N
                 continue
             path.append(v)
             taken.append(d)
+            masks.append(mask)
             stack.append(iter(edge_germs(rs, v, gtype[k + 1], germs[k + 1], d)))
             break
         else:
             stack.pop()
             path.pop()
+            masks.pop()
             if taken:
                 taken.pop()
 

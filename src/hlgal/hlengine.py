@@ -1,27 +1,29 @@
 """Assembly of the coefficient polynomials L_{lambda,mu}(q) and the
 LS-gallery character.
 
-L_{lambda,mu}(q) is still a sum over galleries: the target-pruned walk of
-enumerate_pf yields each positively folded gallery with target mu, and
-each contributes q^(length of the closest chamber at the origin) times
+L_{lambda,mu}(q) is still a sum over galleries: the target-pruned,
+folded walk of enumerate_pf cuts each germ with a zero junction factor or
+an empty chain mask as it goes, so it builds only the positively folded
+galleries with target mu, with no per-gallery folding test, and each
+contributes q^(length of the closest chamber at the origin) times
 the product of its junction factors; the factors come from the residue
 module and all arithmetic is exact, so the accumulation order does not
 matter.
 
 The LS character is a forward walk over the states (vertex, incoming
-germ, chain mask), one layer per edge, with no gallery built.  An edge is
-cut when its junction factor is zero or when folding.chain_step empties
-the defining chain's mask, the same two tests is_positively_folded makes
-gallery by gallery, so the walk sees exactly the positively folded
-galleries.  Each edge (V_i, E_i) adds its own positive crossings, so a
-state keeps the largest count of any prefix reaching it and how many
-prefixes attain it; at the end the largest count at each final vertex
-is held against that vertex's degree bound <lambda+mu, rho>, once per
-vertex.  Every one of those rules reads the vertex only through its
-local group, so each state reads its surviving edges from the ``edges``
-table of that group, filled once per (incoming germ, orbit source,
-chain mask).  It is the library's only LS count: the character command
-and verify both read it.
+germ, chain mask), one layer per edge, with no gallery built.  An edge
+is cut when its junction factor is zero or when gallery.chain_step
+empties the defining chain's mask, the same two tests the folded gallery
+walk makes, and that is_positively_folded makes gallery by gallery, so
+the walk sees exactly the positively folded galleries.  Each edge (V_i,
+E_i) adds its own positive crossings, so a state keeps the largest count
+of any prefix reaching it and how many prefixes attain it; at the end
+the largest count at each final vertex is held against that vertex's
+degree bound <lambda+mu, rho>, once per vertex.  Every one of those
+rules reads the vertex only through its local group, so each state reads
+its surviving edges from the ``edges`` table of that group, filled once
+per (incoming germ, orbit source, chain mask).  It is the library's only
+LS count: the character command and verify both read it.
 """
 
 from __future__ import annotations
@@ -29,11 +31,12 @@ from __future__ import annotations
 from collections import Counter
 
 from .apartment import crossings, local_data
-from .folding import chain_step, enumerate_pf, reaches_degree_bound, type_weight
+from .folding import enumerate_pf, reaches_degree_bound, type_weight
 from .gallery import (
     EdgeType,
     Gallery,
     GalleryType,
+    chain_step,
     edge_germs,
     edge_source,
     frac_str,

@@ -237,18 +237,23 @@ def test_pf_test_agrees_with_defining_chain(a2, b2, c2, b3, c3):
     # the folding test reads only the chain's forward pass; it must accept
     # exactly the galleries that are locally folded and have a chain.  On
     # standard types every locally folded gallery has one, so the rank-2
-    # zigzag types w_i w_j w_i, where some have none, are checked as well
+    # zigzag types w_i w_j w_i, where some have none, are checked as well.
+    # The folded walk must yield exactly the galleries the test accepts
     types = [(rs, type_of_lambda(rs, lam)) for rs in (a2, b2, c2, b3, c3)
              for lam in dominant_lambdas(rs, 2, 10**6)]
     types += [(rs, fundamental_type(rs, i) + fundamental_type(rs, j) + fundamental_type(rs, i))
               for rs in (a2, b2, c2) for i, j in ((1, 2), (2, 1))]
     chainless = 0
     for rs, gtype in types:
+        pf = []
         for g in enumerate_of_type(rs, gtype):
             local = locally_positively_folded(rs, g)
             chain = defining_chain(rs, g)
             assert is_positively_folded(rs, g) == (local and chain is not None)
             chainless += local and chain is None
+            if local and chain is not None:
+                pf.append(g)
+        assert tuple(enumerate_of_type(rs, gtype, folded=True)) == tuple(pf), gtype
     assert chainless == 96
 
 

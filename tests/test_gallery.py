@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hlgal.apartment import EdgeType, local_data
+from hlgal.folding import is_positively_folded
 from hlgal.gallery import (
     Gallery,
     _hull_sums,
@@ -167,17 +168,21 @@ WALK_SUITE = [(name, MAX_COEFF_SUM, MAX_HEIGHT) for name in SYSTEMS] + [
 @pytest.mark.parametrize("name,max_sum,max_height", WALK_SUITE, ids=lambda x: str(x))
 def test_walk_matches_recursive_reference(name, max_sum, max_height):
     # the same galleries in the same order, with no target and with every
-    # target some gallery reaches; each carries its vertex differences
+    # target some gallery reaches; each carries its vertex differences.
+    # The folded walk yields the reference's positively folded galleries
     rs = root_system(*name)
     for lam in dominant_lambdas(rs, max_sum, max_height):
         gtype = type_of_lambda(rs, lam)
-        full = tuple(enumerate_of_type(rs, gtype))
-        assert full == tuple(recursive_walk(rs, gtype)), lam
-        walks = [full]
+        full = tuple(recursive_walk(rs, gtype))
         targets = {rs.canonical_key(g.target): g.target for g in full}
-        for target in targets.values():
-            walks.append(tuple(enumerate_of_type(rs, gtype, target)))
-            assert walks[-1] == tuple(recursive_walk(rs, gtype, target)), (lam, target)
+        walks = []
+        for target in (None, *targets.values()):
+            want = full if target is None else tuple(recursive_walk(rs, gtype, target))
+            for folded in (False, True):
+                if folded:
+                    want = tuple(g for g in want if is_positively_folded(rs, g))
+                walks.append(tuple(enumerate_of_type(rs, gtype, target, folded)))
+                assert walks[-1] == want, (lam, target, folded)
         for g in (g for walk in walks for g in walk):
             assert g.directions() == tuple(map(vsub, g.vertices[1:], g.vertices)), g
 

@@ -16,9 +16,9 @@ from hlgal.apartment import (
     local_data_for_key,
     local_key,
 )
-from hlgal.folding import chain_step
 from hlgal.gallery import (
     _hull_sums,
+    chain_step,
     enumerate_of_type,
     fundamental_type,
     reference_germs,
