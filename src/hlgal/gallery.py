@@ -55,9 +55,17 @@ def _origin(rs: RootSystem) -> Vec:
 
 
 def fundamental_type(rs: RootSystem, i: int) -> tuple:
-    if rs.fundamental_scale[i - 1] == 1:
-        return (EdgeType(i, "whole"),)
-    return (EdgeType(i, "first"), EdgeType(i, "second"))
+    """The edge types of omega_i's block: one whole edge if it is
+    minuscule, else two halves.  Built once per index and kept in
+    ``rs.fundamental_blocks``, so every caller gets the same EdgeTypes."""
+    block = rs.fundamental_blocks.get(i)
+    if block is None:
+        if rs.fundamental_scale[i - 1] == 1:
+            block = (EdgeType(i, "whole"),)
+        else:
+            block = (EdgeType(i, "first"), EdgeType(i, "second"))
+        rs.fundamental_blocks[i] = block
+    return block
 
 
 def type_of_lambda(rs: RootSystem, lam: Vec) -> GalleryType:

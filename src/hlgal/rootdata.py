@@ -304,6 +304,9 @@ class RootSystem:
         self.local_groups: dict = {}  # local key -> its ReflectionGroup
         self.vertex_locals: dict = {}  # vertex -> its entry in local_groups
         self.hulls: dict = {}  # offset -> its orbit-hull partial sums (gallery walk)
+        self.fundamental_blocks: dict = {}  # i -> gallery.fundamental_type's EdgeType tuple
+        self.tableau_columns: dict = {}  # germ -> its column (tableaux encode rule)
+        self.column_germs: dict = {}  # valid column -> its germ (tableaux decode rule)
 
     @staticmethod
     def _vsum(vs):

@@ -9,6 +9,11 @@ a germ of an edge of type i has i non-zero coordinates, all of one
 absolute value, and the column holds k where coordinate k is positive and
 bar(k) where it is negative.  A non-minuscule omega_i is a block of two
 half-edges, hence of two columns.
+
+Each rule runs once per key and root system: encoding keeps each germ's
+column in ``rs.tableau_columns``, decoding keeps each valid column's germ
+in ``rs.column_germs``.  The two tables are filled independently, each by
+its own rule, so a round trip still tests one rule against the other.
 """
 
 from __future__ import annotations
@@ -64,21 +69,32 @@ def _column_germ(rs: RootSystem, col, step: int) -> Vec:
 
 
 def gallery_to_tableau(rs: RootSystem, g: Gallery) -> Tableau:
-    """One column per edge, in edge order: the signs of its germ."""
+    """One column per edge, in edge order: the signs of its germ, read once
+    per germ and kept in ``rs.tableau_columns``."""
     n = rs.rank
-    columns = tuple(
-        tuple(sorted(k if x > 0 else bar(n, k) for k, x in enumerate(d, start=1) if x))
-        for d in g.directions()
-    )
-    return Tableau(rs.family, n, columns)
+    memo = rs.tableau_columns
+    columns = []
+    for d in g.directions():
+        col = memo.get(d)
+        if col is None:
+            letters = (k if x > 0 else bar(n, k) for k, x in enumerate(d, start=1) if x)
+            col = memo[d] = tuple(sorted(letters))
+        columns.append(col)
+    return Tableau(rs.family, n, tuple(columns))
 
 
 def tableau_to_gallery(rs: RootSystem, tab: Tableau) -> Gallery:
     """Inverse of gallery_to_tableau; validates the columns and, in a
-    two-column block, that the second germ is reachable at the midpoint."""
+    two-column block, that the second germ is reachable at the midpoint.
+
+    A column's height fixes its block and so its step, hence its germ:
+    _column_germ decodes each valid column once, into ``rs.column_germs``.
+    An invalid column raises and is never stored; the height, block and
+    midpoint checks run on every call."""
     if (tab.family, tab.rank) != (rs.family, rs.rank):
         raise ValueError("tableau family/rank does not match the root system")
     cols = tab.columns
+    memo = rs.column_germs
     vertices = [(0,) * rs.dim]
     gtype = []
     pos = 0
@@ -91,9 +107,13 @@ def tableau_to_gallery(rs: RootSystem, tab: Tableau) -> Gallery:
         block = cols[pos : pos + len(block_type)]
         if len(block) != len(block_type) or any(len(c) != i for c in block):
             raise ValueError("truncated block in tableau")
-        # every letter of the block moves its coordinate by one step
-        step = max(expected_germ(rs, block_type[0]))
-        germs = [_column_germ(rs, c, step) for c in block]
+        germs = []
+        for c in block:
+            d = memo.get(c)
+            if d is None:
+                # every letter of the block moves its coordinate by one step
+                d = memo[c] = _column_germ(rs, c, max(expected_germ(rs, block_type[0])))
+            germs.append(d)
         if len(germs) == 2:
             mid = vadd(vertices[-1], germs[0])
             if germs[1] not in local_data(rs, mid).orbit(germs[0]):

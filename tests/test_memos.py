@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from hlgal.apartment import (
+    EdgeType,
     crossings,
     expected_germ,
     local_data,
@@ -17,6 +18,7 @@ from hlgal.apartment import (
     local_key,
 )
 from hlgal.gallery import (
+    Gallery,
     _hull_sums,
     chain_step,
     enumerate_of_type,
@@ -27,6 +29,7 @@ from hlgal.gallery import (
 from hlgal.hlengine import character_LS, outgoing_edges
 from hlgal.residue import first_factor_exponent, junction_factor
 from hlgal.rootdata import RootSystem, RootSystemSpec, pairing, vadd, vneg
+from hlgal.tableaux import Tableau, bar, gallery_to_tableau, tableau_to_gallery
 from hlgal.verify import dominant_lambdas
 from systems import (
     all_reduced_words,
@@ -36,6 +39,7 @@ from systems import (
     root_system,
     scan_closest,
 )
+from test_tableaux import MALFORMED
 
 ACCEPTANCE_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("B", 3), ("C", 3)]
 RANK_4_TYPES = [("A", 4), ("B", 4), ("C", 4)]
@@ -242,3 +246,124 @@ def test_key_weight_memo_matches_fractions(family, rank):
     assert rs._key_weights
     for key, weight in rs._key_weights.items():
         assert weight == tuple(Fraction(a, rs.key_scale) for a in key)
+
+
+CODEC_TYPES = [(f, n) for f in "ABC" for n in range(1, 5)]
+
+
+def fresh(family, rank):
+    """A root system with empty memos, bypassing build_root_system's cache."""
+    return RootSystem(RootSystemSpec(family, rank))
+
+
+def reference_column(rs, d):
+    """The encode rule, written out: letter k for each positive coordinate
+    k of the germ, bar(k) for each negative one, in increasing order."""
+    return tuple(sorted(k if x > 0 else bar(rs.rank, k) for k, x in enumerate(d, start=1) if x))
+
+
+def reference_germ(rs, col):
+    """The decode rule, written out: the column's height i fixes the step,
+    the largest coordinate of omega_i over its scale; letter k adds it to
+    coordinate k and bar(k) subtracts it."""
+    step = max(rs.fundamental_germs[len(col) - 1])
+    d = [0] * rs.dim
+    for x in col:
+        if rs.family == "A" or x <= rs.rank:
+            d[x - 1] += step
+        else:
+            d[bar(rs.rank, x) - 1] -= step
+    return tuple(d)
+
+
+def orbit_germs(rs):
+    """(i, germ) for every germ of the W-orbit of each omega_i's reference germ."""
+    return [
+        (i, d) for i in range(1, rs.rank + 1) for d in rs.weyl.orbit(rs.fundamental_germs[i - 1])
+    ]
+
+
+def encode(rs, germs):
+    origin = (0,) * rs.dim
+    return {
+        d: gallery_to_tableau(rs, Gallery((origin, d), fundamental_type(rs, i)[:1])).columns[0]
+        for i, d in germs
+    }
+
+
+def decode(rs, germs):
+    # a block of two equal columns: the midpoint check holds trivially
+    out = {}
+    for i, d in germs:
+        col = reference_column(rs, d)
+        tab = Tableau(rs.family, rs.rank, (col,) * len(fundamental_type(rs, i)))
+        out[col] = tableau_to_gallery(rs, tab).directions()[0]
+    return out
+
+
+@pytest.mark.parametrize("family,rank", CODEC_TYPES, ids=lambda x: str(x))
+def test_codec_tables_match_reference_rules_in_either_order(family, rank):
+    # two fresh root systems, one encoding every orbit germ before decoding
+    # its column and one the other way round: both fill the same tables,
+    # and every entry is the reference rule's answer
+    ref = fresh(family, rank)
+    germs = orbit_germs(ref)
+    columns = {d: reference_column(ref, d) for _, d in germs}
+    for encode_first in (True, False):
+        rs = fresh(family, rank)
+        assert not rs.tableau_columns and not rs.column_germs
+        if encode_first:
+            enc, dec = encode(rs, germs), decode(rs, germs)
+        else:
+            dec, enc = decode(rs, germs), encode(rs, germs)
+        assert enc == columns
+        assert dec == {col: reference_germ(rs, col) for col in columns.values()}
+        assert dec == {col: d for d, col in columns.items()}
+        assert rs.tableau_columns == enc and rs.column_germs == dec
+        # a second pass reads the tables and stores nothing new
+        stored = [dict(rs.tableau_columns), dict(rs.column_germs)]
+        assert encode(rs, germs) == enc and decode(rs, germs) == dec
+        for table, before in zip((rs.tableau_columns, rs.column_germs), stored):
+            assert table.keys() == before.keys()
+            assert all(table[k] is v for k, v in before.items())
+
+
+def _messages(cases, systems):
+    out = []
+    for (family, rank), tab, match in cases:
+        with pytest.raises(ValueError, match=match) as info:
+            tableau_to_gallery(systems[(family, rank)], tab)
+        out.append(str(info.value))
+    return out
+
+
+def test_warm_decode_table_rejects_the_same_tableaux():
+    names = {name for name, _, _ in MALFORMED}
+    cold = {name: fresh(*name) for name in names}
+    warm = {name: fresh(*name) for name in names}
+    for rs in warm.values():
+        decode(rs, orbit_germs(rs))
+    want = _messages(MALFORMED, cold)
+    assert _messages(MALFORMED, warm) == want
+    # every stored column is valid: the column of its own germ
+    for rs in list(cold.values()) + list(warm.values()):
+        for col, d in rs.column_germs.items():
+            assert reference_column(rs, d) == col and reference_germ(rs, col) == d
+
+
+@pytest.mark.parametrize("family,rank", CODEC_TYPES, ids=lambda x: str(x))
+def test_fundamental_blocks_are_built_once(family, rank):
+    rs = fresh(family, rank)
+    assert not rs.fundamental_blocks
+    for i in range(1, rank + 1):
+        block = fundamental_type(rs, i)
+        built = (
+            (EdgeType(i, "whole"),)
+            if rs.fundamental_scale[i - 1] == 1
+            else (EdgeType(i, "first"), EdgeType(i, "second"))
+        )
+        assert block == built
+        assert fundamental_type(rs, i) is block and rs.fundamental_blocks[i] is block
+    # a standard type is made of those very EdgeTypes
+    gtype = type_of_lambda(rs, rs.weight((1,) * rank))
+    assert {id(t) for t in gtype} == {id(t) for b in rs.fundamental_blocks.values() for t in b}

@@ -213,29 +213,28 @@ def test_pair_exchange_rule_is_the_midpoint_test(family, rank):
     assert pairs > 0
 
 
-def test_malformed_tableaux_rejected(a2, b2, c2, b3):
-    with pytest.raises(ValueError):
-        tableau_to_gallery(b2, Tableau("B", 2, ((1, bar(2, 1)),)))  # 1 and barred 1
-    with pytest.raises(ValueError):
-        tableau_to_gallery(b2, Tableau("B", 2, ((2, 1),)))  # not increasing
-    with pytest.raises(ValueError):
-        # C pair with an odd number of sign exchanges
-        tableau_to_gallery(c2, Tableau("C", 2, ((1, 2), (1, bar(2, 2)))))
-    with pytest.raises(ValueError):
-        # paired columns must agree up to sign exchanges
-        tableau_to_gallery(b2, Tableau("B", 2, ((1,), (2,), (1, 2), (1, 2))))
-    with pytest.raises(ValueError, match="height 0"):
-        tableau_to_gallery(b2, Tableau("B", 2, ((),)))  # empty column
-    with pytest.raises(ValueError, match="height 3"):
-        tableau_to_gallery(a2, Tableau("A", 2, ((1, 2, 3),)))  # taller than the rank
-    with pytest.raises(ValueError, match="truncated"):
-        tableau_to_gallery(b3, Tableau("B", 3, ((1, 2, 3), (1,))))  # omega_1 cut short
-    with pytest.raises(ValueError, match="truncated"):
-        tableau_to_gallery(c2, Tableau("C", 2, ((1, 2), (1,))))  # heights differ in a block
-    with pytest.raises(ValueError, match="family/rank"):
-        tableau_to_gallery(b2, Tableau("C", 2, ((1, 2), (1, 2))))
-    with pytest.raises(ValueError, match="family/rank"):
-        tableau_to_gallery(b2, Tableau("B", 3, ((1, 2, 3),)))
+# (family, rank) of the root system, a tableau it must refuse, and a
+# pattern the ValueError's message must match (None: any message)
+MALFORMED = [
+    (("B", 2), Tableau("B", 2, ((1, bar(2, 1)),)), None),  # 1 and barred 1
+    (("B", 2), Tableau("B", 2, ((2, 1),)), None),  # not increasing
+    # C pair with an odd number of sign exchanges
+    (("C", 2), Tableau("C", 2, ((1, 2), (1, bar(2, 2)))), None),
+    # paired columns must agree up to sign exchanges
+    (("B", 2), Tableau("B", 2, ((1,), (2,), (1, 2), (1, 2))), None),
+    (("B", 2), Tableau("B", 2, ((),)), "height 0"),  # empty column
+    (("A", 2), Tableau("A", 2, ((1, 2, 3),)), "height 3"),  # taller than the rank
+    (("B", 3), Tableau("B", 3, ((1, 2, 3), (1,))), "truncated"),  # omega_1 cut short
+    (("C", 2), Tableau("C", 2, ((1, 2), (1,))), "truncated"),  # heights differ in a block
+    (("B", 2), Tableau("C", 2, ((1, 2), (1, 2))), "family/rank"),
+    (("B", 2), Tableau("B", 3, ((1, 2, 3),)), "family/rank"),
+]
+
+
+def test_malformed_tableaux_rejected():
+    for (family, rank), tab, match in MALFORMED:
+        with pytest.raises(ValueError, match=match):
+            tableau_to_gallery(root_system(family, rank), tab)
 
 
 def test_json_and_pretty(b2):

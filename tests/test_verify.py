@@ -3,11 +3,13 @@ import sys
 import pytest
 
 import hlgal.hlengine
+import hlgal.tableaux
 import hlgal.verify
 from hlgal.folding import is_positively_folded
 from hlgal.gallery import Gallery, enumerate_of_type, type_of_lambda
 from hlgal.hlengine import gallery_term
 from hlgal.qpoly import QPoly
+from hlgal.rootdata import RootSystem, RootSystemSpec
 from hlgal.verify import dominant_lambdas, run_suite
 from systems import root_system
 
@@ -98,3 +100,23 @@ def test_each_record_kind_catches_a_corrupted_input(monkeypatch, a2, kind):
     failed = [r for r in report["failures"] if r["check"].startswith(kind + "[")]
     assert failed, report["failures"]
     assert all(r["detail"] for r in failed)
+
+
+def test_roundtrip_record_reads_the_decode_rule(monkeypatch):
+    # the decode table is filled by _column_germ, not by inverting the
+    # encode table: on a fresh root system, a decode rule that flips the
+    # sign of one coordinate must fail a tableau-roundtrip record
+    rs = RootSystem(RootSystemSpec("A", 2))
+    assert not rs.column_germs and not rs.tableau_columns
+    decode = hlgal.tableaux._column_germ
+
+    def flipped(rs, col, step):
+        d = decode(rs, col, step)
+        k = next(k for k, x in enumerate(d) if x)
+        return d[:k] + (-d[k],) + d[k + 1 :]
+
+    monkeypatch.setattr(hlgal.tableaux, "_column_germ", flipped)
+    report = run_suite(rs, max_coeff_sum=2, max_height=12)
+    failed = [r for r in report["failures"] if r["check"].startswith("tableau-roundtrip[")]
+    assert failed, report["failures"]
+    assert all(r["detail"]["violations"] > 0 for r in failed)
