@@ -12,23 +12,24 @@ lattice points, never by sign conventions on abstract simple roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .rootdata import ReflectionGroup, RootSystem, Vec, pairing
+from .rootdata import Frozen, ReflectionGroup, RootSystem, Vec, pairing
 
 SEGMENTS = ("whole", "first", "second")
 
 
-@dataclass(frozen=True)
-class EdgeType:
-    """Type tag of a fundamental-gallery edge: which omega, which piece."""
+class EdgeType(Frozen):
+    """Type tag of a fundamental-gallery edge: which omega, which piece.
 
-    index: int  # 1-based Bourbaki index of the fundamental weight
-    segment: str  # "whole" for one-edge galleries, else "first"/"second"
+    ``index`` is the 1-based Bourbaki index of the fundamental weight;
+    ``segment`` is "whole" for one-edge galleries, else "first"/"second"."""
 
-    def __post_init__(self):
-        if self.segment not in SEGMENTS:
-            raise ValueError("bad segment %r" % (self.segment,))
+    __slots__ = _fields = ("index", "segment")
+
+    def __init__(self, index: int, segment: str):
+        if segment not in SEGMENTS:
+            raise ValueError("bad segment %r" % (segment,))
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "segment", segment)
 
     def tag(self) -> str:
         return "%d:%s" % (self.index, self.segment)

@@ -1,5 +1,9 @@
 """Command-line frontend.
 
+Each command imports what only it runs (the tableau codec, the verify
+suite and its oracles, the json and csv writers) when it runs, so one
+``hlgal`` process loads no more of the package than its command needs.
+
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 internal
 fault (a ValueError, ArithmeticError, AssertionError or RecursionError raised
 by the library on input the command line accepted).
@@ -8,23 +12,13 @@ by the library on input the command line accepted).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import sys
 
 from .folding import defining_chain, enumerate_pf, has_maximal_crossings
 from .gallery import enumerate_of_type, gallery_to_jsonable, type_of_lambda
 from .hlengine import L_polynomial, character_LS, character_to_jsonable, gallery_term
 from .rootdata import RootSystemSpec, build_root_system
-from .tableaux import (
-    gallery_to_tableau,
-    is_semistandard,
-    pretty,
-    shape_partition,
-    tableau_to_jsonable,
-)
-from .verify import run_suite
 
 
 class UsageError(Exception):
@@ -66,8 +60,13 @@ def parse_coeffs(rs, text: str, what: str):
 
 def _emit(rows, header, fmt):
     if fmt == "json":
+        import json
+
         print(json.dumps(rows, indent=2, sort_keys=True))
     elif fmt == "csv":
+        import csv
+        import json
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=header)
         writer.writeheader()
@@ -85,6 +84,8 @@ def cmd_L(args) -> int:
     mu = parse_coeffs(rs, args.mu, "mu")
     poly = L_polynomial(rs, lam, mu)
     if args.format == "json":
+        import json
+
         print(json.dumps(poly.to_jsonable()))
     else:
         print(poly.pretty())
@@ -126,6 +127,14 @@ def cmd_char(args) -> int:
 
 
 def cmd_tableaux(args) -> int:
+    from .tableaux import (
+        gallery_to_tableau,
+        is_semistandard,
+        pretty,
+        shape_partition,
+        tableau_to_jsonable,
+    )
+
     rs = parse_type(args.type)
     lam = parse_coeffs(rs, args.lam, "lambda")
     tabs = []
@@ -147,6 +156,8 @@ def cmd_tableaux(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite
+
     rs = parse_type(args.type)
     if args.suite == "a2-example":
         if (rs.family, rs.rank) != ("A", 2):
@@ -160,6 +171,8 @@ def cmd_verify(args) -> int:
         max_height=12 if args.max_height is None else args.max_height,
     )
     if args.format == "json" or args.verbose or not report["ok"]:
+        import json
+
         payload = report if args.verbose else {k: report[k] for k in ("system", "suite", "checks", "failures", "ok")}
         print(json.dumps(payload, indent=2, sort_keys=True, default=str))
     else:

@@ -125,6 +125,7 @@ def enumerate_pf(rs: RootSystem, lam: Vec, mu: Vec) -> tuple:
     in the walk's depth-first order: the galleries of
     enumerate_of_type(..., mu) that is_positively_folded accepts, walked
     with folded=True so that unfolded prefixes are cut, not built."""
-    if not rs.is_dominant_weight(lam) or not rs.is_dominant_weight(mu):
-        raise ValueError("lambda and mu must be dominant weights")
-    return tuple(enumerate_of_type(rs, type_of_lambda(rs, lam), mu, folded=True))
+    gtype = type_of_lambda(rs, lam)  # rejects a lambda that is not a dominant weight
+    if not rs.is_dominant_weight(mu):
+        raise ValueError("mu must be a dominant weight")
+    return tuple(enumerate_of_type(rs, gtype, mu, folded=True))

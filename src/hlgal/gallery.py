@@ -9,25 +9,28 @@ omega_1^{a_1} * ... * omega_n^{a_n}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import le
 
 from .apartment import EdgeType, crossings, expected_germ, local_data
 from .residue import junction_factor
-from .rootdata import RootSystem, Vec, vadd, vneg, vsub
+from .rootdata import Frozen, RootSystem, Vec, vadd, vneg, vsub
 
 GalleryType = tuple  # tuple of EdgeType
 
 
-@dataclass(frozen=True)
-class Gallery:
-    vertices: tuple  # V_0 .. V_{r+1}, V_0 = origin
-    gtype: GalleryType
+class Gallery(Frozen):
+    """The vertices V_0 .. V_{r+1} (V_0 the origin) of a gallery of type
+    ``gtype``; ``_directions`` caches its germs."""
 
-    def __post_init__(self):
-        if len(self.vertices) != len(self.gtype) + 1:
+    _fields = ("vertices", "gtype")
+    __slots__ = _fields + ("_directions",)
+
+    def __init__(self, vertices: tuple, gtype: GalleryType):
+        if len(vertices) != len(gtype) + 1:
             raise ValueError("vertex/type length mismatch")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "gtype", gtype)
 
     @property
     def source(self) -> Vec:
@@ -43,11 +46,12 @@ class Gallery:
     def directions(self) -> tuple:
         """The germs V_{i+1} - V_i: those enumerate_of_type took, for a
         walked gallery, else built on the first call and kept."""
-        dirs = self.__dict__.get("_directions")
-        if dirs is None:
+        try:
+            return self._directions
+        except AttributeError:
             dirs = tuple(vsub(b, a) for a, b in zip(self.vertices, self.vertices[1:]))
             object.__setattr__(self, "_directions", dirs)
-        return dirs
+            return dirs
 
 
 def _origin(rs: RootSystem) -> Vec:

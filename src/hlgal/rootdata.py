@@ -17,7 +17,7 @@ Coroots are not scaled, so ``pairing(v, c)`` of a lattice vector with a
 coroot is ``scale`` times the ambient pairing, and v lies on a wall of c
 exactly when it is divisible by ``scale``.  Ambient coordinates, as
 Fractions, appear only at the output boundary: ``ambient`` and
-``canonical_weight``.
+``canonical_weight``, which import ``fractions`` when first called.
 Weyl group elements are signed permutations of the epsilon basis, stored
 as tuples ``((image, sign), ...)`` meaning ``w(e_j) = sign * e_image``;
 a RootSystem indexes them and multiplies and acts by index.  One
@@ -29,10 +29,8 @@ of everything derived from it, local groups included, live on the object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from operator import add, neg, sub
+from operator import add, attrgetter, neg, sub
 
 Vec = tuple  # tuple of int lattice coordinates
 SignedPerm = tuple  # tuple of (image_index, sign) pairs
@@ -102,10 +100,51 @@ def sp_inv(w: SignedPerm) -> SignedPerm:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class RootSystemSpec:
-    family: str
-    rank: int
+class Frozen:
+    """An immutable value with named fields, on nothing the interpreter
+    has not already loaded, so that a command-line run imports no more
+    than it runs.  A subclass lists its fields in ``_fields`` and keeps
+    them, with any cache slots, in ``__slots__``; its ``__init__`` stores
+    them with ``object.__setattr__``.  Two values are equal when their
+    classes and fields are; the hash is the fields', the repr is
+    ``Name(field=value, ...)`` and assignment raises AttributeError."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._values = attrgetter(*cls._fields)
+
+    def __setattr__(self, *a):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            type(self).__qualname__,
+            ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields),
+        )
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+class RootSystemSpec(Frozen):
+    __slots__ = _fields = ("family", "rank")
+
+    def __init__(self, family: str, rank: int):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
 
     @property
     def ambient_dim(self) -> int:
@@ -168,17 +207,20 @@ def _root_data(family: str, n: int):
     return pos_roots, pos_coroots, simple_roots, fundamental
 
 
-def _closure(seed, gens, step) -> set:
-    """Everything reachable from seed by repeatedly applying step(g, x), g in gens."""
-    seen = {seed}
+def _closure(seed, gens, step) -> dict:
+    """Everything reachable from seed by repeatedly applying step(g, x), g
+    in gens, mapped to the fewest steps that reach it."""
+    seen = {seed: 0}
     frontier = [seed]
+    level = 0
     while frontier:
+        level += 1
         nxt = []
         for x in frontier:
             for g in gens:
                 y = step(g, x)
                 if y not in seen:
-                    seen.add(y)
+                    seen[y] = level
                     nxt.append(y)
         frontier = nxt
     return seen
@@ -332,11 +374,8 @@ class RootSystem:
 
     def _build_group(self):
         gens = [self.reflection_perm(a) for a in self.simple_roots]
-        pos_set = set(self.pos_roots)
-        length = {
-            w: sum(1 for c in self.pos_roots if sp_act(w, c) not in pos_set)
-            for w in _closure(sp_identity(self.dim), gens, sp_mul)
-        }
+        # the length of w is the fewest simple reflections whose product it is
+        length = _closure(sp_identity(self.dim), gens, sp_mul)
         ranked = tuple(sorted(length, key=lambda w: (length[w], w)))
         self.elements = ranked
         self.index = {w: i for i, w in enumerate(ranked)}
@@ -434,6 +473,8 @@ class RootSystem:
     # Boundary forms: ambient coordinates as Fractions, for output.
 
     def ambient(self, v: Vec) -> tuple:
+        from fractions import Fraction
+
         return tuple(Fraction(a, self.scale) for a in v)
 
     def canonical_weight(self, v: Vec) -> tuple:
@@ -445,6 +486,8 @@ class RootSystem:
         """A canonical key in ambient coordinates, memoised per key."""
         hit = self._key_weights.get(key)
         if hit is None:
+            from fractions import Fraction
+
             hit = self._key_weights[key] = tuple(Fraction(a, self.key_scale) for a in key)
         return hit
 

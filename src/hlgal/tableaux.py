@@ -18,18 +18,20 @@ its own rule, so a round trip still tests one rule against the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .apartment import expected_germ, local_data
 from .gallery import Gallery, fundamental_type
-from .rootdata import RootSystem, Vec, vadd
+from .rootdata import Frozen, RootSystem, Vec, vadd
 
 
-@dataclass(frozen=True)
-class Tableau:
-    family: str
-    rank: int
-    columns: tuple  # right to left; each column a tuple of letter codes
+class Tableau(Frozen):
+    """``columns`` run right to left; each column is a tuple of letter codes."""
+
+    __slots__ = _fields = ("family", "rank", "columns")
+
+    def __init__(self, family: str, rank: int, columns: tuple):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "columns", columns)
 
 
 def bar(rank: int, letter: int) -> int:
@@ -114,12 +116,11 @@ def tableau_to_gallery(rs: RootSystem, tab: Tableau) -> Gallery:
                 # every letter of the block moves its coordinate by one step
                 d = memo[c] = _column_germ(rs, c, max(expected_germ(rs, block_type[0])))
             germs.append(d)
+        vertices.append(vadd(vertices[-1], germs[0]))
         if len(germs) == 2:
-            mid = vadd(vertices[-1], germs[0])
-            if germs[1] not in local_data(rs, mid).orbit(germs[0]):
+            if germs[1] not in local_data(rs, vertices[-1]).orbit(germs[0]):
                 raise ValueError("second column is not reachable at the midpoint")
-        for d in germs:
-            vertices.append(vadd(vertices[-1], d))
+            vertices.append(vadd(vertices[-1], germs[1]))
         gtype.extend(block_type)
         pos += len(block_type)
     return Gallery(tuple(vertices), tuple(gtype))

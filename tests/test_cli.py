@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hlgal
 import hlgal.verify
 from hlgal.cli import main
 from hlgal.oracles import L_from_expansion, hall_littlewood_direct
@@ -179,6 +183,34 @@ def test_long_gallery_type_is_walked(capsys):
     lam = rs.weight((1200,))
     assert code == 0 and err == ""
     assert out == L_from_expansion(rs, hall_littlewood_direct(rs, lam), lam, lam).pretty() + "\n"
+
+
+# modules the command line loads only for the commands or formats that run them
+LAZY_MODULES = ("dataclasses", "fractions", "decimal", "json", "csv",
+                "hlgal.verify", "hlgal.oracles", "hlgal.tableaux")
+
+FOOTPRINT = """
+import sys
+before = set(sys.modules)
+import hlgal.cli
+print(*sorted(set(sys.modules) - before))
+code = hlgal.cli.main(["L", "--type", "A2", "--lambda", "2,1", "--mu", "1,0"])
+print(*sorted(set(sys.modules) - before))
+sys.exit(code)
+"""
+
+
+def test_import_footprint():
+    # a fresh interpreter, so that nothing this test run imported counts
+    src = os.path.dirname(os.path.dirname(hlgal.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", FOOTPRINT], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    imported, after_l = out[0].split(), out[-1].split()
+    assert out[1] == "2q^4 - 2q^3"
+    assert "hlgal.hlengine" in imported
+    assert [m for m in LAZY_MODULES if m in imported] == []
+    assert [m for m in ("fractions", "json") if m in after_l] == []
 
 
 def test_determinism_across_runs(capsys):

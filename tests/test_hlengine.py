@@ -43,6 +43,12 @@ def test_rejects_nondominant(a2):
         L_polynomial(a2, vneg(a2.weight((1, 0))), a2.weight((0, 0)))
     with pytest.raises(ValueError, match="dominant"):
         character_LS(a2, vneg(a2.weight((1, 0))))
+    # lambda and mu are each checked once, and either one is refused
+    lam = a2.weight((2, 1))
+    with pytest.raises(ValueError, match="mu must be a dominant"):
+        L_polynomial(a2, lam, vneg(a2.weight((1, 0))))
+    with pytest.raises(ValueError, match="lambda must be a dominant"):
+        L_polynomial(a2, vneg(lam), a2.weight((1, 0)))
 
 
 def test_leading_data_examples(a2):

@@ -277,6 +277,17 @@ def test_rank_four_supported(family, order):
     assert rs.length[rs.w0] == len(rs.pos_roots)
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4"])
+def test_length_is_the_sign_flip_count(name):
+    # the length read off the generators' closure is the number of positive
+    # roots that w sends to negative roots, on a freshly built group
+    rs = RootSystem(RootSystemSpec(name[0], int(name[1])))
+    pos = set(rs.pos_roots)
+    for w, perm in enumerate(rs.elements):
+        assert rs.length[w] == sum(1 for a in rs.pos_roots if sp_act(perm, a) not in pos)
+    assert [rs.length[w] for w in range(rs.order())] == sorted(rs.length)
+
+
 @pytest.mark.parametrize("family", "ABC")
 def test_fundamental_scale_marks_minuscule_weights(family):
     # omega_i pairs with every positive coroot in {0, 1} exactly when it is

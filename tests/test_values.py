@@ -1,0 +1,72 @@
+"""Value semantics of the library's immutable records: equality, hash,
+repr, refused assignment and pickling, as frozen data classes had them."""
+
+import copy
+import pickle
+
+import pytest
+
+from hlgal.apartment import EdgeType
+from hlgal.gallery import Gallery
+from hlgal.rootdata import RootSystemSpec
+from hlgal.tableaux import Tableau
+
+A1_WHOLE = (EdgeType(1, "whole"),)
+
+# (value, an equal copy, a value differing in one field, its exact repr)
+VALUES = [
+    (RootSystemSpec("B", 3), RootSystemSpec(family="B", rank=3), RootSystemSpec("C", 3),
+     "RootSystemSpec(family='B', rank=3)"),
+    (EdgeType(2, "first"), EdgeType(index=2, segment="first"), EdgeType(2, "second"),
+     "EdgeType(index=2, segment='first')"),
+    (Gallery(((0, 0), (1, 0)), A1_WHOLE), Gallery(vertices=((0, 0), (1, 0)), gtype=A1_WHOLE),
+     Gallery(((0, 0), (0, 1)), A1_WHOLE),
+     "Gallery(vertices=((0, 0), (1, 0)), gtype=(EdgeType(index=1, segment='whole'),))"),
+    (Tableau("C", 2, ((1,), (1, 4))), Tableau(family="C", rank=2, columns=((1,), (1, 4))),
+     Tableau("C", 2, ((2,), (1, 4))), "Tableau(family='C', rank=2, columns=((1,), (1, 4)))"),
+]
+IDS = [type(v).__name__ for v, _, _, _ in VALUES]
+
+
+@pytest.mark.parametrize("value,twin,other,text", VALUES, ids=IDS)
+def test_equality_hash_and_repr(value, twin, other, text):
+    assert value == twin and not value != twin
+    assert hash(value) == hash(twin)
+    assert value != other and not value == other
+    assert len({value, twin, other}) == 2
+    assert repr(value) == text
+    # equal fields in another class, or a bare tuple of them, are not equal
+    assert value != tuple(getattr(value, f) for f in value._fields)
+
+
+@pytest.mark.parametrize("value,twin,other,text", VALUES, ids=IDS)
+def test_assignment_is_refused(value, twin, other, text):
+    for name in value._fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    with pytest.raises(AttributeError):
+        delattr(value, value._fields[0])
+    assert value == twin
+
+
+@pytest.mark.parametrize("value,twin,other,text", VALUES, ids=IDS)
+def test_copy_and_pickle_keep_the_value(value, twin, other, text):
+    for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(clone) is type(value) and clone == value and hash(clone) == hash(value)
+
+
+def test_gallery_checks_its_length_and_keeps_its_directions():
+    with pytest.raises(ValueError, match="vertex/type length mismatch"):
+        Gallery(((0, 0),), A1_WHOLE)
+    with pytest.raises(ValueError, match="vertex/type length mismatch"):
+        Gallery(((0, 0), (1, 0), (2, 0)), A1_WHOLE)
+    g = Gallery(((0, 0), (1, 0), (1, 2)), A1_WHOLE * 2)
+    assert g.directions() == ((1, 0), (0, 2))
+    assert g.directions() is g.directions()
+    # the cache is not a field: a gallery with its directions equals one without
+    assert g == Gallery(g.vertices, g.gtype) and "_directions" not in repr(g)
+
+
+def test_edge_type_checks_its_segment():
+    with pytest.raises(ValueError, match="bad segment"):
+        EdgeType(1, "middle")
