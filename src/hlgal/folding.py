@@ -99,11 +99,11 @@ def type_weight(rs: RootSystem, gtype) -> Vec:
     return acc
 
 
-def reaches_degree_bound(rs: RootSystem, weight: Vec, target: Vec, plus: int) -> bool:
+def reaches_degree_bound(twice_bound: int, plus: int) -> bool:
     """``plus`` positive crossings equal the degree bound <lambda+mu, rho>
-    of a positively folded gallery of type weight lambda and target mu.
+    of a positively folded gallery of type weight lambda and target mu,
+    given as twice_bound = height(lambda + mu) = height(lambda) + height(mu).
     No such gallery exceeds the bound, so AssertionError if one would."""
-    twice_bound = rs.height(vadd(weight, target))
     if 2 * plus > twice_bound:
         raise AssertionError("positive crossings exceed the degree bound")
     return 2 * plus == twice_bound
@@ -112,7 +112,8 @@ def reaches_degree_bound(rs: RootSystem, weight: Vec, target: Vec, plus: int) ->
 def has_maximal_crossings(rs: RootSystem, g: Gallery) -> bool:
     """Positive-crossing count equal to the degree bound <lambda+mu, rho>;
     the LS test for a gallery already known to be positively folded."""
-    return reaches_degree_bound(rs, type_weight(rs, g.gtype), g.target, crossing_counts(rs, g)[0])
+    twice_bound = rs.height(vadd(type_weight(rs, g.gtype), g.target))
+    return reaches_degree_bound(twice_bound, crossing_counts(rs, g)[0])
 
 
 def is_LS(rs: RootSystem, g: Gallery) -> bool:

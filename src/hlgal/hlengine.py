@@ -19,7 +19,12 @@ the walk sees exactly the positively folded galleries.  Each edge (V_i,
 E_i) adds its own positive crossings, so a state keeps the largest count
 of any prefix reaching it and how many prefixes attain it; at the end
 the largest count at each final vertex is held against that vertex's
-degree bound <lambda+mu, rho>, once per vertex.  Every one of those
+degree bound <lambda+mu, rho>, once per vertex.  A final vertex mu is a
+weight and height(lambda + mu) = height(lambda) + height(mu), so the root
+system memoises each final vertex's height and canonical weight
+(``rs.end_mark``) and the end of the walk costs one dict lookup and one
+integer compare per vertex; the weights hash once (HashedWeight), and in
+type A vertices sharing a canonical weight are merged.  Every one of those
 rules reads the vertex only through its local group, so each state reads
 its surviving edges from the ``edges`` table of that group, filled once
 per (incoming germ, orbit source, chain mask).  It is the library's only
@@ -27,8 +32,6 @@ LS count: the character command and verify both read it.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 from .apartment import crossings, local_data
 from .folding import enumerate_pf, reaches_degree_bound, type_weight
@@ -125,12 +128,14 @@ def ls_character_of_type(rs: RootSystem, gtype: GalleryType) -> dict:
     ends: dict = {}
     for (v, _, _), (best, n) in layer.items():
         _keep_best(ends, v, best, n)
-    weight = type_weight(rs, gtype)
-    counts: Counter = Counter()  # by canonical key; one Fraction conversion per target
+    type_height = rs.height(type_weight(rs, gtype))
+    marks = rs.end_marks
+    counts: dict = {}  # canonical weight -> LS galleries; type A merges vertices here
     for v, (best, n) in ends.items():
-        if reaches_degree_bound(rs, weight, v, best):
-            counts[rs.canonical_key(v)] += n
-    return {rs.key_weight(key): m for key, m in counts.items()}
+        height, weight = marks.get(v) or rs.end_mark(v)
+        if reaches_degree_bound(type_height + height, best):
+            counts[weight] = counts.get(weight, 0) + n
+    return counts
 
 
 def character_LS(rs: RootSystem, lam: Vec) -> dict:

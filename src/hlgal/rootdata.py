@@ -17,7 +17,10 @@ Coroots are not scaled, so ``pairing(v, c)`` of a lattice vector with a
 coroot is ``scale`` times the ambient pairing, and v lies on a wall of c
 exactly when it is divisible by ``scale``.  Ambient coordinates, as
 Fractions, appear only at the output boundary: ``ambient`` and
-``canonical_weight``, which import ``fractions`` when first called.
+``canonical_weight``, which import ``fractions`` when first called.  A
+canonical weight is a ``HashedWeight``, a tuple of Fractions that computes
+its hash once, so the character dicts keyed by them hash each key in
+constant time.
 Weyl group elements are signed permutations of the epsilon basis, stored
 as tuples ``((image, sign), ...)`` meaning ``w(e_j) = sign * e_image``;
 a RootSystem indexes them and multiplies and acts by index.  One
@@ -98,6 +101,25 @@ def sp_inv(w: SignedPerm) -> SignedPerm:
     for j, (i, s) in enumerate(w):
         out[i] = (j, s)
     return tuple(out)
+
+
+class HashedWeight(tuple):
+    """A tuple (of Fractions) that computes its hash once, on creation.
+
+    It equals, hashes, sorts, prints and pickles as the plain tuple does;
+    Fraction.__hash__ takes a modular inverse on every call, which this
+    pays once per memoised weight, not once per dict operation."""
+
+    def __new__(cls, items):
+        self = tuple.__new__(cls, items)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return HashedWeight, (tuple(self),)
 
 
 class Frozen:
@@ -343,6 +365,7 @@ class RootSystem:
         # memo tables
         self._chamber_masks: dict = {}  # germ -> chamber_class_mask
         self._key_weights: dict = {}  # canonical key -> key_weight
+        self.end_marks: dict = {}  # end vertex -> end_mark (character walk)
         self.local_groups: dict = {}  # local key -> its ReflectionGroup
         self.vertex_locals: dict = {}  # vertex -> its entry in local_groups
         self.hulls: dict = {}  # offset -> its orbit-hull partial sums (gallery walk)
@@ -470,7 +493,8 @@ class RootSystem:
         total = sum(v)
         return tuple(self.dim * a - total for a in v)
 
-    # Boundary forms: ambient coordinates as Fractions, for output.
+    # Boundary forms: ambient coordinates as Fractions, for output; the
+    # canonical weights are memoised HashedWeights, each hashed once.
 
     def ambient(self, v: Vec) -> tuple:
         from fractions import Fraction
@@ -483,12 +507,21 @@ class RootSystem:
         return self.key_weight(self.canonical_key(v))
 
     def key_weight(self, key: Vec) -> tuple:
-        """A canonical key in ambient coordinates, memoised per key."""
+        """A canonical key in ambient coordinates, memoised per key: a
+        HashedWeight, whose hash is computed once."""
         hit = self._key_weights.get(key)
         if hit is None:
             from fractions import Fraction
 
-            hit = self._key_weights[key] = tuple(Fraction(a, self.key_scale) for a in key)
+            hit = self._key_weights[key] = HashedWeight(Fraction(a, self.key_scale) for a in key)
+        return hit
+
+    def end_mark(self, v: Vec) -> tuple:
+        """(height, canonical weight) of a weight v, memoised per vertex:
+        all the LS character walk reads off an end vertex."""
+        hit = self.end_marks.get(v)
+        if hit is None:
+            hit = self.end_marks[v] = (self.height(v), self.canonical_weight(v))
         return hit
 
     def dominant_rep(self, v: Vec) -> Vec:

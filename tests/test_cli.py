@@ -8,7 +8,7 @@ import pytest
 
 import hlgal
 import hlgal.verify
-from hlgal.cli import main
+from hlgal.cli import SUBCOMMANDS, build_parser, main
 from hlgal.oracles import L_from_expansion, hall_littlewood_direct
 from systems import root_system
 
@@ -43,6 +43,50 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "L", "--type", "A2", "--lambda", "1", "--mu", "1,0")
     assert code == 2
+
+
+# argv on which the parser itself prints and exits: main builds only the
+# subparser argv[0] names, so each must print what the parser of all five
+# subcommands prints, with the same exit code
+PARSER_EXITS = [
+    ((), 2),
+    (("--help",), 0),
+    (("L", "--help"), 0),
+    (("galleries", "--help"), 0),
+    (("char", "--help"), 0),
+    (("tableaux", "--help"), 0),
+    (("verify", "--help"), 0),
+    (("char", "--lambda", "1,0"), 2),  # missing --type
+    (("L", "--lambda", "1,0", "--mu", "1,0"), 2),
+    (("chars", "--type", "A2", "--lambda", "1,0"), 2),  # unknown command
+    (("char", "--type", "A2", "--lambda", "1,0", "extra"), 2),  # the top-level usage line
+]
+
+
+def parser_exit(capsys, call, argv):
+    with pytest.raises(SystemExit) as exc:
+        call(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv,code", PARSER_EXITS, ids=[" ".join(a) or "no-args" for a, _ in PARSER_EXITS])
+def test_parser_output_is_the_full_parsers(capsys, monkeypatch, argv, code):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = parser_exit(capsys, main, argv)
+    assert got == parser_exit(capsys, build_parser().parse_args, argv)
+    assert got[0] == code and (got[1] if code == 0 else got[2]).startswith("usage: hlgal")
+
+
+def test_named_command_builds_one_subparser():
+    def commands(parser):
+        (sub,) = [a for a in parser._actions if a.dest == "command"]
+        return list(sub.choices)
+
+    assert commands(build_parser()) == list(SUBCOMMANDS) == ["L", "galleries", "char", "tableaux", "verify"]
+    for name in SUBCOMMANDS:
+        assert commands(build_parser(name)) == [name]
+    assert commands(build_parser("chars")) == list(SUBCOMMANDS)
 
 
 def test_galleries_listing(capsys):

@@ -4,7 +4,15 @@ from collections import Counter
 
 import pytest
 
-from hlgal.folding import has_maximal_crossings, is_positively_folded, locally_positively_folded
+import hlgal.folding
+import hlgal.hlengine
+from hlgal.folding import (
+    enumerate_pf,
+    has_maximal_crossings,
+    is_positively_folded,
+    locally_positively_folded,
+    reaches_degree_bound,
+)
 from hlgal.gallery import enumerate_of_type, fundamental_type
 from hlgal.hlengine import L_polynomial, character_LS, ls_character_of_type
 from hlgal.oracles import freudenthal_character, weyl_dimension
@@ -73,6 +81,33 @@ def test_degree_bound(b2):
         p = L_polynomial(rs, lam, mu)
         if not p.is_zero():
             assert 2 * p.degree() <= rs.height(vadd(lam, mu))
+
+
+def test_degree_bound_rule():
+    # the one rule both LS tests read: equal is LS, below is not, above is a fault
+    assert reaches_degree_bound(6, 3) and reaches_degree_bound(0, 0)
+    assert not reaches_degree_bound(6, 2) and not reaches_degree_bound(7, 3)
+    with pytest.raises(AssertionError, match="exceed the degree bound"):
+        reaches_degree_bound(6, 4)
+
+
+def test_character_walk_refuses_crossings_beyond_the_bound(monkeypatch):
+    # one positive crossing too many on every edge: each LS gallery's count
+    # then exceeds the bound at its end vertex
+    real = hlgal.hlengine.crossings
+    monkeypatch.setattr(hlgal.hlengine, "crossings", lambda rs, v, d: (real(rs, v, d)[0] + 1, 0))
+    rs = RootSystem(RootSystemSpec("B", 2))  # fresh: no edge table holds the true counts
+    with pytest.raises(AssertionError, match="exceed the degree bound"):
+        character_LS(rs, rs.weight((1, 1)))
+
+
+def test_has_maximal_crossings_refuses_crossings_beyond_the_bound(b2, monkeypatch):
+    lam = b2.weight((1, 1))
+    g = next(g for g in enumerate_pf(b2, lam, b2.weight((0, 1))) if has_maximal_crossings(b2, g))
+    real = hlgal.folding.crossing_counts
+    monkeypatch.setattr(hlgal.folding, "crossing_counts", lambda rs, g: (real(rs, g)[0] + 1, 0))
+    with pytest.raises(AssertionError, match="exceed the degree bound"):
+        has_maximal_crossings(b2, g)
 
 
 def test_euler_characteristic(c2):

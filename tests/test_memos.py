@@ -28,7 +28,7 @@ from hlgal.gallery import (
 )
 from hlgal.hlengine import character_LS, outgoing_edges
 from hlgal.residue import first_factor_exponent, junction_factor
-from hlgal.rootdata import RootSystem, RootSystemSpec, pairing, vadd, vneg
+from hlgal.rootdata import HashedWeight, RootSystem, RootSystemSpec, pairing, vadd, vneg
 from hlgal.tableaux import Tableau, bar, gallery_to_tableau, tableau_to_gallery
 from hlgal.verify import dominant_lambdas
 from systems import (
@@ -236,16 +236,41 @@ def test_hull_memo_serves_targets_in_any_order(family, rank):
 
 @pytest.mark.parametrize("family,rank", ACCEPTANCE_TYPES + RANK_4_TYPES, ids=lambda x: str(x))
 def test_key_weight_memo_matches_fractions(family, rank):
-    # the characters' weights are the memo's tuples, each one the key over
-    # key_scale in Fractions
+    # the characters' weights are the memo's objects, each one the key over
+    # key_scale in Fractions, hashed as that plain tuple is
     rs = RootSystem(RootSystemSpec(family, rank))
     for lam in dominant_lambdas(rs, *BOUNDS[(family, rank)]):
         for weight in character_LS(rs, lam):
             key = tuple(int(x * rs.key_scale) for x in weight)
             assert rs.key_weight(key) is weight
+            assert rs._key_weights[key] is weight
     assert rs._key_weights
     for key, weight in rs._key_weights.items():
-        assert weight == tuple(Fraction(a, rs.key_scale) for a in key)
+        plain = tuple(Fraction(a, rs.key_scale) for a in key)
+        assert type(weight) is HashedWeight
+        assert weight == plain and hash(weight) == hash(plain)
+
+
+@pytest.mark.parametrize("family,rank", ACCEPTANCE_TYPES + RANK_4_TYPES, ids=lambda x: str(x))
+def test_end_marks_serve_lambdas_in_any_order(family, rank):
+    # the end vertices one character memoises serve the next: two fresh root
+    # systems taking the lambdas in opposite orders give equal characters,
+    # and every memo entry is the vertex's height and canonical weight,
+    # computed here from its ambient coordinates
+    lams = dominant_lambdas(root_system(family, rank), *BOUNDS[(family, rank)])
+    forward, backward = RootSystem(RootSystemSpec(family, rank)), RootSystem(RootSystemSpec(family, rank))
+    assert not forward.end_marks and not backward.end_marks
+    chars = [character_LS(forward, lam) for lam in lams]
+    assert chars == [character_LS(backward, lam) for lam in reversed(lams)][::-1]
+    assert forward.end_marks and forward.end_marks.keys() == backward.end_marks.keys()
+    for rs in (forward, backward):
+        for v, (height, weight) in rs.end_marks.items():
+            x = rs.ambient(v)
+            shift = sum(x) / rs.dim if family == "A" else 0
+            assert height == sum(pairing(x, c) for c in rs.pos_coroots), v
+            assert weight == tuple(a - shift for a in x), v
+            assert (height, weight) == (rs.height(v), rs.canonical_weight(v))
+            assert weight is rs.canonical_weight(v)
 
 
 CODEC_TYPES = [(f, n) for f in "ABC" for n in range(1, 5)]

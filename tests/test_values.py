@@ -1,15 +1,19 @@
 """Value semantics of the library's immutable records: equality, hash,
-repr, refused assignment and pickling, as frozen data classes had them."""
+repr, refused assignment and pickling, as frozen data classes had them;
+and of HashedWeight, which must pass for the plain tuple of Fractions."""
 
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 
 from hlgal.apartment import EdgeType
 from hlgal.gallery import Gallery
-from hlgal.rootdata import RootSystemSpec
+from hlgal.hlengine import character_LS
+from hlgal.rootdata import HashedWeight, RootSystemSpec
 from hlgal.tableaux import Tableau
+from systems import root_system
 
 A1_WHOLE = (EdgeType(1, "whole"),)
 
@@ -70,3 +74,44 @@ def test_gallery_checks_its_length_and_keeps_its_directions():
 def test_edge_type_checks_its_segment():
     with pytest.raises(ValueError, match="bad segment"):
         EdgeType(1, "middle")
+
+
+# plain tuples of Fractions, including fifths and a negative zero-sum point
+PLAIN_WEIGHTS = [
+    (),
+    (Fraction(0),),
+    (Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)),
+    (Fraction(-1, 5),) * 4 + (Fraction(4, 5),),
+    (Fraction(4, 5), Fraction(-1, 5), Fraction(-1, 5), Fraction(-1, 5), Fraction(-1, 5)),
+]
+
+
+@pytest.mark.parametrize("plain", PLAIN_WEIGHTS, ids=str)
+def test_hashed_weight_passes_for_the_plain_tuple(plain):
+    weight = HashedWeight(plain)
+    assert weight == plain and plain == weight and not weight != plain and not plain != weight
+    assert hash(weight) == hash(plain)
+    assert repr(weight) == repr(plain) and str(weight) == str(plain)
+    # found in either direction, whichever form is stored
+    assert {plain: 1}[weight] == 1 and {weight: 1}[plain] == 1
+    assert weight in {plain} and plain in {weight}
+    for clone in (copy.copy(weight), copy.deepcopy(weight), pickle.loads(pickle.dumps(weight))):
+        assert type(clone) is HashedWeight and clone == plain and hash(clone) == hash(plain)
+
+
+def test_hashed_weights_sort_as_plain_tuples():
+    weights = [HashedWeight(w) for w in PLAIN_WEIGHTS]
+    assert sorted(weights) == sorted(PLAIN_WEIGHTS)
+    assert sorted(weights, reverse=True) == sorted(PLAIN_WEIGHTS, reverse=True)
+    mixed = weights[::2] + PLAIN_WEIGHTS[1::2]
+    assert sorted(mixed) == sorted(PLAIN_WEIGHTS)
+
+
+@pytest.mark.parametrize("name,coeffs", [("A4", (2, 0, 0, 1)), ("B3", (1, 1, 1))])
+def test_character_is_read_by_plain_tuple_keys(name, coeffs):
+    rs = root_system(name[0], int(name[1]))
+    char = character_LS(rs, rs.weight(coeffs))
+    plain = {tuple(Fraction(x) for x in weight): m for weight, m in char.items()}
+    assert all(type(weight) is HashedWeight for weight in char)
+    assert all(char[weight] == m for weight, m in plain.items())
+    assert char == plain and plain == char
