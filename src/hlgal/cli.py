@@ -2,8 +2,7 @@
 
 Each command imports what only it runs (the tableau codec, the verify
 suite and its oracles, the json and csv writers) when it runs, so one
-``hlgal`` process loads no more of the package than its command needs;
-likewise ``main`` builds only the subparser of the command it runs.
+``hlgal`` process loads no more of the package than its command needs.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 internal
 fault (a ValueError, ArithmeticError, AssertionError or RecursionError raised
@@ -181,41 +180,38 @@ def cmd_verify(args) -> int:
     return 0 if report["ok"] else 1
 
 
-def _common(p, mu=False):
-    p.add_argument("--type", required=True, help="root system, e.g. A2, B3, C3")
-    p.add_argument("--lambda", dest="lam", required=True, help="coefficients a1,..,an")
-    if mu:
-        p.add_argument("--mu", required=True, help="coefficients c1,..,cn")
-    return p.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="hlgal",
+        description="Hall-Littlewood coefficient polynomials via one-skeleton galleries",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
 
+    def common(p, mu=False):
+        p.add_argument("--type", required=True, help="root system, e.g. A2, B3, C3")
+        p.add_argument("--lambda", dest="lam", required=True, help="coefficients a1,..,an")
+        if mu:
+            p.add_argument("--mu", required=True, help="coefficients c1,..,cn")
+        return p.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
 
-def _add_L(sub):
     p = sub.add_parser("L", help="print L_{lambda,mu}(q)")
-    _common(p, mu=True).choices = ("json", "pretty")  # a polynomial has no table form
+    common(p, mu=True).choices = ("json", "pretty")  # a polynomial has no table form
     p.set_defaults(func=cmd_L)
 
-
-def _add_galleries(sub):
     p = sub.add_parser("galleries", help="list positively folded galleries with target mu")
-    _common(p, mu=True)
+    common(p, mu=True)
     p.add_argument("--ls-only", action="store_true")
     p.set_defaults(func=cmd_galleries)
 
-
-def _add_char(sub):
     p = sub.add_parser("char", help="LS-gallery character of lambda")
-    _common(p)
+    common(p)
     p.set_defaults(func=cmd_char)
 
-
-def _add_tableaux(sub):
     p = sub.add_parser("tableaux", help="list tableaux for the standard gallery type")
-    _common(p)
+    common(p)
     p.add_argument("--semistandard", action="store_true")
     p.set_defaults(func=cmd_tableaux)
 
-
-def _add_verify(sub):
     p = sub.add_parser("verify", help="run the oracle-equality and invariant suite")
     p.add_argument("--type", default="A1", help="root system, e.g. A2")
     p.add_argument("--suite", default="default", choices=("default", "a2-example"))
@@ -228,41 +224,11 @@ def _add_verify(sub):
         help="print the full report, every record included, as JSON",
     )
     p.set_defaults(func=cmd_verify)
-
-
-# the subcommands in the order the help lists them
-SUBCOMMANDS = {
-    "L": _add_L,
-    "galleries": _add_galleries,
-    "char": _add_char,
-    "tableaux": _add_tableaux,
-    "verify": _add_verify,
-}
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The hlgal parser: with only the subparser of ``command`` when it
-    names a subcommand, else with all of them.  Every subparser costs
-    gettext lookups, so a process builds only the one it runs."""
-    parser = argparse.ArgumentParser(
-        prog="hlgal",
-        description="Hall-Littlewood coefficient polynomials via one-skeleton galleries",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    if command in SUBCOMMANDS:
-        # the usage line an unrecognized argument prints still names all five
-        sub.metavar = "{%s}" % ",".join(SUBCOMMANDS)
-        SUBCOMMANDS[command](sub)
-    else:
-        for add in SUBCOMMANDS.values():
-            add(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv else None)
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)

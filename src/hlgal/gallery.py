@@ -5,6 +5,10 @@ starting at the origin, with source and target special.  The only gallery
 types handled are concatenations of fundamental galleries; the standard
 gallery for a dominant weight uses the Bourbaki block order
 omega_1^{a_1} * ... * omega_n^{a_n}.
+
+fold_step is the one edge rule of positive folding (a non-zero junction
+factor, then one chain_step of the defining chain); the folded gallery
+walk and the LS character walk of the hlengine module both cut by it.
 """
 
 from __future__ import annotations
@@ -31,10 +35,6 @@ class Gallery(Frozen):
             raise ValueError("vertex/type length mismatch")
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "gtype", gtype)
-
-    @property
-    def source(self) -> Vec:
-        return self.vertices[0]
 
     @property
     def target(self) -> Vec:
@@ -127,6 +127,15 @@ def chain_step(rs: RootSystem, reachable: int | None, d: Vec) -> int:
     return mask if reachable is None else mask & rs.below_closure_mask(reachable)
 
 
+def fold_step(rs: RootSystem, vertex: Vec, prev: Vec | None, reachable: int | None, d: Vec) -> int:
+    """The one edge rule of positive folding: 0 when germ d out of vertex
+    has a zero junction factor with the germ prev taken into it, else
+    chain_step's mask.  The first edge (prev None) has no junction."""
+    if prev is not None and junction_factor(rs, vertex, vneg(prev), d).is_zero():
+        return 0
+    return chain_step(rs, reachable, d)
+
+
 def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = None, folded: bool = False):
     """All galleries with source 0 of the given type, in a reproducible
     depth-first order (each edge's germs in edge_germs order, which sorts
@@ -146,9 +155,9 @@ def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = N
 
     With folded, only the positively folded galleries are walked, in the
     same order: both halves of the folding test are decided edge by edge,
-    so a germ is cut, after the hull test, when its junction factor with
-    the incoming germ is zero or when chain_step empties the defining
-    chain's mask, which each level of the stack keeps beside its vertex."""
+    so a germ is cut, after the hull test, when fold_step returns 0 for
+    it, given the defining chain's mask that each level of the stack
+    keeps beside its vertex."""
     gtype = tuple(gtype)
     germs = reference_germs(rs, gtype)
     origin = _origin(rs)
@@ -180,9 +189,7 @@ def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = N
                 if not all(map(le, sums, bounds[k + 1])):
                     continue
             if folded:
-                if k and junction_factor(rs, path[k], vneg(taken[-1]), d).is_zero():
-                    continue
-                mask = chain_step(rs, masks[k], d)
+                mask = fold_step(rs, path[k], taken[-1] if k else None, masks[k], d)
                 if not mask:
                     continue
             if k == last:

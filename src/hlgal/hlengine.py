@@ -1,7 +1,7 @@
 """Assembly of the coefficient polynomials L_{lambda,mu}(q) and the
 LS-gallery character.
 
-L_{lambda,mu}(q) is still a sum over galleries: the target-pruned,
+L_{lambda,mu}(q) is a sum over galleries: the target-pruned,
 folded walk of enumerate_pf cuts each germ with a zero junction factor or
 an empty chain mask as it goes, so it builds only the positively folded
 galleries with target mu, with no per-gallery folding test, and each
@@ -12,23 +12,24 @@ matter.
 
 The LS character is a forward walk over the states (vertex, incoming
 germ, chain mask), one layer per edge, with no gallery built.  An edge
-is cut when its junction factor is zero or when gallery.chain_step
-empties the defining chain's mask, the same two tests the folded gallery
-walk makes, and that is_positively_folded makes gallery by gallery, so
-the walk sees exactly the positively folded galleries.  Each edge (V_i,
-E_i) adds its own positive crossings, so a state keeps the largest count
-of any prefix reaching it and how many prefixes attain it; at the end
-the largest count at each final vertex is held against that vertex's
-degree bound <lambda+mu, rho>, once per vertex.  A final vertex mu is a
-weight and height(lambda + mu) = height(lambda) + height(mu), so the root
-system memoises each final vertex's height and canonical weight
-(``rs.end_mark``) and the end of the walk costs one dict lookup and one
-integer compare per vertex; the weights hash once (HashedWeight), and in
-type A vertices sharing a canonical weight are merged.  Every one of those
-rules reads the vertex only through its local group, so each state reads
-its surviving edges from the ``edges`` table of that group, filled once
-per (incoming germ, orbit source, chain mask).  It is the library's only
-LS count: the character command and verify both read it.
+is cut where gallery.fold_step, the one edge rule that the folded
+gallery walk also cuts by, returns 0: at a zero junction factor or an
+empty defining-chain mask, the two tests is_positively_folded makes
+gallery by gallery, so the walk sees exactly the positively folded
+galleries.  Each edge (V_i, E_i) adds its own positive crossings, so a
+state keeps the largest count of any prefix reaching it and how many
+prefixes attain it; at the end the largest count at each final vertex
+is held against that vertex's degree bound <lambda+mu, rho>, once per
+vertex.  A final vertex mu is a weight and height(lambda + mu) =
+height(lambda) + height(mu), so the root system memoises each final
+vertex's height and canonical weight (``rs.end_mark``) and the end of
+the walk costs one dict lookup and one integer compare per vertex; the
+weights hash once (HashedWeight), and in type A vertices sharing a
+canonical weight are merged.  Every one of those rules reads the vertex
+only through its local group, so each state reads its surviving edges
+from the ``edges`` table of that group, filled once per (incoming germ,
+orbit source, chain mask).  It is the library's only LS count: the
+character command and verify both read it.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from .gallery import (
     EdgeType,
     Gallery,
     GalleryType,
-    chain_step,
     edge_germs,
     edge_source,
+    fold_step,
     frac_str,
     reference_germs,
     type_of_lambda,
@@ -76,20 +77,17 @@ def outgoing_edges(
     rs: RootSystem, v: Vec, etype: EdgeType, reference: Vec, prev: Vec | None, mask: int | None
 ) -> tuple:
     """(d, reachable, plus) for every germ d an edge of the type can take
-    out of the walk's state (v, prev, mask) with a non-zero junction factor
-    and a live chain: the chain mask after d and d's positive crossings.
+    out of the walk's state (v, prev, mask) that fold_step keeps: the
+    chain mask after d and d's positive crossings.
 
     Memoised on the local group at v, keyed by (prev, edge_source, mask)."""
     local = local_data(rs, v)
     key = (prev, edge_source(etype, reference, prev), mask)
     hit = local.edges.get(key)
     if hit is None:
-        d_in = None if prev is None else vneg(prev)
         hit = []
         for d in edge_germs(rs, v, etype, reference, prev):
-            if d_in is not None and junction_factor(rs, v, d_in, d).is_zero():
-                continue
-            reachable = chain_step(rs, mask, d)
+            reachable = fold_step(rs, v, prev, mask, d)
             if reachable:
                 hit.append((d, reachable, crossings(rs, v, d)[0]))
         hit = local.edges[key] = tuple(hit)

@@ -41,11 +41,6 @@ class QPoly:
     def q_minus_one() -> "QPoly":
         return QPoly((-1, 1))
 
-    @staticmethod
-    def term(t: int, r: int) -> "QPoly":
-        """q^t (q-1)^r."""
-        return QPoly.q_power(t) * QPoly.q_minus_one() ** r
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

@@ -24,7 +24,7 @@ def gamma_omega(rs, i):
 
 def concat(rs, g1, g2):
     """Concatenate, displacing g2 so its source lands on g1's target."""
-    shift = vsub(g1.target, g2.source)
+    shift = vsub(g1.target, g2.vertices[0])
     moved = tuple(vadd(v, shift) for v in g2.vertices[1:])
     return Gallery(g1.vertices + moved, g1.gtype + g2.gtype)
 

@@ -245,7 +245,7 @@ def _assert_choice_independent(rs, v, d_in, d_out):
         for word in all_reduced_words(local, u):
             factor = QPoly.zero()
             for t, r in enumerate_gamma_plus_op(rs, v, d_in, d_out, w, word):
-                factor = factor + QPoly.term(t, r)
+                factor = factor + QPoly.q_power(t) * QPoly.q_minus_one() ** r
             values.add(factor)
     assert values == {want}, (
         v, d_in, d_out, [p.coeffs for p in values]

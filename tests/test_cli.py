@@ -8,7 +8,7 @@ import pytest
 
 import hlgal
 import hlgal.verify
-from hlgal.cli import SUBCOMMANDS, build_parser, main
+from hlgal.cli import build_parser, main
 from hlgal.oracles import L_from_expansion, hall_littlewood_direct
 from systems import root_system
 
@@ -45,9 +45,8 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
-# argv on which the parser itself prints and exits: main builds only the
-# subparser argv[0] names, so each must print what the parser of all five
-# subcommands prints, with the same exit code
+# argv on which the parser itself prints and exits: main must print what
+# build_parser() prints, with the exit code given and a "usage: hlgal" line
 PARSER_EXITS = [
     ((), 2),
     (("--help",), 0),
@@ -76,17 +75,6 @@ def test_parser_output_is_the_full_parsers(capsys, monkeypatch, argv, code):
     got = parser_exit(capsys, main, argv)
     assert got == parser_exit(capsys, build_parser().parse_args, argv)
     assert got[0] == code and (got[1] if code == 0 else got[2]).startswith("usage: hlgal")
-
-
-def test_named_command_builds_one_subparser():
-    def commands(parser):
-        (sub,) = [a for a in parser._actions if a.dest == "command"]
-        return list(sub.choices)
-
-    assert commands(build_parser()) == list(SUBCOMMANDS) == ["L", "galleries", "char", "tableaux", "verify"]
-    for name in SUBCOMMANDS:
-        assert commands(build_parser(name)) == [name]
-    assert commands(build_parser("chars")) == list(SUBCOMMANDS)
 
 
 def test_galleries_listing(capsys):

@@ -9,14 +9,18 @@ from hlgal.folding import is_positively_folded
 from hlgal.gallery import (
     Gallery,
     _hull_sums,
+    chain_step,
     crossing_counts,
     edge_germs,
     enumerate_of_type,
+    fold_step,
+    fundamental_type,
     gallery_to_jsonable,
     reference_germs,
     type_of_lambda,
 )
-from hlgal.rootdata import vadd, vdiv, vscale, vsub
+from hlgal.residue import junction_factor
+from hlgal.rootdata import vadd, vdiv, vneg, vscale, vsub
 from hlgal.verify import dominant_lambdas
 from standard_galleries import concat, gamma_lambda, gamma_omega
 from systems import root_system
@@ -97,7 +101,7 @@ def test_gamma_omega_b2_spin_single_edge(b2):
 def test_gamma_lambda_zero(a2):
     g = gamma_lambda(a2, a2.weight((0, 0)))
     assert g.num_edges() == 0
-    assert g.target == g.source
+    assert g.target == g.vertices[0]
 
 
 def test_gamma_lambda_a2_three_edges(a2):
@@ -187,13 +191,42 @@ def test_walk_matches_recursive_reference(name, max_sum, max_height):
             assert g.directions() == tuple(map(vsub, g.vertices[1:], g.vertices)), g
 
 
+@pytest.mark.parametrize("family,rank", SYSTEMS)
+def test_fold_step_is_junction_then_chain(family, rank):
+    # every edge of every gallery of the acceptance suite's standard types,
+    # and of the rank-2 zigzag types w_i w_j w_i: the first edge is one
+    # chain_step, every later one is 0 at a zero junction factor and
+    # chain_step otherwise.  Each edge is stepped from the gallery's own
+    # chain mask, carried on after it dies, and from the mask of every
+    # chamber class: on these types the chain has always died where the
+    # junction factor is zero, so only the second shows the junction cut
+    rs = root_system(family, rank)
+    alive = (1 << len(rs.length)) - 1
+    types = [type_of_lambda(rs, lam) for lam in dominant_lambdas(rs, MAX_COEFF_SUM, MAX_HEIGHT)]
+    if rank == 2:
+        types += [fundamental_type(rs, i) + fundamental_type(rs, j) + fundamental_type(rs, i)
+                  for i, j in ((1, 2), (2, 1))]
+    cuts = 0
+    for gtype in types:
+        for g in enumerate_of_type(rs, gtype):
+            mask, prev = None, None
+            for v, d in zip(g.vertices, g.directions()):
+                zero = prev is not None and junction_factor(rs, v, vneg(prev), d).is_zero()
+                cuts += zero
+                for reachable in (mask, alive):
+                    want = 0 if zero else chain_step(rs, reachable, d)
+                    assert fold_step(rs, v, prev, reachable, d) == want, (g, d, reachable)
+                mask, prev = chain_step(rs, mask, d), d
+    assert cuts
+
+
 def test_concat_target_arithmetic(a2):
     g1 = gamma_omega(a2, 1)
     g2 = gamma_omega(a2, 2)
     both = concat(a2, g1, g2)
     from hlgal.rootdata import vsub
 
-    assert vsub(both.target, g1.target) == vsub(g2.target, g2.source)
+    assert vsub(both.target, g1.target) == vsub(g2.target, g2.vertices[0])
 
 
 def test_concat_associative(b2):

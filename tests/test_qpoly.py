@@ -26,9 +26,9 @@ def test_non_integral_coefficient_rejected():
 
 
 def test_term():
-    assert QPoly.term(1, 1) == QPoly((0, -1, 1))  # q(q-1)
-    assert QPoly.term(0, 2) == QPoly((1, -2, 1))  # (q-1)^2
-    assert QPoly.term(2, 0) == QPoly.q_power(2)
+    assert QPoly.q_power(1) * QPoly.q_minus_one() ** 1 == QPoly((0, -1, 1))  # q(q-1)
+    assert QPoly.q_power(0) * QPoly.q_minus_one() ** 2 == QPoly((1, -2, 1))  # (q-1)^2
+    assert QPoly.q_power(2) * QPoly.q_minus_one() ** 0 == QPoly.q_power(2)
 
 
 def test_pretty():

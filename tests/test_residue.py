@@ -91,9 +91,9 @@ def test_worked_junction_stats(a2):
     v, d_in, d_out = g.vertices[1], vneg(dirs[0]), dirs[1]
     cs = enumerate_gamma_plus_op(rs, v, d_in, d_out, *default_choices(rs, v, d_in, d_out))
     assert cs == ((1, 1),)
-    assert junction_factor(rs, v, d_in, d_out) == QPoly.term(1, 1)
+    assert junction_factor(rs, v, d_in, d_out) == QPoly.q_power(1) * QPoly.q_minus_one()
     # vertex V2: minimal junction contributing a plain q
-    assert junction_factor(rs, g.vertices[2], vneg(dirs[1]), dirs[2]) == QPoly.term(1, 0)
+    assert junction_factor(rs, g.vertices[2], vneg(dirs[1]), dirs[2]) == QPoly.q_power(1)
     # and the origin factor is q
     assert first_factor_exponent(rs, dirs[0]) == 1
 
@@ -200,7 +200,7 @@ def test_junction_factor_sector_and_word_independence(c2):
                 for word in all_reduced_words(local, u):
                     factor = QPoly.zero()
                     for t, r in enumerate_gamma_plus_op(rs, v, d_in, d_out, w, word):
-                        factor = factor + QPoly.term(t, r)
+                        factor = factor + QPoly.q_power(t) * QPoly.q_minus_one() ** r
                     values.add(factor)
             assert values == {junction_factor(rs, v, d_in, d_out)}
 
