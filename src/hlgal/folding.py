@@ -6,14 +6,14 @@ positively folded chamber galleries there, so it vanishes exactly when
 there are none.  The global test adds the existence of a
 Bruhat-weakly-decreasing defining chain of chamber classes containing
 the successive edges; its forward pass is one gallery.chain_step per
-edge.  Both parts are decided edge by edge, and gallery.fold_step is that
-one edge rule: a zero junction factor cuts the germ, else chain_step
-advances the mask.  So enumerate_pf does not test galleries one by one:
-it runs the gallery walk with folded=True, which cuts by fold_step, as
-the LS character walk of the hlengine module also does.
-is_positively_folded keeps the two halves apart as the per-gallery test,
-for callers that walk every gallery and as the reference the walks are
-tested against.
+edge.  is_positively_folded tests both halves, gallery by gallery, for
+callers that walk every gallery and as the reference the walks are
+tested against.  The walks themselves (enumerate_pf runs the gallery walk with
+folded=True, and the LS character walk of the hlengine module) cut an
+edge by chain_step alone and compute no junction test: on every sequence
+of fundamental blocks up to the bounds of check_chain_cut in the gallery
+tests, no edge the chain keeps has a zero junction factor.  That is
+checked exhaustively there; no proof of it is in the repository.
 """
 
 from __future__ import annotations

@@ -6,9 +6,12 @@ types handled are concatenations of fundamental galleries; the standard
 gallery for a dominant weight uses the Bourbaki block order
 omega_1^{a_1} * ... * omega_n^{a_n}.
 
-fold_step is the one edge rule of positive folding (a non-zero junction
-factor, then one chain_step of the defining chain); the folded gallery
-walk and the LS character walk of the hlengine module both cut by it.
+The folded gallery walk and the LS character walk of the hlengine module
+both cut an edge by chain_step alone, where the defining chain dies.
+That it never keeps an edge with a zero junction factor (the other half
+of positive folding) is checked exhaustively, over every sequence of
+fundamental blocks up to a bound, by check_chain_cut in the gallery
+tests; no proof of it is in the repository.
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ from itertools import accumulate
 from operator import le
 
 from .apartment import EdgeType, crossings, expected_germ, local_data
-from .residue import junction_factor
-from .rootdata import Frozen, RootSystem, Vec, vadd, vneg, vsub
+from .rootdata import Frozen, RootSystem, Vec, vadd, vsub
 
 GalleryType = tuple  # tuple of EdgeType
 
@@ -127,15 +129,6 @@ def chain_step(rs: RootSystem, reachable: int | None, d: Vec) -> int:
     return mask if reachable is None else mask & rs.below_closure_mask(reachable)
 
 
-def fold_step(rs: RootSystem, vertex: Vec, prev: Vec | None, reachable: int | None, d: Vec) -> int:
-    """The one edge rule of positive folding: 0 when germ d out of vertex
-    has a zero junction factor with the germ prev taken into it, else
-    chain_step's mask.  The first edge (prev None) has no junction."""
-    if prev is not None and junction_factor(rs, vertex, vneg(prev), d).is_zero():
-        return 0
-    return chain_step(rs, reachable, d)
-
-
 def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = None, folded: bool = False):
     """All galleries with source 0 of the given type, in a reproducible
     depth-first order (each edge's germs in edge_germs order, which sorts
@@ -154,10 +147,9 @@ def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = N
     (``rs.hulls``), as they depend on nothing else.
 
     With folded, only the positively folded galleries are walked, in the
-    same order: both halves of the folding test are decided edge by edge,
-    so a germ is cut, after the hull test, when fold_step returns 0 for
-    it, given the defining chain's mask that each level of the stack
-    keeps beside its vertex."""
+    same order: a germ is cut, after the hull test, when chain_step
+    returns 0 for it, given the defining chain's mask that each level of
+    the stack keeps beside its vertex."""
     gtype = tuple(gtype)
     germs = reference_germs(rs, gtype)
     origin = _origin(rs)
@@ -189,7 +181,7 @@ def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = N
                 if not all(map(le, sums, bounds[k + 1])):
                     continue
             if folded:
-                mask = fold_step(rs, path[k], taken[-1] if k else None, masks[k], d)
+                mask = chain_step(rs, masks[k], d)
                 if not mask:
                     continue
             if k == last:

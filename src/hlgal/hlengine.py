@@ -2,23 +2,25 @@
 LS-gallery character.
 
 L_{lambda,mu}(q) is a sum over galleries: the target-pruned,
-folded walk of enumerate_pf cuts each germ with a zero junction factor or
-an empty chain mask as it goes, so it builds only the positively folded
+folded walk of enumerate_pf cuts each germ where the defining chain
+dies (gallery.chain_step), so it builds only the positively folded
 galleries with target mu, with no per-gallery folding test, and each
-contributes q^(length of the closest chamber at the origin) times
-the product of its junction factors; the factors come from the residue
-module and all arithmetic is exact, so the accumulation order does not
-matter.
+contributes q^(length of the closest chamber at the origin) times the
+product of its junction factors; the factors come from the residue
+module, so a kept gallery with a zero factor would still add nothing,
+and all arithmetic is exact, so the accumulation order does not matter.
 
 The LS character is a forward walk over the states (vertex, incoming
-germ, chain mask), one layer per edge, with no gallery built.  An edge
-is cut where gallery.fold_step, the one edge rule that the folded
-gallery walk also cuts by, returns 0: at a zero junction factor or an
-empty defining-chain mask, the two tests is_positively_folded makes
-gallery by gallery, so the walk sees exactly the positively folded
-galleries.  Each edge (V_i, E_i) adds its own positive crossings, so a
-state keeps the largest count of any prefix reaching it and how many
-prefixes attain it; at the end the largest count at each final vertex
+germ, chain mask), one layer per edge, with no gallery built and no
+junction factor computed: an edge is cut where chain_step returns 0, as
+in the folded gallery walk.  That this keeps exactly the positively
+folded galleries (is_positively_folded also asks for non-zero junction
+factors) is checked exhaustively up to the bounds of check_chain_cut in
+the gallery tests; no proof is in the repository.
+
+Each edge (V_i, E_i) adds its own positive crossings, so a state keeps
+the largest count of any prefix reaching it and how many prefixes
+attain it; at the end the largest count at each final vertex
 is held against that vertex's degree bound <lambda+mu, rho>, once per
 vertex.  A final vertex mu is a weight and height(lambda + mu) =
 height(lambda) + height(mu), so the root system memoises each final
@@ -27,9 +29,9 @@ the walk costs one dict lookup and one integer compare per vertex; the
 weights hash once (HashedWeight), and in type A vertices sharing a
 canonical weight are merged.  Every one of those rules reads the vertex
 only through its local group, so each state reads its surviving edges
-from the ``edges`` table of that group, filled once per (incoming germ,
-orbit source, chain mask).  It is the library's only LS count: the
-character command and verify both read it.
+from the ``edges`` table of that group, filled once per (orbit source,
+chain mask).  It is the library's only LS count: the character command
+and verify both read it.
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ from .gallery import (
     EdgeType,
     Gallery,
     GalleryType,
+    chain_step,
     edge_germs,
     edge_source,
-    fold_step,
     frac_str,
     reference_germs,
     type_of_lambda,
@@ -77,17 +79,18 @@ def outgoing_edges(
     rs: RootSystem, v: Vec, etype: EdgeType, reference: Vec, prev: Vec | None, mask: int | None
 ) -> tuple:
     """(d, reachable, plus) for every germ d an edge of the type can take
-    out of the walk's state (v, prev, mask) that fold_step keeps: the
-    chain mask after d and d's positive crossings.
+    out of the walk's state (v, prev, mask) that chain_step keeps: the
+    chain mask after d and d's positive crossings.  prev only picks the
+    orbit of a second half (edge_source).
 
-    Memoised on the local group at v, keyed by (prev, edge_source, mask)."""
+    Memoised on the local group at v, keyed by (edge_source, mask)."""
     local = local_data(rs, v)
-    key = (prev, edge_source(etype, reference, prev), mask)
+    key = (edge_source(etype, reference, prev), mask)
     hit = local.edges.get(key)
     if hit is None:
         hit = []
         for d in edge_germs(rs, v, etype, reference, prev):
-            reachable = fold_step(rs, v, prev, mask, d)
+            reachable = chain_step(rs, mask, d)
             if reachable:
                 hit.append((d, reachable, crossings(rs, v, d)[0]))
         hit = local.edges[key] = tuple(hit)

@@ -263,7 +263,7 @@ class ReflectionGroup:
     positively folded".  ``closest`` and ``crossings`` memoise the closest
     chamber and the (positive, negative) wall-crossing counts of a vector.
     ``edges`` memoises the LS character walk's outgoing edges, keyed by
-    (incoming germ, germ whose orbit the edge takes, chain mask).
+    (germ whose orbit the edge takes, chain mask).
     """
 
     def __init__(self, rs: RootSystem, key: tuple):

@@ -13,7 +13,6 @@ from hlgal.gallery import (
     crossing_counts,
     edge_germs,
     enumerate_of_type,
-    fold_step,
     fundamental_type,
     gallery_to_jsonable,
     reference_germs,
@@ -191,33 +190,66 @@ def test_walk_matches_recursive_reference(name, max_sum, max_height):
             assert g.directions() == tuple(map(vsub, g.vertices[1:], g.vertices)), g
 
 
-@pytest.mark.parametrize("family,rank", SYSTEMS)
-def test_fold_step_is_junction_then_chain(family, rank):
-    # every edge of every gallery of the acceptance suite's standard types,
-    # and of the rank-2 zigzag types w_i w_j w_i: the first edge is one
-    # chain_step, every later one is 0 at a zero junction factor and
-    # chain_step otherwise.  Each edge is stepped from the gallery's own
-    # chain mask, carried on after it dies, and from the mask of every
-    # chamber class: on these types the chain has always died where the
-    # junction factor is zero, so only the second shows the junction cut
-    rs = root_system(family, rank)
-    alive = (1 << len(rs.length)) - 1
-    types = [type_of_lambda(rs, lam) for lam in dominant_lambdas(rs, MAX_COEFF_SUM, MAX_HEIGHT)]
-    if rank == 2:
-        types += [fundamental_type(rs, i) + fundamental_type(rs, j) + fundamental_type(rs, i)
-                  for i, j in ((1, 2), (2, 1))]
-    cuts = 0
-    for gtype in types:
-        for g in enumerate_of_type(rs, gtype):
-            mask, prev = None, None
-            for v, d in zip(g.vertices, g.directions()):
-                zero = prev is not None and junction_factor(rs, v, vneg(prev), d).is_zero()
-                cuts += zero
-                for reachable in (mask, alive):
-                    want = 0 if zero else chain_step(rs, reachable, d)
-                    assert fold_step(rs, v, prev, reachable, d) == want, (g, d, reachable)
-                mask, prev = chain_step(rs, mask, d), d
-    assert cuts
+def check_chain_cut(rs, max_blocks):
+    """The walks' folding cut, checked against both halves of positive
+    folding: for every sequence of at most max_blocks fundamental blocks
+    (any order, repeats allowed), step the (vertex, prev, mask) states
+    layer by layer, cutting an edge only where chain_step returns 0, and
+    assert that every kept edge after the first has a non-zero junction
+    factor with prev.  The states of a layer hold every prefix of every
+    gallery there, so this covers the galleries without walking them.
+    Returns (kept edges checked, chain-cut edges with a zero factor)."""
+    blocks = [(fundamental_type(rs, i), reference_germs(rs, fundamental_type(rs, i)))
+              for i in range(1, rs.rank + 1)]
+    steps = {}  # (state, edge type, reference germ) -> the states it reaches
+    kept = zeros = 0
+
+    def step(layer, etype, reference):
+        nonlocal kept, zeros
+        nxt = set()
+        for state in layer:
+            hit = steps.get((state, etype, reference))
+            if hit is None:
+                v, prev, mask = state
+                hit = []
+                for d in edge_germs(rs, v, etype, reference, prev):
+                    reachable = chain_step(rs, mask, d)
+                    zero = prev is not None and junction_factor(rs, v, vneg(prev), d).is_zero()
+                    if reachable:
+                        assert not zero, (rs.family, rs.rank, v, prev, mask, d)
+                        kept += prev is not None
+                        hit.append((vadd(v, d), d, reachable))
+                    else:
+                        zeros += zero
+                hit = steps[(state, etype, reference)] = tuple(hit)
+            nxt.update(hit)
+        return nxt
+
+    stack = [({((0,) * rs.dim, None, None)}, 0)]  # (layer after a block sequence, its length)
+    while stack:
+        layer, length = stack.pop()
+        if length < max_blocks:
+            for gtype, germs in blocks:
+                nxt = layer
+                for etype, reference in zip(gtype, germs):
+                    nxt = step(nxt, etype, reference)
+                stack.append((nxt, length + 1))
+    return kept, zeros
+
+
+# blocks per sequence, kept small for tier-1; a larger run is
+# check_chain_cut at A2 <= 6, B2/C2 <= 5, A3/B3/C3 <= 4, A4/B4/C4 <= 3
+CHAIN_CUT_BOUNDS = {("A", 1): 4, ("A", 2): 3, ("B", 2): 3, ("C", 2): 3, ("A", 3): 2,
+                    ("B", 3): 2, ("C", 3): 2, ("A", 4): 2, ("B", 4): 1, ("C", 4): 1}
+
+
+@pytest.mark.parametrize("family,rank", list(CHAIN_CUT_BOUNDS))
+def test_chain_cut_keeps_no_zero_junction(family, rank):
+    # the folded walk and the character walk cut by the defining chain
+    # alone; the junction half of positive folding must never fire on what
+    # the chain keeps, and it does fire on edges the chain cuts
+    kept, zeros = check_chain_cut(root_system(family, rank), CHAIN_CUT_BOUNDS[(family, rank)])
+    assert kept and zeros
 
 
 def test_concat_target_arithmetic(a2):

@@ -13,11 +13,13 @@ from hlgal.folding import (
     locally_positively_folded,
     reaches_degree_bound,
 )
-from hlgal.gallery import enumerate_of_type, fundamental_type
-from hlgal.hlengine import L_polynomial, character_LS, ls_character_of_type
+from hlgal.gallery import enumerate_of_type, fundamental_type, type_of_lambda
+from hlgal.hlengine import L_polynomial, character_LS, gallery_term, ls_character_of_type
 from hlgal.oracles import freudenthal_character, weyl_dimension
 from hlgal.qpoly import QPoly
 from hlgal.rootdata import RootSystem, RootSystemSpec, vadd, vneg
+from hlgal.verify import dominant_lambdas
+from systems import root_system
 from test_oracles import L_from_direct
 
 
@@ -160,6 +162,40 @@ def test_agrees_with_direct_oracle(c2):
     for coeffs in [(1, 1), (2, 0), (0, 1), (1, 0), (0, 0)]:
         mu = rs.weight(coeffs)
         assert L_polynomial(rs, lam, mu) == L_from_direct(rs, lam, mu)
+
+
+# (coefficient sum, height) bounds of the lambdas whose every target is
+# checked: the acceptance suite's to rank 3, and coefficient sum <= 1 at rank 4
+EVERY_TARGET_BOUNDS = {
+    ("A", 1): (3, 16), ("A", 2): (3, 16), ("A", 3): (3, 16), ("B", 2): (3, 16), ("C", 2): (3, 16),
+    ("B", 3): (3, 16), ("C", 3): (3, 16), ("A", 4): (1, 40), ("B", 4): (1, 40), ("C", 4): (1, 40),
+}
+
+
+@pytest.mark.parametrize("family,rank", list(EVERY_TARGET_BOUNDS))
+def test_gallery_sums_are_w_invariant(family, rank):
+    # P_lambda is W-invariant, so with [x^nu] P_lambda(x; 1/q) =
+    # q^{-<lambda+nu, rho>} L_{lambda,nu}(q), the gallery sum at nu's dominant
+    # representative mu is q^{<mu - nu, rho>} times the sum at nu; this
+    # reads every target of the folded walk with no oracle.  The walk cuts
+    # by the chain alone, so it must keep no gallery with a zero term
+    rs = root_system(family, rank)
+    checked = 0
+    for lam in dominant_lambdas(rs, *EVERY_TARGET_BOUNDS[(family, rank)]):
+        sums, targets = {}, {}
+        for g in enumerate_of_type(rs, type_of_lambda(rs, lam), folded=True):
+            term = gallery_term(rs, g)
+            assert not term.is_zero(), (lam, g.vertices)
+            key = rs.canonical_key(g.target)
+            sums[key] = sums.get(key, QPoly.zero()) + term
+            targets[key] = g.target
+        for key, nu in targets.items():
+            mu = rs.dominant_rep(nu)
+            shift, rem = divmod(rs.height(mu) - rs.height(nu), 2)
+            assert rem == 0 and shift >= 0
+            assert sums[rs.canonical_key(mu)] == QPoly.q_power(shift) * sums[key], (lam, nu)
+            checked += mu != nu
+    assert checked
 
 
 def test_root_system_is_freed_after_use():

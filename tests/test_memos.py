@@ -149,8 +149,10 @@ def test_first_factor_exponent_counts_positive_crossings():
 
 
 def reference_edges(rs, v, etype, reference, prev, mask):
-    """The walk's edges out of the state (v, prev, mask): the germs of the
-    edge's local orbit with a non-zero junction factor and a live chain."""
+    """The walk's edges out of the state (v, prev, mask), by both halves of
+    positive folding: the germs of the edge's local orbit with a non-zero
+    junction factor and a live chain.  The walk cuts by the chain alone, so
+    comparing the two cross-checks that rule on every reached state."""
     out = []
     source = prev if etype.segment == "second" else reference
     for d in local_data(rs, v).orbit(source):
@@ -191,7 +193,7 @@ def test_edge_table_matches_reference_loop(family, rank):
             v, etype, reference, prev, mask = state
             hit = outgoing_edges(rs, v, etype, reference, prev, mask)
             assert hit == want, state
-            key = (prev, prev if etype.segment == "second" else reference, mask)
+            key = (prev if etype.segment == "second" else reference, mask)
             keys.add((id(local_data(rs, v)),) + key)
             if pass_no == 0:
                 first[state] = hit
@@ -199,8 +201,19 @@ def test_edge_table_matches_reference_loop(family, rank):
                 # the second pass reads the tuples the first one stored
                 assert first[state] is hit
                 assert local_data(rs, v).edges[key] is hit
-    # one entry per (local group, prev, source, mask) the states meet
+    # one entry per (local group, source, mask) the states meet
     assert sum(len(group.edges) for group in rs.local_groups.values()) == len(keys)
+
+
+@pytest.mark.parametrize("family,rank", ACCEPTANCE_TYPES + RANK_4_TYPES, ids=lambda x: str(x))
+def test_character_walk_computes_no_junction_factor(family, rank):
+    # the LS path cuts by the defining chain alone, so characters on a
+    # fresh root system fill no local group's junction-factor memo
+    rs = RootSystem(RootSystemSpec(family, rank))
+    for lam in dominant_lambdas(rs, *BOUNDS[(family, rank)]):
+        assert character_LS(rs, lam)
+    assert rs.local_groups
+    assert all(not group.factors for group in rs.local_groups.values())
 
 
 @pytest.mark.parametrize("family,rank", ACCEPTANCE_TYPES + RANK_4_TYPES, ids=lambda x: str(x))
