@@ -15,8 +15,9 @@ germ, chain mask), one layer per edge, with no gallery built and no
 junction factor computed: an edge is cut where chain_step returns 0, as
 in the folded gallery walk.  That this keeps exactly the positively
 folded galleries (is_positively_folded also asks for non-zero junction
-factors) is checked exhaustively up to the bounds of check_chain_cut in
-the gallery tests; no proof is in the repository.
+factors) is checked exhaustively by check_chain_cut at rank <= 4 only (to
+6 fundamental blocks in A2, 5 in B2/C2, 4 in A3/B3/C3, 3 in A4/B4/C4); no
+proof is in the repository, and `hlgal verify` cross-checks beyond that.
 
 Each edge (V_i, E_i) adds its own positive crossings, so a state keeps
 the largest count of any prefix reaching it and how many prefixes

@@ -14,14 +14,17 @@ with m_j(mu) the number of rows of length j in the smaller shape.  The
 test checks the equivalence gallery by gallery through the tableau
 bijection, not only in sum: every positively folded gallery g, with
 any target nu, has gallery_term(g) = q^{<lambda+nu, rho>} psi_T(1/q)
-for T = gallery_to_tableau(g), and the row sums over g at a dominant
-target mu equal the Demazure-Lusztig oracle's L_{lambda,mu}.  This
+for T = gallery_to_tableau(g).  At a dominant target mu, enumerate_pf
+(the target-pruned walk that L_polynomial runs) keeps exactly the
+no-target galleries ending at mu, and their terms sum to the
+Demazure-Lusztig oracle's L_{lambda,mu}.  This
 oracle stays in the tests: `verify` records would move the benchmark's
 check counts.
 """
 
 import pytest
 
+from hlgal.folding import enumerate_pf
 from hlgal.gallery import enumerate_of_type, type_of_lambda
 from hlgal.hlengine import gallery_term
 from hlgal.oracles import L_from_expansion, hall_littlewood_direct
@@ -65,30 +68,41 @@ def macdonald_term(rs, lam, mu, columns) -> QPoly:
 def test_gallery_terms_are_macdonald_psi(rank, max_coeff_sum):
     # every gallery of the folded walk with no target, which the chain alone
     # cuts: its term is never zero (the walk keeps no zero junction factor)
-    # and is Macdonald's at its target nu, dominant or not; the sums at each
-    # dominant mu are the oracle's L_{lambda,mu}
+    # and is Macdonald's at its target nu, dominant or not.  At each dominant
+    # mu, enumerate_pf (the target-pruned walk behind L_polynomial) keeps
+    # exactly the no-target galleries ending at mu, each with Macdonald's
+    # term, and their sum is the oracle's L_{lambda,mu}
     rs = root_system("A", rank)
-    n_gal = n_poly = n_other = 0
+    n_gal = n_poly = n_other = n_pf = 0
     for lam in dominant_lambdas(rs, max_coeff_sum, 60):
-        rows = {}
+        ends = {}
         for g in enumerate_of_type(rs, type_of_lambda(rs, lam), folded=True):
             term = gallery_term(rs, g)
             assert not term.is_zero(), (lam, g.vertices)
             assert term == macdonald_term(rs, lam, g.target, gallery_to_tableau(rs, g).columns), (
                 lam, g.vertices,
             )
-            key = rs.canonical_key(g.target)
-            rows[key] = rows.get(key, QPoly.zero()) + term
+            ends.setdefault(rs.canonical_key(g.target), set()).add(g.vertices)
             n_gal += 1
             n_poly += sum(1 for c in term.coeffs if c) > 1
             n_other += not rs.is_dominant(g.target)
         pmap = hall_littlewood_direct(rs, lam)
         for mu in _dominant_mus(rs, (), pmap):
-            row = rows.get(rs.canonical_key(mu), QPoly.zero())
+            row = QPoly.zero()
+            pf = enumerate_pf(rs, lam, mu)
+            for g in pf:
+                term = gallery_term(rs, g)
+                assert term == macdonald_term(rs, lam, mu, gallery_to_tableau(rs, g).columns), (
+                    lam, mu, g.vertices,
+                )
+                row = row + term
+                n_pf += 1
+            assert len(pf) == len({g.vertices for g in pf}), (lam, mu)
+            assert {g.vertices for g in pf} == ends.get(rs.canonical_key(mu), set()), (lam, mu)
             assert row == L_from_expansion(rs, pmap, lam, mu), (lam, mu)
-    assert n_gal and n_poly and n_other
-    print("\nMacdonald psi_T A%d: %d galleries, %d at non-dominant targets, %d non-monomial terms"
-          % (rank, n_gal, n_other, n_poly))
+    assert n_gal and n_poly and n_other and n_pf
+    print("\nMacdonald psi_T A%d: %d galleries, %d at non-dominant targets, %d non-monomial terms, "
+          "%d at dominant targets through enumerate_pf" % (rank, n_gal, n_other, n_poly, n_pf))
 
 
 def test_psi_sums_to_a_known_coefficient():
