@@ -6,9 +6,13 @@ types handled are concatenations of fundamental galleries; the standard
 gallery for a dominant weight uses the Bourbaki block order
 omega_1^{a_1} * ... * omega_n^{a_n}.
 
-The folded gallery walk and the LS character walk of the hlengine module
-both cut an edge by chain_step alone, where the defining chain dies.
-That it never keeps an edge with a zero junction factor (the other half
+Every walk reads one edge rule, outgoing_edges: the germs an edge can
+take out of a (vertex, incoming germ, chain mask) state, memoised on the
+vertex's local group.  The folded gallery walk and the LS character walk
+of the hlengine module read it at the chain mask each germ leaves, so an
+edge is cut by chain_step alone, where the defining chain dies; the
+unfolded walk reads it at mask None, which keeps every germ.  That the
+chain cut never keeps an edge with a zero junction factor (the other half
 of positive folding) is checked exhaustively, over every sequence of
 fundamental blocks up to a bound, by check_chain_cut in the gallery
 tests; no proof of it is in the repository.
@@ -108,48 +112,62 @@ def reference_germs(rs: RootSystem, gtype: GalleryType) -> list:
     return [expected_germ(rs, t) for t in gtype]
 
 
-def edge_source(etype: EdgeType, reference: Vec, prev: Vec | None) -> Vec:
-    """The germ whose local orbit an edge of the type takes: the germ just
-    taken for a second half, else the edge's reference germ."""
-    return prev if etype.segment == "second" else reference
-
-
-def edge_germs(rs: RootSystem, vertex: Vec, etype: EdgeType, reference: Vec, prev: Vec | None) -> tuple:
-    """The germs an edge of the given type can take at the vertex: the
-    local orbit of its edge_source."""
-    return local_data(rs, vertex).orbit(edge_source(etype, reference, prev))
-
-
 def chain_step(rs: RootSystem, reachable: int | None, d: Vec) -> int:
     """One step of the defining chain's forward pass: the chamber classes
     (as a bit mask) containing germ d that lie Bruhat-below something in
-    ``reachable``, every class containing d on the first edge (reachable
-    None).  0 when the chain dies here."""
+    ``reachable``.  reachable None means no chain constraint (the first
+    edge, or an unfolded walk): every class containing d, never 0.  0 when
+    the chain dies here."""
     mask = rs.chamber_class_mask(d)
     return mask if reachable is None else mask & rs.below_closure_mask(reachable)
 
 
+def outgoing_edges(
+    rs: RootSystem, v: Vec, etype: EdgeType, reference: Vec, prev: Vec | None, mask: int | None
+) -> tuple:
+    """The one edge rule every walk reads: (d, reachable, plus) for every
+    germ d an edge of the type can take out of the state (v, prev, mask)
+    that chain_step keeps, with the chain mask after d and d's positive
+    crossings.  The germs are the local orbit at v of the germ just taken
+    (prev) for a second half, else of the edge's reference germ, in orbit
+    order; with mask None every germ of the orbit is kept.
+
+    Memoised on the local group at v, keyed by (orbit source, mask)."""
+    local = local_data(rs, v)
+    key = (prev if etype.segment == "second" else reference, mask)
+    hit = local.edges.get(key)
+    if hit is None:
+        hit = []
+        for d in local.orbit(key[0]):
+            reachable = chain_step(rs, mask, d)
+            if reachable:
+                hit.append((d, reachable, crossings(rs, v, d)[0]))
+        hit = local.edges[key] = tuple(hit)
+    return hit
+
+
 def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = None, folded: bool = False):
     """All galleries with source 0 of the given type, in a reproducible
-    depth-first order (each edge's germs in edge_germs order, which sorts
-    them lexicographically).
+    depth-first order (each edge's germs in orbit order, which sorts them
+    lexicographically).
 
-    The walk is one loop over an explicit stack of per-step germ
+    The walk is one loop over an explicit stack of per-step edge
     iterators, so a long type needs no deeper Python stack than a short
-    one.  Each edge takes its germs from edge_germs, and each gallery
-    comes with the germs taken as its directions().  ValueError unless
-    the type splits into fundamental blocks.  With a target, only the
-    galleries ending at it (modulo the invariant line in type A) are
-    walked: every edge from step k on lies in the W-orbit of its dominant
-    reference germ, so the rest of the walk stays in the orbit hull of
-    their sum, and a prefix whose target offset lies outside it is cut.
-    The hull sums of each offset are memoised on the root system
-    (``rs.hulls``), as they depend on nothing else.
+    one.  Each edge takes its germs from outgoing_edges, the one edge rule
+    every walk reads, and each gallery comes with the germs taken as its
+    directions().  ValueError unless the type splits into fundamental
+    blocks.  With a target, only the galleries ending at it (modulo the
+    invariant line in type A) are walked: every edge from step k on lies
+    in the W-orbit of its dominant reference germ, so the rest of the walk
+    stays in the orbit hull of their sum, and a prefix whose target offset
+    lies outside it is cut.  The hull sums of each offset are memoised on
+    the root system (``rs.hulls``), as they depend on nothing else.
 
     With folded, only the positively folded galleries are walked, in the
-    same order: a germ is cut, after the hull test, when chain_step
-    returns 0 for it, given the defining chain's mask that each level of
-    the stack keeps beside its vertex."""
+    same order: each level of the stack reads the table at the chain mask
+    its germ left, so a germ where the defining chain dies is never
+    offered.  Unfolded, every level reads it at mask None, which keeps
+    every germ of the local orbit."""
     gtype = tuple(gtype)
     germs = reference_germs(rs, gtype)
     origin = _origin(rs)
@@ -165,13 +183,11 @@ def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = N
         yield Gallery((origin,), gtype)
         return
     last = len(gtype) - 1
-    # the prefix: vertices V_0 .. V_k, germs E_0 .. E_{k-1}, chain masks after each
-    path, taken, masks = [origin], [], [None]
-    mask = None  # stays None unless folded
-    stack = [iter(edge_germs(rs, origin, gtype[0], germs[0], None))]
+    path, taken = [origin], []  # the prefix: vertices V_0 .. V_k, germs E_0 .. E_{k-1}
+    stack = [iter(outgoing_edges(rs, origin, gtype[0], germs[0], None, None))]
     while stack:
         k = len(taken)
-        for d in stack[-1]:
+        for d, reachable, _ in stack[-1]:
             v = vadd(path[k], d)
             if target is not None:
                 offset = vsub(target, v)
@@ -180,10 +196,6 @@ def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = N
                     sums = hulls[offset] = _hull_sums(rs, offset)
                 if not all(map(le, sums, bounds[k + 1])):
                     continue
-            if folded:
-                mask = chain_step(rs, masks[k], d)
-                if not mask:
-                    continue
             if k == last:
                 g = Gallery((*path, v), gtype)
                 object.__setattr__(g, "_directions", (*taken, d))
@@ -191,13 +203,12 @@ def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = N
                 continue
             path.append(v)
             taken.append(d)
-            masks.append(mask)
-            stack.append(iter(edge_germs(rs, v, gtype[k + 1], germs[k + 1], d)))
+            mask = reachable if folded else None
+            stack.append(iter(outgoing_edges(rs, v, gtype[k + 1], germs[k + 1], d, mask)))
             break
         else:
             stack.pop()
             path.pop()
-            masks.pop()
             if taken:
                 taken.pop()
 
@@ -212,14 +223,9 @@ def crossing_counts(rs: RootSystem, g: Gallery) -> tuple:
     return plus, minus, plus + minus
 
 
-def frac_str(x) -> str:
-    """An exact ambient coordinate (int or Fraction) as "p/q" or "p"."""
-    return "%d/%d" % (x.numerator, x.denominator) if x.denominator != 1 else str(x.numerator)
-
-
 def gallery_to_jsonable(rs: RootSystem, g: Gallery) -> dict:
     """Vertices in ambient coordinates, as exact "p/q" strings."""
     return {
-        "vertices": [[frac_str(x) for x in rs.ambient(v)] for v in g.vertices],
+        "vertices": [[str(x) for x in rs.ambient(v)] for v in g.vertices],
         "edge_types": [t.tag() for t in g.gtype],
     }

@@ -1,22 +1,26 @@
 """Assembly of the coefficient polynomials L_{lambda,mu}(q) and the
 LS-gallery character.
 
-L_{lambda,mu}(q) is a sum over galleries: the target-pruned,
-folded walk of enumerate_pf cuts each germ where the defining chain
-dies (gallery.chain_step), so it builds only the positively folded
-galleries with target mu, with no per-gallery folding test, and each
-contributes q^(length of the closest chamber at the origin) times the
-product of its junction factors; the factors come from the residue
-module, so a kept gallery with a zero factor would still add nothing,
-and all arithmetic is exact, so the accumulation order does not matter.
+L_{lambda,mu}(q) is a sum over galleries: the target-pruned, folded
+walk of enumerate_pf reads gallery.outgoing_edges, which cuts each germ
+where the defining chain dies (chain_step), so it builds only the
+positively folded galleries with target mu, with no per-gallery folding
+test, and each contributes q^(length of the closest chamber at the
+origin) times the product of its junction factors; the factors come
+from the residue module, so a kept gallery with a zero factor would
+still add nothing, and all arithmetic is exact, so the accumulation
+order does not matter.
 
 The LS character is a forward walk over the states (vertex, incoming
 germ, chain mask), one layer per edge, with no gallery built and no
-junction factor computed: an edge is cut where chain_step returns 0, as
-in the folded gallery walk.  That this keeps exactly the positively
-folded galleries (is_positively_folded also asks for non-zero junction
-factors) is checked exhaustively by check_chain_cut at rank <= 4 only (to
-6 fundamental blocks in A2, 5 in B2/C2, 4 in A3/B3/C3, 3 in A4/B4/C4); no
+junction factor computed.  Each state reads its surviving edges from
+gallery.outgoing_edges, the one edge rule every walk reads, at its own
+chain mask: a table on the vertex's local group, filled once per (orbit
+source, chain mask).  So an edge is cut where chain_step returns 0, as
+in the folded gallery walk.  That this keeps exactly the positively folded
+galleries (is_positively_folded also asks for non-zero junction factors)
+is checked exhaustively by check_chain_cut at rank <= 4 only (to 6
+fundamental blocks in A2, 5 in B2/C2, 4 in A3/B3/C3, 3 in A4/B4/C4); no
 proof is in the repository, and `hlgal verify` cross-checks beyond that.
 
 Each edge (V_i, E_i) adds its own positive crossings, so a state keeps
@@ -28,28 +32,14 @@ height(lambda) + height(mu), so the root system memoises each final
 vertex's height and canonical weight (``rs.end_mark``) and the end of
 the walk costs one dict lookup and one integer compare per vertex; the
 weights hash once (HashedWeight), and in type A vertices sharing a
-canonical weight are merged.  Every one of those rules reads the vertex
-only through its local group, so each state reads its surviving edges
-from the ``edges`` table of that group, filled once per (orbit source,
-chain mask).  It is the library's only LS count: the character command
-and verify both read it.
+canonical weight are merged.  It is the library's only LS count: the
+character command and verify both read it.
 """
 
 from __future__ import annotations
 
-from .apartment import crossings, local_data
 from .folding import enumerate_pf, reaches_degree_bound, type_weight
-from .gallery import (
-    EdgeType,
-    Gallery,
-    GalleryType,
-    chain_step,
-    edge_germs,
-    edge_source,
-    frac_str,
-    reference_germs,
-    type_of_lambda,
-)
+from .gallery import Gallery, GalleryType, outgoing_edges, reference_germs, type_of_lambda
 from .qpoly import QPoly
 from .residue import first_factor_exponent, junction_factor
 from .rootdata import RootSystem, Vec, vadd, vneg
@@ -74,28 +64,6 @@ def L_polynomial(rs: RootSystem, lam: Vec, mu: Vec) -> QPoly:
     for g in enumerate_pf(rs, lam, mu):
         total = total + gallery_term(rs, g)
     return total
-
-
-def outgoing_edges(
-    rs: RootSystem, v: Vec, etype: EdgeType, reference: Vec, prev: Vec | None, mask: int | None
-) -> tuple:
-    """(d, reachable, plus) for every germ d an edge of the type can take
-    out of the walk's state (v, prev, mask) that chain_step keeps: the
-    chain mask after d and d's positive crossings.  prev only picks the
-    orbit of a second half (edge_source).
-
-    Memoised on the local group at v, keyed by (edge_source, mask)."""
-    local = local_data(rs, v)
-    key = (edge_source(etype, reference, prev), mask)
-    hit = local.edges.get(key)
-    if hit is None:
-        hit = []
-        for d in edge_germs(rs, v, etype, reference, prev):
-            reachable = chain_step(rs, mask, d)
-            if reachable:
-                hit.append((d, reachable, crossings(rs, v, d)[0]))
-        hit = local.edges[key] = tuple(hit)
-    return hit
 
 
 def _keep_best(table: dict, key, plus: int, n: int):
@@ -149,6 +117,6 @@ def character_LS(rs: RootSystem, lam: Vec) -> dict:
 
 def character_to_jsonable(char: dict) -> list:
     return [
-        {"weight": [frac_str(x) for x in w], "mult": m}
+        {"weight": [str(x) for x in w], "mult": m}
         for w, m in sorted(char.items())
     ]

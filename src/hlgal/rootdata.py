@@ -262,8 +262,8 @@ class ReflectionGroup:
     (d_in, d_out); a zero factor is also the junction test's "not
     positively folded".  ``closest`` and ``crossings`` memoise the closest
     chamber and the (positive, negative) wall-crossing counts of a vector.
-    ``edges`` memoises the LS character walk's outgoing edges, keyed by
-    (germ whose orbit the edge takes, chain mask).
+    ``edges`` memoises gallery.outgoing_edges, the one edge rule every
+    walk reads, keyed by (germ whose orbit the edge takes, chain mask).
     """
 
     def __init__(self, rs: RootSystem, key: tuple):

@@ -11,7 +11,6 @@ from hlgal.gallery import (
     _hull_sums,
     chain_step,
     crossing_counts,
-    edge_germs,
     enumerate_of_type,
     fundamental_type,
     gallery_to_jsonable,
@@ -40,7 +39,9 @@ def count_of_type(rs, lam):
 def recursive_walk(rs, gtype, target=None):
     """The depth-first walk as one recursive generator per edge, with the
     same germ order and hull cut as enumerate_of_type; the reference its
-    explicit-stack loop is checked against."""
+    explicit-stack loop is checked against.  Each edge's germs are written
+    out here, apart from the walk's edge table: the local orbit of the germ
+    just taken for a second half, else of the edge's reference germ."""
     gtype = tuple(gtype)
     germs = reference_germs(rs, gtype)
     origin = (0,) * rs.dim
@@ -58,7 +59,8 @@ def recursive_walk(rs, gtype, target=None):
         if k == len(gtype):
             yield Gallery(tuple(vertices), gtype)
             return
-        for d in edge_germs(rs, v, gtype[k], germs[k], prev):
+        source = prev if gtype[k].segment == "second" else germs[k]
+        for d in local_data(rs, v).orbit(source):
             yield from rec(vertices + [vadd(v, d)], d)
 
     yield from rec([origin], None)
@@ -212,7 +214,8 @@ def check_chain_cut(rs, max_blocks):
             if hit is None:
                 v, prev, mask = state
                 hit = []
-                for d in edge_germs(rs, v, etype, reference, prev):
+                source = prev if etype.segment == "second" else reference
+                for d in local_data(rs, v).orbit(source):
                     reachable = chain_step(rs, mask, d)
                     zero = prev is not None and junction_factor(rs, v, vneg(prev), d).is_zero()
                     if reachable:

@@ -1,11 +1,12 @@
 import gc
 import weakref
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
 import hlgal.folding
-import hlgal.hlengine
+import hlgal.gallery
 from hlgal.folding import (
     enumerate_pf,
     has_maximal_crossings,
@@ -96,8 +97,8 @@ def test_degree_bound_rule():
 def test_character_walk_refuses_crossings_beyond_the_bound(monkeypatch):
     # one positive crossing too many on every edge: each LS gallery's count
     # then exceeds the bound at its end vertex
-    real = hlgal.hlengine.crossings
-    monkeypatch.setattr(hlgal.hlengine, "crossings", lambda rs, v, d: (real(rs, v, d)[0] + 1, 0))
+    real = hlgal.gallery.crossings
+    monkeypatch.setattr(hlgal.gallery, "crossings", lambda rs, v, d: (real(rs, v, d)[0] + 1, 0))
     rs = RootSystem(RootSystemSpec("B", 2))  # fresh: no edge table holds the true counts
     with pytest.raises(AssertionError, match="exceed the degree bound"):
         character_LS(rs, rs.weight((1, 1)))
@@ -149,6 +150,29 @@ def test_character_walk_keeps_the_chain_mask(a2, b2, c2):
             chainless += sum(locally_positively_folded(rs, g) for g in galleries) - len(pf)
             assert ls_character_of_type(rs, gtype) == ls_character(rs, pf), (rs.family, i, j)
     assert chainless == 96
+
+
+# coefficient sum bound of the lambdas whose block orders are permuted
+BLOCK_ORDER_BOUNDS = {("A", 2): 3, ("B", 2): 3, ("C", 2): 3, ("A", 3): 3, ("B", 3): 2,
+                      ("C", 3): 2, ("A", 4): 2, ("B", 4): 2, ("C", 4): 2}
+
+
+def test_character_is_independent_of_the_block_order():
+    # Littelmann's independence of the path: the LS character of a type
+    # made of lambda's fundamental blocks does not depend on their order.
+    # The L sums do depend on it (A2 (2,1) in block order (1,2,1) gives a
+    # different expansion), so there is no such test for L.
+    orders = 0
+    for (family, rank), max_sum in BLOCK_ORDER_BOUNDS.items():
+        rs = root_system(family, rank)
+        for lam in dominant_lambdas(rs, max_sum, 10**6):
+            indices = [i for i, a in enumerate(rs.weight_coeffs(lam), start=1) for _ in range(a)]
+            want = character_LS(rs, lam)
+            for order in sorted(set(permutations(indices))):
+                gtype = tuple(t for i in order for t in fundamental_type(rs, i))
+                assert ls_character_of_type(rs, gtype) == want, (family, rank, order)
+                orders += 1
+    assert orders == 174
 
 
 def test_character_total_fifteen(a2):

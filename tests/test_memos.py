@@ -17,20 +17,22 @@ from hlgal.apartment import (
     local_data_for_key,
     local_key,
 )
+from hlgal.folding import enumerate_pf
 from hlgal.gallery import (
     Gallery,
     _hull_sums,
     chain_step,
     enumerate_of_type,
     fundamental_type,
+    outgoing_edges,
     reference_germs,
     type_of_lambda,
 )
-from hlgal.hlengine import character_LS, outgoing_edges
+from hlgal.hlengine import character_LS
 from hlgal.residue import first_factor_exponent, junction_factor
 from hlgal.rootdata import HashedWeight, RootSystem, RootSystemSpec, pairing, vadd, vneg
 from hlgal.tableaux import Tableau, bar, gallery_to_tableau, tableau_to_gallery
-from hlgal.verify import dominant_lambdas
+from hlgal.verify import _dominant_mus, dominant_lambdas
 from systems import (
     all_reduced_words,
     group_elements,
@@ -148,37 +150,46 @@ def test_first_factor_exponent_counts_positive_crossings():
     assert checked == 280
 
 
-def reference_edges(rs, v, etype, reference, prev, mask):
-    """The walk's edges out of the state (v, prev, mask), by both halves of
-    positive folding: the germs of the edge's local orbit with a non-zero
-    junction factor and a live chain.  The walk cuts by the chain alone, so
-    comparing the two cross-checks that rule on every reached state."""
+def reference_edges(rs, v, etype, reference, prev, mask, folded):
+    """The walk's edges out of the state (v, prev, mask).  Folded, by both
+    halves of positive folding: the germs of the edge's local orbit with a
+    non-zero junction factor and a live chain.  The walk cuts by the chain
+    alone, so comparing the two cross-checks that rule on every reached
+    state.  Unfolded, every germ of the orbit, with its chamber-class mask
+    and no junction cut."""
     out = []
     source = prev if etype.segment == "second" else reference
     for d in local_data(rs, v).orbit(source):
+        plus = reference_crossings(rs, v, d)[0]
+        if not folded:
+            out.append((d, rs.chamber_class_mask(d), plus))
+            continue
         if prev is not None and junction_factor(rs, v, vneg(prev), d).is_zero():
             continue
         reachable = chain_step(rs, mask, d)
         if reachable:
-            out.append((d, reachable, reference_crossings(rs, v, d)[0]))
+            out.append((d, reachable, plus))
     return tuple(out)
 
 
 def reached_states(rs):
     """(v, etype, reference, prev, mask) -> its reference edges, for every
-    state the walk meets on the standard types of the dominant weights of
-    bounded coefficient sum, found layer by layer from the reference."""
+    state the folded and the unfolded walks meet on the standard types of
+    the dominant weights of bounded coefficient sum, found layer by layer
+    from the reference.  The unfolded walk's mask is None after every
+    edge; both walks share the first edge's state."""
     out = {}
     for lam in dominant_lambdas(rs, *BOUNDS[(rs.family, rs.rank)]):
         gtype = type_of_lambda(rs, lam)
-        layer = {((0,) * rs.dim, None, None)}
-        for etype, reference in zip(gtype, reference_germs(rs, gtype)):
-            nxt = set()
-            for v, prev, mask in layer:
-                edges = reference_edges(rs, v, etype, reference, prev, mask)
-                out[(v, etype, reference, prev, mask)] = edges
-                nxt.update((vadd(v, d), d, reachable) for d, reachable, _ in edges)
-            layer = nxt
+        for folded in (True, False):
+            layer = {((0,) * rs.dim, None, None)}
+            for etype, reference in zip(gtype, reference_germs(rs, gtype)):
+                nxt = set()
+                for v, prev, mask in layer:
+                    edges = reference_edges(rs, v, etype, reference, prev, mask, folded)
+                    assert out.setdefault((v, etype, reference, prev, mask), edges) == edges
+                    nxt.update((vadd(v, d), d, reachable if folded else None) for d, reachable, _ in edges)
+                layer = nxt
     return out
 
 
@@ -224,6 +235,46 @@ def test_edge_tables_serve_lambdas_in_any_order(family, rank):
     forward, backward = RootSystem(RootSystemSpec(family, rank)), RootSystem(RootSystemSpec(family, rank))
     chars = [character_LS(forward, lam) for lam in lams]
     assert chars == [character_LS(backward, lam) for lam in reversed(lams)][::-1]
+
+
+def walk_everything(rs, lams, mus, reverse):
+    """Characters, then unfolded walks, then the folded walk at every
+    dominant target, of the given lambdas; with reverse, the three phases
+    and the lambdas within each run the other way round.  Returns the
+    results in the forward order."""
+    def plain(galleries):
+        return tuple((g.vertices, g.directions()) for g in galleries)
+
+    phases = [
+        lambda lam: character_LS(rs, lam),
+        lambda lam: plain(enumerate_of_type(rs, type_of_lambda(rs, lam))),
+        lambda lam: [plain(enumerate_pf(rs, lam, mu)) for mu in mus[lam]],
+    ]
+    step = -1 if reverse else 1
+    results = {}
+    for k, phase in list(enumerate(phases))[::step]:
+        for lam in lams[::step]:
+            results[(k, lam)] = phase(lam)
+    return [results[(k, lam)] for k in range(len(phases)) for lam in lams]
+
+
+@pytest.mark.parametrize("family,rank", ACCEPTANCE_TYPES + RANK_4_TYPES, ids=lambda x: str(x))
+def test_edge_tables_serve_every_walk_in_any_order(family, rank):
+    # the character walk, the unfolded walk and the folded, target-pruned
+    # walk read one edge table per local group: two fresh root systems
+    # running them in opposite orders walk the same galleries and count
+    # the same characters
+    ref = root_system(family, rank)
+    lams = dominant_lambdas(ref, *BOUNDS[(family, rank)])
+    mus = {
+        lam: _dominant_mus(ref, (g.target for g in enumerate_of_type(ref, type_of_lambda(ref, lam))), ())
+        for lam in lams
+    }
+    forward, backward = RootSystem(RootSystemSpec(family, rank)), RootSystem(RootSystemSpec(family, rank))
+    assert walk_everything(forward, lams, mus, False) == walk_everything(backward, lams, mus, True)
+    # and both fill the same table entries
+    tables = [{key: set(group.edges) for key, group in rs.local_groups.items()} for rs in (forward, backward)]
+    assert tables[0] == tables[1] and any(tables[0].values())
 
 
 @pytest.mark.parametrize("family,rank", ACCEPTANCE_TYPES + RANK_4_TYPES, ids=lambda x: str(x))
