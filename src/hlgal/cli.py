@@ -204,9 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_galleries)
 
     p = sub.add_parser("char", help="LS-gallery character of lambda", description=(
-        "LS-gallery character of lambda.  The walk's chain-only cut is checked exhaustively at "
-        "rank <= 4 only (A2 to 6 fundamental blocks, B2/C2 5, A3/B3/C3 4, A4/B4/C4 3); beyond "
-        "that, `hlgal verify` cross-checks the character against Freudenthal's recursion."))
+        "LS-gallery character of lambda.  The walk's two cuts, by the defining chain alone and by "
+        "each block's crossing-bound defect, are checked exhaustively at rank <= 4 only (A2 to 6 "
+        "fundamental blocks, B2/C2 5, A3/B3/C3 4, A4/B4/C4 3); beyond that, `hlgal verify` "
+        "cross-checks the character against Freudenthal's recursion."))
     common(p)
     p.set_defaults(func=cmd_char)
 

@@ -11,11 +11,13 @@ take out of a (vertex, incoming germ, chain mask) state, memoised on the
 vertex's local group.  The folded gallery walk and the LS character walk
 of the hlengine module read it at the chain mask each germ leaves, so an
 edge is cut by chain_step alone, where the defining chain dies; the
-unfolded walk reads it at mask None, which keeps every germ.  That the
-chain cut never keeps an edge with a zero junction factor (the other half
-of positive folding) is checked exhaustively, over every sequence of
-fundamental blocks up to a bound, by check_chain_cut in the gallery
-tests; no proof of it is in the repository.
+unfolded walk reads it at mask None, which keeps every germ.  Each edge
+also carries its block's crossing-bound defect, which only the character
+walk reads.  That the chain cut never keeps an edge with a zero junction
+factor (the other half of positive folding) or a positive defect is
+checked exhaustively, over every sequence of fundamental blocks up to a
+bound, by check_chain_cut in the gallery tests; no proof of it is in the
+repository.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from itertools import accumulate
 from operator import le
 
 from .apartment import EdgeType, crossings, expected_germ, local_data
-from .rootdata import Frozen, RootSystem, Vec, vadd, vsub
+from .rootdata import Frozen, RootSystem, Vec, pairing, vadd, vsub
 
 GalleryType = tuple  # tuple of EdgeType
 
@@ -125,23 +127,34 @@ def chain_step(rs: RootSystem, reachable: int | None, d: Vec) -> int:
 def outgoing_edges(
     rs: RootSystem, v: Vec, etype: EdgeType, reference: Vec, prev: Vec | None, mask: int | None
 ) -> tuple:
-    """The one edge rule every walk reads: (d, reachable, plus) for every
+    """The one edge rule every walk reads: (d, reachable, defect) for every
     germ d an edge of the type can take out of the state (v, prev, mask)
-    that chain_step keeps, with the chain mask after d and d's positive
-    crossings.  The germs are the local orbit at v of the germ just taken
-    (prev) for a second half, else of the edge's reference germ, in orbit
-    order; with mask None every germ of the orbit is kept.
+    that chain_step keeps, with the chain mask after d.  The germs are the
+    local orbit at v of the germ just taken (prev) for a second half, else
+    of the edge's reference germ, in orbit order; with mask None every germ
+    of the orbit is kept.
 
-    Memoised on the local group at v, keyed by (orbit source, mask)."""
+    defect is scale times the crossing-bound gap 2(p1 + p2) - height(prev
+    + d) - height(omega_i) of the block a second half closes, p1 and p2
+    its halves' positive crossings; the unfolded pair d == prev has gap 0,
+    so it is read off the midpoint v alone.  It is 0 for a whole edge and
+    a first half.  Memoised on the local group at v, keyed by (orbit
+    source, mask); a midpoint is never a weight, so second halves share no
+    group with other edges."""
     local = local_data(rs, v)
-    key = (prev if etype.segment == "second" else reference, mask)
+    second = etype.segment == "second"
+    key = (prev if second else reference, mask)
     hit = local.edges.get(key)
     if hit is None:
+
+        def excess(d):  # scale * (2 * positive crossings - height) of d at v
+            return 2 * rs.scale * crossings(rs, v, d)[0] - pairing(d, rs.two_rho)
+
         hit = []
         for d in local.orbit(key[0]):
             reachable = chain_step(rs, mask, d)
             if reachable:
-                hit.append((d, reachable, crossings(rs, v, d)[0]))
+                hit.append((d, reachable, excess(d) - excess(prev) if second else 0))
         hit = local.edges[key] = tuple(hit)
     return hit
 

@@ -20,7 +20,8 @@ Fractions, appear only at the output boundary: ``ambient`` and
 ``canonical_weight``, which import ``fractions`` when first called.  A
 canonical weight is a ``HashedWeight``, a tuple of Fractions that computes
 its hash once, so the character dicts keyed by them hash each key in
-constant time.
+constant time; ``end_marks`` memoises the one a final vertex of the LS
+character walk counts under.
 Weyl group elements are signed permutations of the epsilon basis, stored
 as tuples ``((image, sign), ...)`` meaning ``w(e_j) = sign * e_image``;
 a RootSystem indexes them and multiplies and acts by index.  One
@@ -263,7 +264,9 @@ class ReflectionGroup:
     positively folded".  ``closest`` and ``crossings`` memoise the closest
     chamber and the (positive, negative) wall-crossing counts of a vector.
     ``edges`` memoises gallery.outgoing_edges, the one edge rule every
-    walk reads, keyed by (germ whose orbit the edge takes, chain mask).
+    walk reads, keyed by (germ whose orbit the edge takes, chain mask):
+    each kept germ with its chain mask and its block's crossing-bound
+    defect, which the local group and that key fix.
     """
 
     def __init__(self, rs: RootSystem, key: tuple):
@@ -365,7 +368,7 @@ class RootSystem:
         # memo tables
         self._chamber_masks: dict = {}  # germ -> chamber_class_mask
         self._key_weights: dict = {}  # canonical key -> key_weight
-        self.end_marks: dict = {}  # end vertex -> end_mark (character walk)
+        self.end_marks: dict = {}  # end vertex -> its canonical weight (character walk)
         self.local_groups: dict = {}  # local key -> its ReflectionGroup
         self.vertex_locals: dict = {}  # vertex -> its entry in local_groups
         self.hulls: dict = {}  # offset -> its orbit-hull partial sums (gallery walk)
@@ -514,14 +517,6 @@ class RootSystem:
             from fractions import Fraction
 
             hit = self._key_weights[key] = HashedWeight(Fraction(a, self.key_scale) for a in key)
-        return hit
-
-    def end_mark(self, v: Vec) -> tuple:
-        """(height, canonical weight) of a weight v, memoised per vertex:
-        all the LS character walk reads off an end vertex."""
-        hit = self.end_marks.get(v)
-        if hit is None:
-            hit = self.end_marks[v] = (self.height(v), self.canonical_weight(v))
         return hit
 
     def dominant_rep(self, v: Vec) -> Vec:

@@ -4,6 +4,7 @@ from hlgal.apartment import local_data
 from hlgal.folding import (
     defining_chain,
     enumerate_pf,
+    has_maximal_crossings,
     is_LS,
     is_positively_folded,
     locally_positively_folded,
@@ -13,8 +14,9 @@ from hlgal.oracles import weyl_dimension
 from hlgal.residue import is_minimal_pair, junction_factor
 from hlgal.rootdata import pairing, vneg, vsub
 from hlgal.verify import dominant_lambdas
+import root_operators
 from standard_galleries import concat, gamma_lambda, gamma_omega
-from systems import group_elements, group_length
+from systems import group_elements, group_length, root_system
 
 
 def is_minimal(rs, g):
@@ -326,3 +328,37 @@ def test_enumerate_pf_counts_are_kostka(a3):
     for coeffs in [(2, 1, 0), (0, 2, 0), (1, 0, 1), (0, 0, 0)]:
         mu = rs.weight(coeffs)
         assert len(enumerate_pf(rs, lam, mu)) == kostka(rs, lam, mu)
+
+
+# (type, lambda) pairs whose LS galleries are checked against the crystal
+# that Littelmann's root operators generate from the standard gallery
+CRYSTAL_CASES = [
+    (("A", 2), (2, 1)), (("A", 3), (1, 1, 1)), (("B", 2), (1, 1)), (("B", 2), (2, 0)),
+    (("C", 2), (0, 2)), (("C", 2), (2, 1)), (("B", 3), (1, 1, 1)), (("C", 3), (1, 0, 2)),
+    (("B", 4), (0, 1, 0, 1)), (("C", 4), (1, 0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("name,coeffs", CRYSTAL_CASES, ids=lambda x: str(x))
+def test_ls_galleries_are_the_root_operator_crystal(name, coeffs):
+    # which galleries are LS, decided per gallery by both folding halves
+    # and the crossing bound, against an oracle that reads only root data:
+    # the closure of the standard gallery's path under f_1 .. f_n
+    rs = root_system(*name)
+    lam = rs.weight(coeffs)
+    ls = {
+        root_operators.path_of(rs, g)
+        for g in enumerate_of_type(rs, type_of_lambda(rs, lam))
+        if is_positively_folded(rs, g) and has_maximal_crossings(rs, g)
+    }
+    paths = root_operators.crystal(rs, root_operators.path_of(rs, gamma_lambda(rs, lam)))
+    assert paths == ls, sorted(paths ^ ls)
+    assert len(paths) == weyl_dimension(rs, lam)
+    # e_i undoes f_i, and f_i undoes e_i; only the standard path has no e_i
+    for pi in paths:
+        for i in range(1, rs.rank + 1):
+            down, up = root_operators.f(rs, i, pi), root_operators.e(rs, i, pi)
+            assert down is None or root_operators.e(rs, i, down) == pi
+            assert up is None or (up in paths and root_operators.f(rs, i, up) == pi)
+        highest = all(root_operators.e(rs, i, pi) is None for i in range(1, rs.rank + 1))
+        assert highest == (pi == root_operators.path_of(rs, gamma_lambda(rs, lam)))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hlgal.apartment import EdgeType, local_data
-from hlgal.folding import is_positively_folded
+from hlgal.folding import has_maximal_crossings, is_positively_folded
 from hlgal.gallery import (
     Gallery,
     _hull_sums,
@@ -14,6 +14,7 @@ from hlgal.gallery import (
     enumerate_of_type,
     fundamental_type,
     gallery_to_jsonable,
+    outgoing_edges,
     reference_germs,
     type_of_lambda,
 )
@@ -25,6 +26,7 @@ from systems import root_system
 from test_acceptance import MAX_COEFF_SUM, MAX_HEIGHT, SYSTEMS
 from test_apartment import cell_dimension
 from test_lattice import from_ambient
+from test_memos import reference_defect
 
 
 def count_of_type(rs, lam):
@@ -193,37 +195,45 @@ def test_walk_matches_recursive_reference(name, max_sum, max_height):
 
 
 def check_chain_cut(rs, max_blocks):
-    """The walks' folding cut, checked against both halves of positive
-    folding: for every sequence of at most max_blocks fundamental blocks
-    (any order, repeats allowed), step the (vertex, prev, mask) states
-    layer by layer, cutting an edge only where chain_step returns 0, and
-    assert that every kept edge after the first has a non-zero junction
-    factor with prev.  The states of a layer hold every prefix of every
-    gallery there, so this covers the galleries without walking them.
-    Returns (kept edges checked, chain-cut edges with a zero factor)."""
+    """The walks' folding and crossing-bound cuts, checked against both
+    halves of positive folding and the block gap written out: for every
+    sequence of at most max_blocks fundamental blocks (any order, repeats
+    allowed), step the (vertex, prev, mask) states layer by layer, cutting
+    an edge only where chain_step returns 0, and assert that every kept
+    edge after the first has a non-zero junction factor with prev, and
+    that the gap of the block it closes is <= 0 and is the edge table's
+    defect.  The states of a layer hold every prefix of every gallery
+    there, so this covers the galleries without walking them.  Returns
+    (kept edges checked, chain-cut edges with a zero factor, kept second
+    halves cut by a negative defect)."""
     blocks = [(fundamental_type(rs, i), reference_germs(rs, fundamental_type(rs, i)))
               for i in range(1, rs.rank + 1)]
     steps = {}  # (state, edge type, reference germ) -> the states it reaches
-    kept = zeros = 0
+    kept = zeros = cut = 0
 
     def step(layer, etype, reference):
-        nonlocal kept, zeros
+        nonlocal kept, zeros, cut
         nxt = set()
         for state in layer:
             hit = steps.get((state, etype, reference))
             if hit is None:
                 v, prev, mask = state
+                table = {d: defect for d, _, defect in outgoing_edges(rs, v, etype, reference, prev, mask)}
                 hit = []
                 source = prev if etype.segment == "second" else reference
                 for d in local_data(rs, v).orbit(source):
                     reachable = chain_step(rs, mask, d)
                     zero = prev is not None and junction_factor(rs, v, vneg(prev), d).is_zero()
                     if reachable:
-                        assert not zero, (rs.family, rs.rank, v, prev, mask, d)
+                        gap = reference_defect(rs, v, etype, reference, prev, d)
+                        assert not zero and gap <= 0, (rs.family, rs.rank, v, prev, mask, d, gap)
+                        assert table[d] == gap, (rs.family, rs.rank, v, prev, mask, d)
                         kept += prev is not None
+                        cut += gap < 0
                         hit.append((vadd(v, d), d, reachable))
                     else:
                         zeros += zero
+                assert [d for _, d, _ in hit] == list(table)
                 hit = steps[(state, etype, reference)] = tuple(hit)
             nxt.update(hit)
         return nxt
@@ -237,11 +247,13 @@ def check_chain_cut(rs, max_blocks):
                 for etype, reference in zip(gtype, germs):
                     nxt = step(nxt, etype, reference)
                 stack.append((nxt, length + 1))
-    return kept, zeros
+    return kept, zeros, cut
 
 
-# blocks per sequence, kept small for tier-1; a larger run is
-# check_chain_cut at A2 <= 6, B2/C2 <= 5, A3/B3/C3 <= 4, A4/B4/C4 <= 3
+# blocks per sequence of the larger run of check_chain_cut in CI
+GUARD_BOUNDS = {("A", 2): 6, ("B", 2): 5, ("C", 2): 5, ("A", 3): 4, ("B", 3): 4, ("C", 3): 4,
+                ("A", 4): 3, ("B", 4): 3, ("C", 4): 3}
+# blocks per sequence, kept small for tier-1
 CHAIN_CUT_BOUNDS = {("A", 1): 4, ("A", 2): 3, ("B", 2): 3, ("C", 2): 3, ("A", 3): 2,
                     ("B", 3): 2, ("C", 3): 2, ("A", 4): 2, ("B", 4): 1, ("C", 4): 1}
 
@@ -250,9 +262,41 @@ CHAIN_CUT_BOUNDS = {("A", 1): 4, ("A", 2): 3, ("B", 2): 3, ("C", 2): 3, ("A", 3)
 def test_chain_cut_keeps_no_zero_junction(family, rank):
     # the folded walk and the character walk cut by the defining chain
     # alone; the junction half of positive folding must never fire on what
-    # the chain keeps, and it does fire on edges the chain cuts
-    kept, zeros = check_chain_cut(root_system(family, rank), CHAIN_CUT_BOUNDS[(family, rank)])
-    assert kept and zeros
+    # the chain keeps, and it does fire on edges the chain cuts.  The
+    # character walk also cuts by the block gap, which must never be
+    # positive, and is negative on some kept second half wherever there
+    # are half edges (types B and C)
+    kept, zeros, cut = check_chain_cut(root_system(family, rank), CHAIN_CUT_BOUNDS[(family, rank)])
+    assert kept and zeros and bool(cut) == (family != "A")
+
+
+def table_defects(rs, g):
+    """The edge table's defect of each edge of a positively folded gallery,
+    read at the state its own prefix reaches."""
+    out, prev, mask = [], None, None
+    for v, etype, reference, d in zip(g.vertices, g.gtype, reference_germs(rs, g.gtype), g.directions()):
+        _, mask, defect = next(e for e in outgoing_edges(rs, v, etype, reference, prev, mask) if e[0] == d)
+        out.append(defect)
+        prev = d
+    return out
+
+
+@pytest.mark.parametrize("name,max_sum,max_height", WALK_SUITE, ids=lambda x: str(x))
+def test_defects_sum_to_the_crossing_bound_gap(name, max_sum, max_height):
+    # the character walk decides LS block by block: along every positively
+    # folded gallery the defects sum to scale times 2P - height(lambda) -
+    # height(mu), none is positive, and the gallery is LS by the
+    # per-gallery reference exactly when every one is 0
+    rs = root_system(*name)
+    ls = 0
+    for lam in dominant_lambdas(rs, max_sum, max_height):
+        for g in enumerate_of_type(rs, type_of_lambda(rs, lam), folded=True):
+            defects = table_defects(rs, g)
+            gap = 2 * crossing_counts(rs, g)[0] - rs.height(lam) - rs.height(g.target)
+            assert sum(defects) == rs.scale * gap and max(defects, default=0) <= 0, g
+            assert has_maximal_crossings(rs, g) == (not any(defects)), g
+            ls += not any(defects)
+    assert ls
 
 
 def test_concat_target_arithmetic(a2):

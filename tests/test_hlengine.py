@@ -95,10 +95,11 @@ def test_degree_bound_rule():
 
 
 def test_character_walk_refuses_crossings_beyond_the_bound(monkeypatch):
-    # one positive crossing too many on every edge: each LS gallery's count
-    # then exceeds the bound at its end vertex
+    # one positive crossing too many on every germ of positive coordinate
+    # sum: the B2 fold (0,-1) -> (0,1) at the midpoint (0,-1) then closes
+    # its block past the bound (a uniform +1 would cancel in the defect)
     real = hlgal.gallery.crossings
-    monkeypatch.setattr(hlgal.gallery, "crossings", lambda rs, v, d: (real(rs, v, d)[0] + 1, 0))
+    monkeypatch.setattr(hlgal.gallery, "crossings", lambda rs, v, d: (real(rs, v, d)[0] + (sum(d) > 0), 0))
     rs = RootSystem(RootSystemSpec("B", 2))  # fresh: no edge table holds the true counts
     with pytest.raises(AssertionError, match="exceed the degree bound"):
         character_LS(rs, rs.weight((1, 1)))

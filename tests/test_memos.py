@@ -6,6 +6,7 @@ loops, written out here.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -30,7 +31,7 @@ from hlgal.gallery import (
 )
 from hlgal.hlengine import character_LS
 from hlgal.residue import first_factor_exponent, junction_factor
-from hlgal.rootdata import HashedWeight, RootSystem, RootSystemSpec, pairing, vadd, vneg
+from hlgal.rootdata import HashedWeight, RootSystem, RootSystemSpec, pairing, vadd, vneg, vscale, vsub
 from hlgal.tableaux import Tableau, bar, gallery_to_tableau, tableau_to_gallery
 from hlgal.verify import _dominant_mus, dominant_lambdas
 from systems import (
@@ -62,12 +63,19 @@ def reached_germs(rs):
     return list(out)
 
 
+@lru_cache(maxsize=None)
+def walls_through(family, rank, v):
+    """The positive coroots whose walls pass through v: those with an
+    integral pairing with v's exact ambient coordinates, as Fractions.
+    Keyed by the type, so no fresh root system is kept alive."""
+    rs = root_system(family, rank)
+    x = rs.ambient(v)
+    return tuple(c for c in rs.pos_coroots if pairing(x, c).denominator == 1)
+
+
 def reference_crossings(rs, v, d):
     plus = minus = 0
-    x = rs.ambient(v)  # exact ambient coordinates, as Fractions
-    for c in rs.pos_coroots:
-        if pairing(x, c).denominator != 1:
-            continue
+    for c in walls_through(rs.family, rs.rank, v):
         side = pairing(d, c)
         if side > 0:
             plus += 1
@@ -150,25 +158,41 @@ def test_first_factor_exponent_counts_positive_crossings():
     assert checked == 280
 
 
+def reference_defect(rs, v, etype, reference, prev, d):
+    """scale times the crossing-bound gap of the block that the edge from v
+    along d closes, written out: 2 * (its positive crossings) against the
+    heights of its germs and of omega_i.  A whole edge is its own block;
+    a second half closes the block of the half prev it follows, from the
+    whole vertex v - prev; a first half closes none, so 0."""
+    if etype.segment == "first":
+        return 0
+    if etype.segment == "whole":
+        plus, germs, omega = reference_crossings(rs, v, d)[0], d, reference
+    else:
+        plus = reference_crossings(rs, vsub(v, prev), prev)[0] + reference_crossings(rs, v, d)[0]
+        germs, omega = vadd(prev, d), vscale(2, reference)
+    return 2 * rs.scale * plus - pairing(germs, rs.two_rho) - pairing(omega, rs.two_rho)
+
+
 def reference_edges(rs, v, etype, reference, prev, mask, folded):
     """The walk's edges out of the state (v, prev, mask).  Folded, by both
     halves of positive folding: the germs of the edge's local orbit with a
     non-zero junction factor and a live chain.  The walk cuts by the chain
     alone, so comparing the two cross-checks that rule on every reached
     state.  Unfolded, every germ of the orbit, with its chamber-class mask
-    and no junction cut."""
+    and no junction cut.  Each germ comes with its block's defect."""
     out = []
     source = prev if etype.segment == "second" else reference
     for d in local_data(rs, v).orbit(source):
-        plus = reference_crossings(rs, v, d)[0]
+        defect = reference_defect(rs, v, etype, reference, prev, d)
         if not folded:
-            out.append((d, rs.chamber_class_mask(d), plus))
+            out.append((d, rs.chamber_class_mask(d), defect))
             continue
         if prev is not None and junction_factor(rs, v, vneg(prev), d).is_zero():
             continue
         reachable = chain_step(rs, mask, d)
         if reachable:
-            out.append((d, reachable, plus))
+            out.append((d, reachable, defect))
     return tuple(out)
 
 
@@ -319,8 +343,8 @@ def test_key_weight_memo_matches_fractions(family, rank):
 def test_end_marks_serve_lambdas_in_any_order(family, rank):
     # the end vertices one character memoises serve the next: two fresh root
     # systems taking the lambdas in opposite orders give equal characters,
-    # and every memo entry is the vertex's height and canonical weight,
-    # computed here from its ambient coordinates
+    # and every memo entry is the vertex's canonical weight, computed here
+    # from its ambient coordinates
     lams = dominant_lambdas(root_system(family, rank), *BOUNDS[(family, rank)])
     forward, backward = RootSystem(RootSystemSpec(family, rank)), RootSystem(RootSystemSpec(family, rank))
     assert not forward.end_marks and not backward.end_marks
@@ -328,12 +352,10 @@ def test_end_marks_serve_lambdas_in_any_order(family, rank):
     assert chars == [character_LS(backward, lam) for lam in reversed(lams)][::-1]
     assert forward.end_marks and forward.end_marks.keys() == backward.end_marks.keys()
     for rs in (forward, backward):
-        for v, (height, weight) in rs.end_marks.items():
+        for v, weight in rs.end_marks.items():
             x = rs.ambient(v)
             shift = sum(x) / rs.dim if family == "A" else 0
-            assert height == sum(pairing(x, c) for c in rs.pos_coroots), v
             assert weight == tuple(a - shift for a in x), v
-            assert (height, weight) == (rs.height(v), rs.canonical_weight(v))
             assert weight is rs.canonical_weight(v)
 
 
