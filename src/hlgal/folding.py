@@ -6,9 +6,10 @@ positively folded chamber galleries there, so it vanishes exactly when
 there are none.  The global test adds the existence of a
 Bruhat-weakly-decreasing defining chain of chamber classes containing
 the successive edges; its forward pass is one gallery.chain_step per
-edge.  is_positively_folded tests both halves, gallery by gallery, for
-callers that walk every gallery and as the reference the walks are
-tested against.  The walks themselves (enumerate_pf runs the gallery walk with
+edge.  is_positively_folded tests both halves, gallery by gallery: it is
+the tests' reference for the walks and for the verify module's pass,
+which folds both halves edge by edge, and its only library caller is
+is_LS.  The walks themselves (enumerate_pf runs the gallery walk with
 folded=True, and the LS character walk of the hlengine module) cut an
 edge by chain_step alone and compute no junction test: on every sequence
 of fundamental blocks up to the bounds of check_chain_cut in the gallery

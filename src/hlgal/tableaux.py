@@ -10,13 +10,20 @@ absolute value, and the column holds k where coordinate k is positive and
 bar(k) where it is negative.  A non-minuscule omega_i is a block of two
 half-edges, hence of two columns.
 
-Each rule runs once per key and root system: encoding keeps each germ's
-column in ``rs.tableau_columns``, decoding keeps each valid column's germ
-in ``rs.column_germs``.  The two tables are filled independently, each by
-its own rule, so a round trip still tests one rule against the other.
+gallery_to_tableau, tableau_to_gallery and is_semistandard are folds of
+three rules: germ_column encodes one germ, decode_block decodes one block
+from the vertex it starts at, and columns_ordered tests one pair of
+adjacent columns.  The verify module's pass applies the same rules edge by
+edge.  Each coding rule runs once per key and root system: encoding keeps
+each germ's column in ``rs.tableau_columns``, decoding keeps each valid
+column's germ in ``rs.column_germs``.  The two tables are filled
+independently, each by its own rule, so a round trip still tests one rule
+against the other.
 """
 
 from __future__ import annotations
+
+from operator import le
 
 from .apartment import expected_germ, local_data
 from .gallery import Gallery, fundamental_type
@@ -70,71 +77,79 @@ def _column_germ(rs: RootSystem, col, step: int) -> Vec:
     return tuple(coords)
 
 
+def germ_column(rs: RootSystem, d: Vec) -> tuple:
+    """The encode rule: the column of germ d, its signs read once per germ
+    and kept in ``rs.tableau_columns``."""
+    col = rs.tableau_columns.get(d)
+    if col is None:
+        n = rs.rank
+        letters = (k if x > 0 else bar(n, k) for k, x in enumerate(d, start=1) if x)
+        col = rs.tableau_columns[d] = tuple(sorted(letters))
+    return col
+
+
 def gallery_to_tableau(rs: RootSystem, g: Gallery) -> Tableau:
-    """One column per edge, in edge order: the signs of its germ, read once
-    per germ and kept in ``rs.tableau_columns``."""
-    n = rs.rank
-    memo = rs.tableau_columns
-    columns = []
-    for d in g.directions():
-        col = memo.get(d)
-        if col is None:
-            letters = (k if x > 0 else bar(n, k) for k, x in enumerate(d, start=1) if x)
-            col = memo[d] = tuple(sorted(letters))
-        columns.append(col)
-    return Tableau(rs.family, n, tuple(columns))
+    """One column per edge, in edge order, each by germ_column."""
+    return Tableau(rs.family, rs.rank, tuple(germ_column(rs, d) for d in g.directions()))
 
 
-def tableau_to_gallery(rs: RootSystem, tab: Tableau) -> Gallery:
-    """Inverse of gallery_to_tableau; validates the columns and, in a
-    two-column block, that the second germ is reachable at the midpoint.
+def decode_block(rs: RootSystem, vertex: Vec, cols, pos: int = 0) -> tuple:
+    """The decode rule: (edge types, vertices after each edge) of the block
+    that cols[pos] opens, walked from ``vertex``.
 
     A column's height fixes its block and so its step, hence its germ:
     _column_germ decodes each valid column once, into ``rs.column_germs``.
     An invalid column raises and is never stored; the height, block and
     midpoint checks run on every call."""
+    i = len(cols[pos])
+    if not 1 <= i <= rs.rank:
+        raise ValueError("column height %d out of range" % i)
+    block_type = fundamental_type(rs, i)
+    block = cols[pos : pos + len(block_type)]
+    if len(block) != len(block_type) or len(block[-1]) != i:
+        raise ValueError("truncated block in tableau")
+    memo = rs.column_germs
+    germs = []
+    for c in block:
+        d = memo.get(c)
+        if d is None:
+            # every letter of the block moves its coordinate by one step
+            d = memo[c] = _column_germ(rs, c, max(expected_germ(rs, block_type[0])))
+        germs.append(d)
+    vertices = (vadd(vertex, germs[0]),)
+    if len(germs) == 2:
+        if germs[1] not in local_data(rs, vertices[0]).orbit(germs[0]):
+            raise ValueError("second column is not reachable at the midpoint")
+        vertices += (vadd(vertices[0], germs[1]),)
+    return block_type, vertices
+
+
+def tableau_to_gallery(rs: RootSystem, tab: Tableau) -> Gallery:
+    """Inverse of gallery_to_tableau: decode_block on each block in turn,
+    a column of height i opening a block of omega_i."""
     if (tab.family, tab.rank) != (rs.family, rs.rank):
         raise ValueError("tableau family/rank does not match the root system")
     cols = tab.columns
-    memo = rs.column_germs
     vertices = [(0,) * rs.dim]
     gtype = []
-    pos = 0
-    # a column of height i opens a block of omega_i
-    while pos < len(cols):
-        i = len(cols[pos])
-        if not 1 <= i <= rs.rank:
-            raise ValueError("column height %d out of range" % i)
-        block_type = fundamental_type(rs, i)
-        block = cols[pos : pos + len(block_type)]
-        if len(block) != len(block_type) or any(len(c) != i for c in block):
-            raise ValueError("truncated block in tableau")
-        germs = []
-        for c in block:
-            d = memo.get(c)
-            if d is None:
-                # every letter of the block moves its coordinate by one step
-                d = memo[c] = _column_germ(rs, c, max(expected_germ(rs, block_type[0])))
-            germs.append(d)
-        vertices.append(vadd(vertices[-1], germs[0]))
-        if len(germs) == 2:
-            if germs[1] not in local_data(rs, vertices[-1]).orbit(germs[0]):
-                raise ValueError("second column is not reachable at the midpoint")
-            vertices.append(vadd(vertices[-1], germs[1]))
+    while len(gtype) < len(cols):
+        block_type, block_vertices = decode_block(rs, vertices[-1], cols, len(gtype))
+        vertices.extend(block_vertices)
         gtype.extend(block_type)
-        pos += len(block_type)
     return Gallery(tuple(vertices), tuple(gtype))
 
 
+def columns_ordered(right: tuple, left: tuple) -> bool:
+    """The adjacent-column rule: each row weakly increases from the left
+    column into the right one."""
+    return all(map(le, left, right))
+
+
 def is_semistandard(tab: Tableau) -> bool:
-    """Rows weakly increase left to right (columns are stored right to left)."""
+    """Rows weakly increase left to right (columns are stored right to left):
+    columns_ordered holds on every adjacent pair."""
     cols = tab.columns
-    for t in range(len(cols) - 1):
-        right, left = cols[t], cols[t + 1]
-        for row in range(min(len(right), len(left))):
-            if left[row] > right[row]:
-                return False
-    return True
+    return all(map(columns_ordered, cols, cols[1:]))
 
 
 def tableau_to_jsonable(tab: Tableau) -> dict:

@@ -3,15 +3,26 @@
 Each check yields a record {"check", "system", "status", "detail"}; a run
 fails as soon as any record carries status "fail", and failing records
 carry a counterexample payload.
+
+check_system walks every gallery of each standard type once, unfolded,
+depth first, and each stack level keeps the left folds of its prefix: the
+defining chain's mask, the running term, the crossings, the last tableau
+column and the round trip so far.  A gallery then costs its last edge,
+and every per-gallery record still runs on every gallery.  The folds read
+the per-edge rules themselves (chain_step from no constraint, the junction
+factors, the wall crossings, and the tableaux module's encode, per-block
+decode and adjacent-column rules), never the folded walk's cut, so the
+records stay independent of the chain-only rule that the walks of L and
+char rely on.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .folding import is_positively_folded
-from .gallery import crossing_counts, enumerate_of_type, type_of_lambda
-from .hlengine import L_polynomial, character_LS, gallery_term
+from .apartment import crossings
+from .gallery import chain_step, outgoing_edges, reference_germs, type_of_lambda
+from .hlengine import L_polynomial, character_LS
 from .oracles import (
     L_from_expansion,
     freudenthal_character,
@@ -20,8 +31,9 @@ from .oracles import (
     weyl_dimension,
 )
 from .qpoly import QPoly
-from .rootdata import RootSystem, pairing, vadd
-from .tableaux import gallery_to_tableau, is_semistandard, tableau_to_gallery
+from .residue import first_factor_exponent, junction_factor
+from .rootdata import RootSystem, pairing, vadd, vneg
+from .tableaux import columns_ordered, decode_block, germ_column
 
 
 def dominant_lambdas(rs: RootSystem, max_coeff_sum: int, max_height: int) -> list:
@@ -64,6 +76,71 @@ def _record(system: str, check: str, ok: bool, detail: dict) -> dict:
     return {"check": check, "system": system, "status": "pass" if ok else "fail", "detail": detail}
 
 
+def _gallery_summaries(rs: RootSystem, gtype):
+    """(target, term, plus, total, semistandard, roundtrip) of every gallery
+    of the type, in enumerate_of_type's order, from one depth-first walk of
+    the unfolded type that reads outgoing_edges at mask None.
+
+    Each level of the stack holds the folds of its prefix: its vertex, its
+    negated incoming germ, its chain mask (chain_step from None), its term
+    q^{l(w_D0)} prod_j U_j(q), which is None once the chain dies or a
+    junction factor is 0, so exactly when the prefix is not positively
+    folded, its positive and total crossings, its last column, whether
+    columns_ordered holds on every adjacent pair, whether each closed block
+    decodes back to the walked one, and the vertex the decode has reached.
+    decode_block reads each block when it closes, from that vertex."""
+    gtype = tuple(gtype)
+    germs = reference_germs(rs, gtype)
+    origin = (0,) * rs.dim
+    if not gtype:
+        yield origin, QPoly.one(), 0, 0, True, True
+        return
+    # the walked edge types of the block each edge closes; None for a first half
+    closes = [
+        None if t.segment == "first" else gtype[k - 1 : k + 1] if t.segment == "second" else (t,)
+        for k, t in enumerate(gtype)
+    ]
+    last = len(gtype) - 1
+    # (vertex, -incoming germ, chain mask, term, plus, total, last column,
+    #  ordered, decoded, decoded vertex), the empty prefix first
+    levels = [(origin, None, None, QPoly.one(), 0, 0, None, True, True, origin)]
+    stack = [iter(outgoing_edges(rs, origin, gtype[0], germs[0], None, None))]
+    while stack:
+        k = len(levels) - 1
+        v, back, mask, term, plus, total, col, ordered, decoded, dv = levels[-1]
+        block = closes[k]
+        for d, _, _ in stack[-1]:
+            w = vadd(v, d)
+            p, m = crossings(rs, v, d)
+            t = reach = None
+            if term is not None:
+                reach = chain_step(rs, mask, d)
+                if reach:
+                    if back is None:
+                        factor = QPoly.q_power(first_factor_exponent(rs, d))
+                    else:
+                        factor = junction_factor(rs, v, back, d)
+                    if not factor.is_zero():
+                        t = term * factor
+            c = germ_column(rs, d)
+            o = ordered and (col is None or columns_ordered(col, c))
+            r, dw = decoded, dv
+            if block is not None:
+                second = len(block) == 2
+                btype, verts = decode_block(rs, dv, (col, c) if second else (c,))
+                r = decoded and btype == block and verts == ((v, w) if second else (w,))
+                dw = verts[-1]
+            if k == last:
+                yield w, t, plus + p, total + p + m, o, r
+                continue
+            levels.append((w, vneg(d), reach, t, plus + p, total + p + m, c, o, r, dw))
+            stack.append(iter(outgoing_edges(rs, w, gtype[k + 1], germs[k + 1], d, None)))
+            break
+        else:
+            stack.pop()
+            levels.pop()
+
+
 def check_system(rs: RootSystem, max_coeff_sum: int, max_height: int) -> list:
     records = []
     name = "%s%d" % (rs.family, rs.rank)
@@ -74,25 +151,21 @@ def check_system(rs: RootSystem, max_coeff_sum: int, max_height: int) -> list:
         targets = {}  # canonical target -> the first raw target seen
         sums = {}  # canonical target -> summed gallery terms
 
-        # one pass over the type: every gallery is folding-tested once and
-        # checked against the invariants; the positively folded ones are
-        # summed by target
-        for g in enumerate_of_type(rs, type_of_lambda(rs, lam)):
-            ok = is_positively_folded(rs, g)
-            plus, _, both = crossing_counts(rs, g)
-            violations["crossings-constant"] += both != height
-            tab = gallery_to_tableau(rs, g)
-            violations["semistandard-iff-folded"] += is_semistandard(tab) != ok
-            violations["tableau-roundtrip"] += tableau_to_gallery(rs, tab) != g
-            if ok:
+        for target, term, plus, total, semistandard, roundtrip in _gallery_summaries(
+            rs, type_of_lambda(rs, lam)
+        ):
+            folded = term is not None
+            violations["crossings-constant"] += total != height
+            violations["semistandard-iff-folded"] += semistandard != folded
+            violations["tableau-roundtrip"] += not roundtrip
+            if folded:
                 # the top term of q^{l(w_D0)} prod_j U_j(q) is q^(cell dimension),
                 # and the cell dimension is the positive-crossing count
-                term = gallery_term(rs, g)
                 violations["cell-dimension"] += (
                     term.degree() != plus or term.leading_coefficient() != 1
                 )
-                key = rs.canonical_key(g.target)
-                targets.setdefault(key, g.target)
+                key = rs.canonical_key(target)
+                targets.setdefault(key, target)
                 sums[key] = sums.get(key, QPoly.zero()) + term
 
         for check in INVARIANTS:

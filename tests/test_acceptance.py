@@ -322,9 +322,9 @@ def test_criterion_7_bijection_roundtrips():
 
 
 # rank-4 verify tier: family -> max coefficient sum.  B4 and C4 stay at 1:
-# at 2 (height <= 30) they took 3.5-4.1 s (221 checks) and 5.2-6.9 s (215
-# checks) cold in single runs (2 CPUs, Python 3.11.7), led by the folding
-# test's junction factors, with the tableau round-trip behind.
+# at 2 (height <= 30) they took 1.5 s (221 checks) and 1.9 s (215 checks)
+# cold in single runs (2 CPUs, Python 3.11.7), led by the cold junction
+# factors of the verify pass.
 RANK4_TIER_SUMS = {"A": 2, "B": 1, "C": 1}
 
 
