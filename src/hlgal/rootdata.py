@@ -24,9 +24,15 @@ constant time; ``end_marks`` memoises the one a final vertex of the LS
 character walk counts under.
 Weyl group elements are signed permutations of the epsilon basis, stored
 as tuples ``((image, sign), ...)`` meaning ``w(e_j) = sign * e_image``;
-a RootSystem indexes them and multiplies and acts by index.  One
-ReflectionGroup class on those indices serves W and every local group
-W_V: W is the local group at the origin, where every wall passes.
+a RootSystem indexes them and multiplies and acts by index.  It builds W
+and its Bruhat order on integer index tables: one breadth-first search
+from the identity gives the elements, their lengths and each simple
+reflection's left-multiplication table; every other reflection's table is
+a conjugate s t s of tables already found, with no product of
+permutations; and the Bruhat masks read each product t * w from those
+tables, which the build then drops.  One ReflectionGroup class on those
+indices serves W and every local group W_V: W is the local group at the
+origin, where every wall passes.
 A RootSystem's root data is immutable after construction; the memo tables
 of everything derived from it, local groups included, live on the object.
 """
@@ -75,10 +81,6 @@ def vdiv(u: Vec, k: int) -> Vec:
 
 def is_zero(u: Vec) -> bool:
     return all(a == 0 for a in u)
-
-
-def sp_identity(m: int) -> SignedPerm:
-    return tuple((j, 1) for j in range(m))
 
 
 def sp_act(w: SignedPerm, v: Vec) -> Vec:
@@ -277,6 +279,7 @@ class ReflectionGroup:
         self.simples = tuple(sorted(set(self.pos_functionals) - sums, reverse=True))
         self.simple_reflections = tuple(rs.reflections[rs.pos_coroots.index(c)] for c in self.simples)
         self._orbits: dict = {}
+        self._orbit_sets: dict = {}
         self.factors: dict = {}
         self.closest: dict = {}
         self.crossings: dict = {}
@@ -288,6 +291,13 @@ class ReflectionGroup:
             hit = tuple(sorted(_closure(v, self.simple_reflections, self.rs.act)))
             self._orbits[v] = hit
         return hit
+
+    def in_orbit(self, u: Vec, v: Vec) -> bool:
+        """u lies in the orbit of v, read off a set made once per orbit."""
+        hit = self._orbit_sets.get(v)
+        if hit is None:
+            hit = self._orbit_sets[v] = frozenset(self.orbit(v))
+        return u in hit
 
     def closest_chamber(self, d: Vec) -> tuple:
         """(u, word): the shortest u whose closed chamber holds d, and u's
@@ -363,7 +373,6 @@ class RootSystem:
         self.generic_dominant = tuple(self.dim - k for k in range(self.dim))
 
         self._build_group()
-        self._build_bruhat()
 
         # memo tables
         self._chamber_masks: dict = {}  # germ -> chamber_class_mask
@@ -399,17 +408,65 @@ class RootSystem:
         return tuple(cols)
 
     def _build_group(self):
+        """W, its lengths, inverses and reflections, and the Bruhat masks.
+
+        The search runs on signed images, sign * (image + 1), on which a
+        simple reflection acts by one list lookup per coordinate; its levels
+        are the lengths, and it fills each simple left table, index of s * x.
+        The reflection s t s has the table s[t[s[x]]], so every reflection's
+        table comes by conjugation, and below[w] = {w} | below[t * w] over
+        the t with l(t * w) = l(w) - 1 reads each product from them."""
+        m = self.dim
         gens = [self.reflection_perm(a) for a in self.simple_roots]
-        # the length of w is the fewest simple reflections whose product it is
-        length = _closure(sp_identity(self.dim), gens, sp_mul)
-        ranked = tuple(sorted(length, key=lambda w: (length[w], w)))
-        self.elements = ranked
-        self.index = {w: i for i, w in enumerate(ranked)}
-        self.length = tuple(length[w] for w in ranked)
-        self.inverse = tuple(self.index[sp_inv(w)] for w in ranked)
-        self.simple_reflections = tuple(self.index[g] for g in gens)
+        steps = []
+        for g in gens:
+            step = [0] * (2 * m + 1)  # signed image x -> g's image of it, at index x
+            for j, (i, s) in enumerate(g, 1):
+                step[j], step[-j] = s * (i + 1), -s * (i + 1)
+            steps.append(step.__getitem__)
+        found = {tuple(range(1, m + 1)): 0}  # signed images -> search position
+        searched = list(found)
+        level = [0]
+        left = [[] for _ in gens]  # left[k][b]: search position of s_k times element b
+        for b, x in enumerate(searched):  # grows while it is walked
+            for step, table in zip(steps, left):
+                y = tuple(map(step, x))
+                c = found.get(y)
+                if c is None:
+                    c = found[y] = len(searched)
+                    searched.append(y)
+                    level.append(level[b] + 1)
+                table.append(c)
+        pair = {s * (i + 1): (i, s) for i in range(m) for s in (1, -1)}
+        perms = [tuple(map(pair.__getitem__, x)) for x in searched]
+        ranked = sorted(range(len(perms)), key=lambda b: (level[b], perms[b]))
+        rank = sorted(range(len(ranked)), key=ranked.__getitem__)  # rank[ranked[i]] == i
+        self.elements = tuple(perms[b] for b in ranked)
+        self.index = dict(zip(self.elements, range(len(ranked))))
+        self.length = length = tuple(level[b] for b in ranked)
+        self.inverse = tuple(self.index[sp_inv(w)] for w in self.elements)
+        simple = [[rank[table[b]] for b in ranked] for table in left]
+        self.simple_reflections = tuple(table[0] for table in simple)
         self.reflections = tuple(self.index[self.reflection_perm(a)] for a in self.pos_roots)
-        self.w0 = max(range(len(ranked)), key=lambda i: self.length[i])
+        self.w0 = len(ranked) - 1  # the one longest element sorts last
+
+        tables = dict(zip(self.simple_reflections, simple))
+        reached = list(simple)
+        for t in reached:  # grows while it is walked
+            for s, table in zip(self.simple_reflections, simple):
+                u = table[t[s]]  # s t s, as the image of the identity
+                if u not in tables:
+                    tables[u] = conjugate = [table[t[x]] for x in table]
+                    reached.append(conjugate)
+        below = []
+        for w, products in enumerate(zip(*tables.values())):
+            ell = length[w] - 1
+            mask = 1 << w
+            for v in products:
+                if length[v] == ell:
+                    mask |= below[v]
+            below.append(mask)
+        self.below_mask = tuple(below)
 
     def act(self, i: int, v: Vec) -> Vec:
         return sp_act(self.elements[i], v)
@@ -434,22 +491,6 @@ class RootSystem:
         return self.local_group(tuple(range(len(self.pos_coroots))))
 
     # ----------------------------------------------------------------- bruhat
-
-    def _build_bruhat(self):
-        n = len(self.elements)
-        by_length: dict = {}
-        for i in range(n):
-            by_length.setdefault(self.length[i], []).append(i)
-        below = [0] * n
-        for ell in sorted(by_length):
-            for w in by_length[ell]:
-                mask = 1 << w
-                for t in self.reflections:
-                    v = self.mul(t, w)
-                    if self.length[v] == ell - 1:
-                        mask |= below[v]
-                below[w] = mask
-        self.below_mask = tuple(below)
 
     def bruhat_leq(self, u: int, w: int) -> bool:
         return bool((self.below_mask[w] >> u) & 1)

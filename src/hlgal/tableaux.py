@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from operator import le
 
-from .apartment import expected_germ, local_data
+from .apartment import local_data
 from .gallery import Gallery, fundamental_type
 from .rootdata import Frozen, RootSystem, Vec, vadd
 
@@ -93,35 +93,36 @@ def gallery_to_tableau(rs: RootSystem, g: Gallery) -> Tableau:
     return Tableau(rs.family, rs.rank, tuple(germ_column(rs, d) for d in g.directions()))
 
 
+def _decode_column(rs: RootSystem, col) -> Vec:
+    """Decode a column not yet in ``rs.column_germs`` and keep its germ
+    there: each letter moves its coordinate by the step of its block."""
+    step = max(rs.fundamental_germs[len(col) - 1])
+    d = rs.column_germs[col] = _column_germ(rs, col, step)
+    return d
+
+
 def decode_block(rs: RootSystem, vertex: Vec, cols, pos: int = 0) -> tuple:
     """The decode rule: (edge types, vertices after each edge) of the block
     that cols[pos] opens, walked from ``vertex``.
 
-    A column's height fixes its block and so its step, hence its germ:
-    _column_germ decodes each valid column once, into ``rs.column_germs``.
-    An invalid column raises and is never stored; the height, block and
-    midpoint checks run on every call."""
+    A column's height fixes its block and so its step, hence its germ.  An
+    invalid column raises and is never stored; the height, block and
+    midpoint checks run on every call, the last as one set lookup."""
     i = len(cols[pos])
     if not 1 <= i <= rs.rank:
         raise ValueError("column height %d out of range" % i)
     block_type = fundamental_type(rs, i)
-    block = cols[pos : pos + len(block_type)]
-    if len(block) != len(block_type) or len(block[-1]) != i:
+    if len(block_type) == 2 and (len(cols) <= pos + 1 or len(cols[pos + 1]) != i):
         raise ValueError("truncated block in tableau")
-    memo = rs.column_germs
-    germs = []
-    for c in block:
-        d = memo.get(c)
-        if d is None:
-            # every letter of the block moves its coordinate by one step
-            d = memo[c] = _column_germ(rs, c, max(expected_germ(rs, block_type[0])))
-        germs.append(d)
-    vertices = (vadd(vertex, germs[0]),)
-    if len(germs) == 2:
-        if germs[1] not in local_data(rs, vertices[0]).orbit(germs[0]):
-            raise ValueError("second column is not reachable at the midpoint")
-        vertices += (vadd(vertices[0], germs[1]),)
-    return block_type, vertices
+    germs = rs.column_germs  # a germ is a non-zero vector, so never falsy
+    d = germs.get(cols[pos]) or _decode_column(rs, cols[pos])
+    v = vadd(vertex, d)
+    if len(block_type) == 1:
+        return block_type, (v,)
+    e = germs.get(cols[pos + 1]) or _decode_column(rs, cols[pos + 1])
+    if not local_data(rs, v).in_orbit(e, d):
+        raise ValueError("second column is not reachable at the midpoint")
+    return block_type, (v, vadd(v, e))
 
 
 def tableau_to_gallery(rs: RootSystem, tab: Tableau) -> Gallery:

@@ -15,7 +15,7 @@ from hlgal.rootdata import (
     vneg,
 )
 from hlgal.verify import dominant_lambdas
-from systems import group_elements, group_length, root_system
+from systems import all_reduced_words, group_elements, group_length, root_system, signed_perm_build
 from test_folding import min_coset_rep
 
 
@@ -97,14 +97,16 @@ def _subword_products(rs, word):
     return elements
 
 
-@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("A", 3), ("C", 3)])
+@pytest.mark.parametrize("family,rank", [(f, n) for f in "ABC" for n in (1, 2, 3)])
 def test_bruhat_matches_subword_criterion(family, rank):
-    # products of subwords of a reduced word of w are exactly {u : u <= w}
+    # products of subwords of a reduced word of w are exactly {u : u <= w},
+    # for the library's word and for every word of the brute-force reference
     rs = root_system(family, rank)
     for w in range(rs.order()):
-        below = _subword_products(rs, rs.weyl.reduced_word(w))
-        for u in range(rs.order()):
-            assert rs.bruhat_leq(u, w) == (u in below)
+        for word in (rs.weyl.reduced_word(w),) + all_reduced_words(rs.weyl, w):
+            below = _subword_products(rs, word)
+            for u in range(rs.order()):
+                assert rs.bruhat_leq(u, w) == (u in below), (u, w, word)
 
 
 def test_bruhat_extremes(b2):
@@ -275,6 +277,15 @@ def test_rank_four_supported(family, order):
     # Bruhat covers are consistent at this scale too
     assert rs.bruhat_leq(0, rs.w0)
     assert rs.length[rs.w0] == len(rs.pos_roots)
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS)
+def test_group_tables_match_the_signed_perm_build(name):
+    # a fresh build, not the cached one, field by field against the
+    # reference that multiplies signed permutations one product at a time
+    rs = RootSystem(RootSystemSpec(name[0], int(name[1])))
+    for field, want in signed_perm_build(rs).items():
+        assert getattr(rs, field) == want, field
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4"])
