@@ -4,12 +4,13 @@ The direct Hall-Littlewood expansion works with Laurent monomial maps:
 exponent vectors (``rs.canonical_key`` of a weight, ``rs.key_scale``
 times its canonical ambient form) mapping to polynomials in u = 1/q.
 P_lambda is the Hecke symmetriser of x^lambda: one Demazure-Lusztig
-operator per point of the W-orbit of lambda, each an exact division by
-a binomial 1 - x^{-a_i}; any remainder is a fatal internal-consistency
-error.  Characters come from the multiplicity recursion on weight norms,
-dimensions from the product formula over positive walls, type-A Kostka
-numbers from direct tableau counting.  None of this touches the gallery
-machinery.
+operator per point of the W-orbit of lambda, each applied monomial by
+monomial in closed form, since its quotient by 1 - x^{-a_i} is a finite
+geometric sum; a key with a non-integral pairing is a fatal
+internal-consistency error.  Characters come from the multiplicity
+recursion on weight norms, dimensions from the product formula over
+positive walls, type-A Kostka numbers from direct tableau counting.
+None of this touches the gallery machinery.
 """
 
 from __future__ import annotations
@@ -27,59 +28,38 @@ def _add_term(mapping: dict, key: tuple, coeff: QPoly):
         mapping[key] = new
 
 
-def _divide_by_one_minus(mapping: dict, shift: tuple) -> dict:
-    """Exact division by (1 - x^shift).
-
-    Along each lattice line m, m+shift, m+2shift, ... the quotient is the
-    running prefix sum; exactness means the sum closes to zero past the
-    support.  Raises ArithmeticError if it does not.
-    """
-    j = next(k for k, s in enumerate(shift) if s != 0)
-    step = shift[j]
-    lines: dict = {}
-    for key, c in mapping.items():
-        k = key[j] // step
-        rep = tuple(x - k * s for x, s in zip(key, shift))
-        lines.setdefault(rep, []).append((k, c))
-    out: dict = {}
-    for rep, terms in lines.items():
-        terms.sort()
-        by_k = dict(terms)
-        running = QPoly.zero()
-        for k in range(terms[0][0], terms[-1][0] + 1):
-            c = by_k.get(k)
-            if c is not None:
-                running = running + c
-            if not running.is_zero():
-                out[tuple(x + k * s for x, s in zip(rep, shift))] = running
-        if not running.is_zero():
-            raise ArithmeticError("non-exact division by a binomial")
-    return out
-
-
 def _demazure_lusztig(rs: RootSystem, i: int, f: dict) -> dict:
-    """T_i f = [(1-u) x^{-a_i} f + (u - x^{-a_i}) s_i f] / (1 - x^{-a_i})."""
+    """T_i f = u s_i f + (1-u) x^{-a_i} (f - s_i f) / (1 - x^{-a_i}), term by term.
+
+    With h the key of -a_i and n = <k, a_i^vee>, s_i x^k = x^{k+nh}, and the
+    quotient is a geometric sum: T_i x^k = u x^{k+nh} plus (1-u) times the
+    sum of x^{k+jh} over 1 <= j <= n, or minus it over n < j <= 0."""
     u = QPoly((0, 1))
     one_minus_u = QPoly((1, -1))
-    s_i = rs.simple_reflections[i]
-    shift = rs.canonical_key(vneg(rs.simple_roots[i]))
-    numerator: dict = {}
+    h = rs.canonical_key(vneg(rs.simple_roots[i]))
+    coroot = rs.simple_coroots[i]
+    out: dict = {}
     for key, c in f.items():
-        moved = tuple(k + s for k, s in zip(key, shift))
-        reflected = rs.act(s_i, key)
-        _add_term(numerator, moved, c * one_minus_u)
-        _add_term(numerator, reflected, c * u)
-        _add_term(numerator, tuple(k + s for k, s in zip(reflected, shift)), -c)
-    return _divide_by_one_minus(numerator, shift)
+        n, rem = divmod(pairing(key, coroot), rs.key_scale)
+        if rem:
+            raise ArithmeticError("exponent key off the weight lattice; convention fault")
+        reflected = vadd(key, vscale(n, h))
+        _add_term(out, reflected, c * u)
+        x, moved = (key, c * one_minus_u) if n >= 0 else (reflected, -(c * one_minus_u))
+        for _ in range(abs(n)):
+            x = vadd(x, h)
+            _add_term(out, x, moved)
+    return out
 
 
 def hall_littlewood_direct(rs: RootSystem, lam: Vec) -> dict:
     """The symmetric function P_lambda as {exponent key: polynomial in 1/q}.
 
     Built as the Hecke symmetriser sum_{v in W^lambda} T_v x^lambda, with
-    the Demazure-Lusztig operators T_i at u = 1/q.  The orbit of lambda is
-    walked down from lambda, from x to s_i x when <x, a_i^vee> > 0, so each
-    minimal coset representative costs one operator application.  Since
+    the Demazure-Lusztig operators T_i at u = 1/q, each in closed form on
+    monomials.  The orbit of lambda is walked down from lambda, from x to
+    s_i x when <x, a_i^vee> > 0, so each minimal coset representative
+    costs one operator application.  Since
     T_i x^lambda = u x^lambda when s_i fixes lambda, the sum over all of W
     is W_lambda(u) times this one, so no normaliser is divided out.
     """

@@ -86,9 +86,10 @@ def _gallery_summaries(rs: RootSystem, gtype):
     q^{l(w_D0)} prod_j U_j(q), which is None once the chain dies or a
     junction factor is 0, so exactly when the prefix is not positively
     folded, its positive and total crossings, its last column, whether
-    columns_ordered holds on every adjacent pair, whether each closed block
-    decodes back to the walked one, and the vertex the decode has reached.
-    decode_block reads each block when it closes, from that vertex."""
+    columns_ordered holds on every adjacent pair, and whether each closed
+    block decodes back to the walked one.  decode_block reads a block when
+    it closes, from the walked vertex where it starts, while every earlier
+    block decodes back; so no misplaced block moves a later decode."""
     gtype = tuple(gtype)
     germs = reference_germs(rs, gtype)
     origin = (0,) * rs.dim
@@ -102,12 +103,12 @@ def _gallery_summaries(rs: RootSystem, gtype):
     ]
     last = len(gtype) - 1
     # (vertex, -incoming germ, chain mask, term, plus, total, last column,
-    #  ordered, decoded, decoded vertex), the empty prefix first
-    levels = [(origin, None, None, QPoly.one(), 0, 0, None, True, True, origin)]
+    #  ordered, decoded), the empty prefix first
+    levels = [(origin, None, None, QPoly.one(), 0, 0, None, True, True)]
     stack = [iter(outgoing_edges(rs, origin, gtype[0], germs[0], None, None))]
     while stack:
         k = len(levels) - 1
-        v, back, mask, term, plus, total, col, ordered, decoded, dv = levels[-1]
+        v, back, mask, term, plus, total, col, ordered, decoded = levels[-1]
         block = closes[k]
         for d, _, _ in stack[-1]:
             w = vadd(v, d)
@@ -124,16 +125,16 @@ def _gallery_summaries(rs: RootSystem, gtype):
                         t = term * factor
             c = germ_column(rs, d)
             o = ordered and (col is None or columns_ordered(col, c))
-            r, dw = decoded, dv
-            if block is not None:
-                second = len(block) == 2
-                btype, verts = decode_block(rs, dv, (col, c) if second else (c,))
-                r = decoded and btype == block and verts == ((v, w) if second else (w,))
-                dw = verts[-1]
+            r = decoded
+            if block is not None and decoded:
+                if len(block) == 2:
+                    r = decode_block(rs, vadd(v, back), (col, c)) == (block, (v, w))
+                else:
+                    r = decode_block(rs, v, (c,)) == (block, (w,))
             if k == last:
                 yield w, t, plus + p, total + p + m, o, r
                 continue
-            levels.append((w, vneg(d), reach, t, plus + p, total + p + m, c, o, r, dw))
+            levels.append((w, vneg(d), reach, t, plus + p, total + p + m, c, o, r))
             stack.append(iter(outgoing_edges(rs, w, gtype[k + 1], germs[k + 1], d, None)))
             break
         else:

@@ -1,5 +1,6 @@
 """Root systems by family and rank, through the library's per-type cache,
-and brute-force references for W and for a ReflectionGroup.
+the acceptance suite's types, and brute-force references for W and for a
+ReflectionGroup.
 
 The library builds W and its Bruhat order on index tables;
 signed_perm_build is the reference for that build, on signed permutations
@@ -11,6 +12,8 @@ descent (closest_chamber, reduced_word)."""
 from functools import lru_cache
 
 from hlgal.rootdata import RootSystemSpec, _closure, build_root_system, pairing, sp_inv, sp_mul
+
+ACCEPTANCE_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("B", 3), ("C", 3)]
 
 
 def root_system(family, rank):

@@ -38,13 +38,12 @@ from hlgal.residue import (
 from hlgal.rootdata import vadd, vneg
 from hlgal.tableaux import gallery_to_tableau, is_semistandard, tableau_to_gallery
 from hlgal.verify import _dominant_mus, dominant_lambdas, run_suite
-from systems import all_reduced_words, root_system
+from systems import ACCEPTANCE_TYPES, all_reduced_words, root_system
 from test_apartment import cell_dimension
 from test_folding import is_minimal, two_step_reference
 from test_hlengine import ls_character
 from test_residue import sector_list
 
-SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("B", 3), ("C", 3)]
 MAX_COEFF_SUM = 3
 MAX_HEIGHT = 16
 
@@ -107,7 +106,7 @@ def test_criterion_1_worked_example():
 def test_criterion_2_oracle_equivalence():
     checked = 0
     start = time.perf_counter()
-    for family, rank in SYSTEMS:
+    for family, rank in ACCEPTANCE_TYPES:
         rs, bundles = suite_bundles(family, rank)
         for b in bundles:
             for mu in b["mus"]:
@@ -125,7 +124,7 @@ def test_criterion_2_oracle_equivalence():
 
 def test_criterion_3_euler_characteristic():
     checked = 0
-    for family, rank in SYSTEMS:
+    for family, rank in ACCEPTANCE_TYPES:
         rs, bundles = suite_bundles(family, rank)
         for b in bundles:
             lam_c = rs.canonical_weight(b["lam"])
@@ -137,7 +136,7 @@ def test_criterion_3_euler_characteristic():
 
 
 def test_criterion_4_character_formula():
-    for family, rank in SYSTEMS:
+    for family, rank in ACCEPTANCE_TYPES:
         rs, bundles = suite_bundles(family, rank)
         for b in bundles:
             char = character_LS(rs, b["lam"])
@@ -151,7 +150,7 @@ def test_criterion_4_character_formula():
 
 
 def test_criterion_5_degree_and_leading():
-    for family, rank in SYSTEMS:
+    for family, rank in ACCEPTANCE_TYPES:
         rs, bundles = suite_bundles(family, rank)
         for b in bundles:
             ls_by_target = {}
@@ -175,7 +174,7 @@ def test_criterion_5_degree_and_leading():
 
 def test_criterion_6_combinatorial_invariants():
     n_gal = n_junc = 0
-    for family, rank in SYSTEMS:
+    for family, rank in ACCEPTANCE_TYPES:
         rs, bundles = suite_bundles(family, rank)
         seen_junctions = set()
         for b in bundles:
@@ -259,7 +258,7 @@ RANK4_CHOICE_SUMS = {"A": 2, "B": 1, "C": 1}
 
 def test_criterion_8_choice_independence():
     tested_rank2 = 0
-    for family, rank in SYSTEMS:
+    for family, rank in ACCEPTANCE_TYPES:
         if rank > 2:
             continue
         rs, bundles = suite_bundles(family, rank)
@@ -267,7 +266,7 @@ def test_criterion_8_choice_independence():
             tested_rank2 += _assert_choice_independent(rs, v, d_in, d_out)
     tested_rank3 = 0
     rng = random.Random(20240817)
-    for family, rank in SYSTEMS:
+    for family, rank in ACCEPTANCE_TYPES:
         if rank != 3:
             continue
         rs, bundles = suite_bundles(family, rank)
@@ -300,7 +299,7 @@ def test_criterion_8_choice_independence():
 
 def test_criterion_7_bijection_roundtrips():
     n = 0
-    for family, rank in SYSTEMS:
+    for family, rank in ACCEPTANCE_TYPES:
         rs, bundles = suite_bundles(family, rank)
         for b in bundles:
             ssyt_by_target = {}

@@ -5,9 +5,7 @@ from hlgal.gallery import enumerate_of_type, type_of_lambda
 from hlgal.rootdata import pairing, vadd, vdiv, vneg
 from hlgal.verify import dominant_lambdas
 from standard_galleries import gamma_lambda, gamma_omega
-from systems import group_elements, root_system
-
-ACCEPTANCE_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("B", 3), ("C", 3)]
+from systems import ACCEPTANCE_TYPES, group_elements, root_system
 
 
 def origin(rs):

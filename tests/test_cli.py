@@ -292,6 +292,13 @@ GOLDEN = [
      "c7c8593cd5901ceff043a116200d56f578ac89ea39f2c63b654309d78cbc5f33", 310),
     (("galleries", "--type", "B2", "--lambda", "1,1", "--mu", "0,1", "--format", "json"),
      "4714adbf4e24caa47862fff22d50b230296a5e59418f42be16d47bee7f7af5a0", 1733),
+    # every record's payload; the "direct" coefficients come from the oracle
+    (("verify", "--type", "B2", "--max-coeff-sum", "2", "--verbose"),
+     "c277c5561d6e7086c6975e81c9ec4163235779852e37ccc26a6ac7e6eff3f7e1", 19276),
+    (("verify", "--type", "C3", "--max-coeff-sum", "2", "--verbose"),
+     "05e8c431d6b853194b1a982405235c9d8f7f3e479550a183977c456254586ddf", 15945),
+    (("verify", "--type", "A3", "--max-coeff-sum", "2", "--verbose"),
+     "8a82b07a605596495a2afb9a0697569cfedb1c7b06a7051ec4fc4e9c838576e3", 30402),
 ]
 
 

@@ -22,8 +22,8 @@ from hlgal.residue import junction_factor
 from hlgal.rootdata import vadd, vdiv, vneg, vscale, vsub
 from hlgal.verify import dominant_lambdas
 from standard_galleries import concat, gamma_lambda, gamma_omega
-from systems import root_system
-from test_acceptance import MAX_COEFF_SUM, MAX_HEIGHT, SYSTEMS
+from systems import ACCEPTANCE_TYPES, root_system
+from test_acceptance import MAX_COEFF_SUM, MAX_HEIGHT
 from test_apartment import cell_dimension
 from test_lattice import from_ambient
 from test_memos import reference_defect
@@ -151,7 +151,7 @@ def test_enumeration_sorted_by_direction_sequence(a2, b2, c3, b3):
         assert len(set(dirs)) == len(dirs) == count_of_type(rs, rs.weight(coeffs))
 
 
-@pytest.mark.parametrize("family,rank", SYSTEMS)
+@pytest.mark.parametrize("family,rank", ACCEPTANCE_TYPES)
 def test_target_cut_matches_filtered_walk(family, rank):
     # every lambda of the acceptance suite, and every target some gallery
     # reaches, dominant or not
@@ -167,7 +167,7 @@ def test_target_cut_matches_filtered_walk(family, rank):
             assert not tuple(enumerate_of_type(rs, gtype, vscale(2, lam)))
 
 
-WALK_SUITE = [(name, MAX_COEFF_SUM, MAX_HEIGHT) for name in SYSTEMS] + [
+WALK_SUITE = [(name, MAX_COEFF_SUM, MAX_HEIGHT) for name in ACCEPTANCE_TYPES] + [
     (("A", 4), 1, 40), (("B", 4), 1, 40), (("C", 4), 1, 40),
 ]
 

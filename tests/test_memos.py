@@ -35,6 +35,7 @@ from hlgal.rootdata import HashedWeight, RootSystem, RootSystemSpec, pairing, va
 from hlgal.tableaux import Tableau, bar, gallery_to_tableau, tableau_to_gallery
 from hlgal.verify import _dominant_mus, dominant_lambdas
 from systems import (
+    ACCEPTANCE_TYPES,
     all_reduced_words,
     group_elements,
     group_length,
@@ -44,7 +45,6 @@ from systems import (
 )
 from test_tableaux import MALFORMED
 
-ACCEPTANCE_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("B", 3), ("C", 3)]
 RANK_4_TYPES = [("A", 4), ("B", 4), ("C", 4)]
 # (coefficient sum, height) bounds of the dominant weights walked
 BOUNDS = {name: (2, 16) for name in ACCEPTANCE_TYPES} | {name: (1, 40) for name in RANK_4_TYPES}

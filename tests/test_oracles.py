@@ -59,7 +59,10 @@ def weyl_sum_numerator(rs, lam, factors):
     return total
 
 
-WEYL_SUM_CASES = [("A1", 3), ("A2", 3), ("B2", 3), ("C2", 3), ("A3", 2), ("B3", 1), ("C3", 1)]
+# B4 is out of reach: its Weyl-sum factors alone take tens of seconds
+WEYL_SUM_CASES = [
+    ("A1", 3), ("A2", 3), ("B2", 3), ("C2", 3), ("A3", 3), ("B3", 2), ("C3", 2), ("A4", 1),
+]
 
 
 @pytest.mark.parametrize("name,max_sum", WEYL_SUM_CASES)

@@ -9,7 +9,7 @@ from hlgal.folding import is_positively_folded, locally_positively_folded
 from hlgal.gallery import crossing_counts, enumerate_of_type, fundamental_type, type_of_lambda
 from hlgal.hlengine import gallery_term
 from hlgal.qpoly import QPoly
-from hlgal.rootdata import RootSystem, RootSystemSpec, vneg
+from hlgal.rootdata import RootSystem, RootSystemSpec, vadd, vneg
 from hlgal.tableaux import gallery_to_tableau, is_semistandard, tableau_to_gallery
 from hlgal.verify import _gallery_summaries, dominant_lambdas, run_suite
 from systems import root_system
@@ -144,6 +144,23 @@ def _negated_vertices(decode):
         return block_type, tuple(map(vneg, vertices))
 
     return corrupted
+
+
+def test_a_misplaced_block_fails_records_and_not_the_run(monkeypatch, c2):
+    # each block decodes from the walked vertex where it starts: a decode
+    # rule that shifts every vertex fails tableau-roundtrip records, and no
+    # later block is decoded from the shifted vertex, off the lattice
+    decode = hlgal.verify.decode_block
+
+    def shifted(rs, vertex, cols, pos=0):
+        block_type, vertices = decode(rs, vertex, cols, pos)
+        return block_type, tuple(vadd(x, (1, 0)) for x in vertices)
+
+    monkeypatch.setattr(hlgal.verify, "decode_block", shifted)
+    report = run_suite(c2, max_coeff_sum=2, max_height=12)
+    failed = [r for r in report["failures"] if r["check"].startswith("tableau-roundtrip[")]
+    assert failed and len(failed) == len(report["failures"]), report["failures"]
+    assert all(r["detail"]["violations"] > 0 for r in failed)
 
 
 # record kind -> (name on hlgal.verify, corruption of what that name holds);
