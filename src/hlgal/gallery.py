@@ -18,6 +18,12 @@ factor (the other half of positive folding) or a positive defect is
 checked exhaustively, over every sequence of fundamental blocks up to a
 bound, by check_chain_cut in the gallery tests; no proof of it is in the
 repository.
+
+What a walk needs of its type alone is its walk plan (walk_plan): the
+edges' reference germs and the hull bounds of every suffix of them, built
+once per type and kept on the root system, as are the standard types of
+the dominant weights (type_of_lambda).  A row of L walks one type once
+per mu, and pays for neither again.
 """
 
 from __future__ import annotations
@@ -81,12 +87,18 @@ def fundamental_type(rs: RootSystem, i: int) -> tuple:
 
 
 def type_of_lambda(rs: RootSystem, lam: Vec) -> GalleryType:
-    if not rs.is_dominant_weight(lam):
-        raise ValueError("lambda must be a dominant weight")
-    gtype = []
-    for i, a in enumerate(rs.weight_coeffs(lam), start=1):
-        gtype.extend(fundamental_type(rs, i) * a)
-    return tuple(gtype)
+    """The standard type of a dominant weight, omega_i's block a_i times
+    for i = 1 .. rank; memoised per weight in ``rs.lambda_types``.
+    ValueError, storing nothing, unless lam is a dominant weight."""
+    gtype = rs.lambda_types.get(lam)
+    if gtype is None:
+        if not rs.is_dominant_weight(lam):
+            raise ValueError("lambda must be a dominant weight")
+        gtype = []
+        for i, a in enumerate(rs.weight_coeffs(lam), start=1):
+            gtype.extend(fundamental_type(rs, i) * a)
+        gtype = rs.lambda_types[lam] = tuple(gtype)
+    return gtype
 
 
 def _hull_sums(rs: RootSystem, v: Vec) -> tuple:
@@ -112,6 +124,21 @@ def reference_germs(rs: RootSystem, gtype: GalleryType) -> list:
             raise ValueError("gallery type does not split into fundamental blocks")
         k += len(block)
     return [expected_germ(rs, t) for t in gtype]
+
+
+def walk_plan(rs: RootSystem, gtype: GalleryType) -> tuple:
+    """(germs, bounds): the reference germs of the type's edges, and for
+    each k = 0 .. len(gtype) the hull sums of the sum of germs[k:], which
+    bound where the edges from step k on can still take a walk.  Built
+    once per type and kept in ``rs.walk_plans``; ValueError, storing
+    nothing, unless the type splits into fundamental blocks."""
+    plan = rs.walk_plans.get(gtype)
+    if plan is None:
+        germs = tuple(reference_germs(rs, gtype))
+        # sums of the last len(gtype), ..., 1, 0 reference germs
+        rest = list(accumulate(reversed(germs), vadd, initial=_origin(rs)))[::-1]
+        plan = rs.walk_plans[gtype] = (germs, tuple(_hull_sums(rs, b) for b in rest))
+    return plan
 
 
 def chain_step(rs: RootSystem, reachable: int | None, d: Vec) -> int:
@@ -168,13 +195,16 @@ def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = N
     iterators, so a long type needs no deeper Python stack than a short
     one.  Each edge takes its germs from outgoing_edges, the one edge rule
     every walk reads, and each gallery comes with the germs taken as its
-    directions().  ValueError unless the type splits into fundamental
-    blocks.  With a target, only the galleries ending at it (modulo the
-    invariant line in type A) are walked: every edge from step k on lies
-    in the W-orbit of its dominant reference germ, so the rest of the walk
-    stays in the orbit hull of their sum, and a prefix whose target offset
-    lies outside it is cut.  The hull sums of each offset are memoised on
-    the root system (``rs.hulls``), as they depend on nothing else.
+    directions().  The reference germs and suffix hull bounds come from
+    the type's walk_plan, built once per root system (``rs.walk_plans``);
+    ValueError unless the type splits into fundamental blocks.  With a
+    target, only the galleries ending at it (modulo the invariant line in
+    type A) are walked: every edge from step k on lies in the W-orbit of
+    its dominant reference germ, so the rest of the walk stays in the
+    orbit hull of their sum, the plan's bound k, and a prefix whose target
+    offset lies outside it is cut.  The hull sums of each offset, the
+    target's own included, are memoised on the root system (``rs.hulls``),
+    as they depend on nothing else.
 
     With folded, only the positively folded galleries are walked, in the
     same order: each level of the stack reads the table at the chain mask
@@ -182,15 +212,14 @@ def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = N
     offered.  Unfolded, every level reads it at mask None, which keeps
     every germ of the local orbit."""
     gtype = tuple(gtype)
-    germs = reference_germs(rs, gtype)
+    germs, bounds = walk_plan(rs, gtype)
     origin = _origin(rs)
     if target is not None:
         hulls = rs.hulls
-        rest = [origin]  # sums of the last 0, 1, ... reference germs
-        for d in reversed(germs):
-            rest.append(vadd(rest[-1], d))
-        bounds = [_hull_sums(rs, b) for b in reversed(rest)]
-        if not all(map(le, _hull_sums(rs, target), bounds[0])):
+        sums = hulls.get(target)
+        if sums is None:
+            sums = hulls[target] = _hull_sums(rs, target)
+        if not all(map(le, sums, bounds[0])):
             return
     if not gtype:
         yield Gallery((origin,), gtype)

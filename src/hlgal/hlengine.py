@@ -34,7 +34,7 @@ count: the character command and verify both read it.
 from __future__ import annotations
 
 from .folding import enumerate_pf
-from .gallery import Gallery, GalleryType, outgoing_edges, reference_germs, type_of_lambda
+from .gallery import Gallery, GalleryType, outgoing_edges, type_of_lambda, walk_plan
 from .qpoly import QPoly
 from .residue import first_factor_exponent, junction_factor
 from .rootdata import RootSystem, Vec, vadd, vneg
@@ -72,7 +72,7 @@ def ls_character_of_type(rs: RootSystem, gtype: GalleryType) -> dict:
     gallery exceeds the bound; ValueError unless the type splits into
     fundamental blocks."""
     gtype = tuple(gtype)
-    germs = reference_germs(rs, gtype)
+    germs = walk_plan(rs, gtype)[0]
     layer = {((0,) * rs.dim, None, None): 1}  # state -> prefixes reaching it
     for etype, reference in zip(gtype, germs):
         nxt: dict = {}

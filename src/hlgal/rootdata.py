@@ -35,12 +35,17 @@ indices serves W and every local group W_V: W is the local group at the
 origin, where every wall passes.
 A RootSystem's root data is immutable after construction; the memo tables
 of everything derived from it, local groups included, live on the object.
+Among them are the per-type constants of the gallery walks: each dominant
+weight's standard gallery type (``lambda_types``) and each type's walk
+plan, its reference germs and suffix hull bounds (``walk_plans``), so a
+row of L pays them once, not once per mu.  Only validated results are
+stored; a rejected weight or type raises on every call.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from operator import add, attrgetter, neg, sub
+from operator import add, attrgetter, mul, neg, sub
 
 Vec = tuple  # tuple of int lattice coordinates
 SignedPerm = tuple  # tuple of (image_index, sign) pairs
@@ -53,7 +58,7 @@ def pairing(weight: Vec, covector: Vec) -> int:
     """Integer dot product <weight, covector>."""
     if len(weight) != len(covector):
         raise ValueError("dimension mismatch: %d vs %d" % (len(weight), len(covector)))
-    return sum(a * b for a, b in zip(weight, covector))
+    return sum(map(mul, weight, covector))
 
 
 def vadd(u: Vec, v: Vec) -> Vec:
@@ -355,6 +360,8 @@ class RootSystem:
             self.pos_coroots[self.pos_roots.index(a)] for a in self.simple_roots
         )
         self.fundamental_weights = tuple(fundamental)
+        # coordinate k of every omega_i: weight() pairs a coefficient vector with each
+        self._weight_columns = tuple(zip(*self.fundamental_weights))
         # largest pairing of each omega_i with a positive coroot; 1 means minuscule
         tops = [
             max(pairing(w, c) for c in self.pos_coroots) // self.scale
@@ -382,6 +389,9 @@ class RootSystem:
         self.vertex_locals: dict = {}  # vertex -> its entry in local_groups
         self.hulls: dict = {}  # offset -> its orbit-hull partial sums (gallery walk)
         self.fundamental_blocks: dict = {}  # i -> gallery.fundamental_type's EdgeType tuple
+        # validated results only: a rejected weight or type stores nothing
+        self.lambda_types: dict = {}  # dominant weight -> gallery.type_of_lambda's type
+        self.walk_plans: dict = {}  # gallery type -> gallery.walk_plan's (germs, hull bounds)
         self.tableau_columns: dict = {}  # germ -> its column (tableaux encode rule)
         self.column_germs: dict = {}  # valid column -> its germ (tableaux decode rule)
 
@@ -501,10 +511,7 @@ class RootSystem:
         """Sum a_i * omega_i for a coefficient vector in Bourbaki order."""
         if len(coeffs) != self.rank:
             raise ValueError("expected %d coefficients" % self.rank)
-        acc = (0,) * self.dim
-        for a, w in zip(coeffs, self.fundamental_weights):
-            acc = vadd(acc, vscale(a, w))
-        return acc
+        return tuple([sum(map(mul, coeffs, col)) for col in self._weight_columns])
 
     def weight_coeffs(self, v: Vec) -> tuple:
         """The integers a_i with v = sum a_i * omega_i; ValueError off the weight lattice."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .apartment import crossings
-from .gallery import chain_step, outgoing_edges, reference_germs, type_of_lambda
+from .gallery import chain_step, outgoing_edges, type_of_lambda, walk_plan
 from .hlengine import L_polynomial, character_LS
 from .oracles import (
     L_from_expansion,
@@ -61,9 +61,11 @@ def _dominant_mus(rs: RootSystem, targets, pmap) -> list:
         if rs.is_dominant(t):
             seen.setdefault(rs.canonical_key(t), t)
     for key in pmap:
-        # lift back to a raw dominant weight with integral coefficients
+        if not rs.is_dominant(key):  # every simple-coroot pairing >= 0 in A, B, C
+            continue
+        # lift back to a raw weight with integral coefficients
         coeffs = [divmod(pairing(key, c), rs.key_scale) for c in rs.simple_coroots]
-        if all(a >= 0 and rem == 0 for a, rem in coeffs):
+        if all(rem == 0 for _, rem in coeffs):
             raw = rs.weight([a for a, _ in coeffs])
             seen.setdefault(rs.canonical_key(raw), raw)
     return [seen[k] for k in sorted(seen)]
@@ -91,7 +93,7 @@ def _gallery_summaries(rs: RootSystem, gtype):
     it closes, from the walked vertex where it starts, while every earlier
     block decodes back; so no misplaced block moves a later decode."""
     gtype = tuple(gtype)
-    germs = reference_germs(rs, gtype)
+    germs = walk_plan(rs, gtype)[0]
     origin = (0,) * rs.dim
     if not gtype:
         yield origin, QPoly.one(), 0, 0, True, True

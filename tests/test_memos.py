@@ -7,6 +7,7 @@ loops, written out here.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import pytest
 
@@ -28,8 +29,10 @@ from hlgal.gallery import (
     outgoing_edges,
     reference_germs,
     type_of_lambda,
+    walk_plan,
 )
-from hlgal.hlengine import character_LS
+from hlgal.hlengine import character_LS, ls_character_of_type
+from hlgal.oracles import hall_littlewood_direct
 from hlgal.residue import first_factor_exponent, junction_factor
 from hlgal.rootdata import HashedWeight, RootSystem, RootSystemSpec, pairing, vadd, vneg, vscale, vsub
 from hlgal.tableaux import Tableau, bar, gallery_to_tableau, tableau_to_gallery
@@ -301,25 +304,132 @@ def test_edge_tables_serve_every_walk_in_any_order(family, rank):
     assert tables[0] == tables[1] and any(tables[0].values())
 
 
+def reference_type(rs, lam):
+    """The standard type of lambda, written out: omega_i's block a_i times,
+    one whole edge for a minuscule omega_i, else two halves."""
+    out = []
+    for i, a in enumerate(rs.weight_coeffs(lam), start=1):
+        whole = rs.fundamental_scale[i - 1] == 1
+        out += ((EdgeType(i, "whole"),) if whole else (EdgeType(i, "first"), EdgeType(i, "second"))) * a
+    return tuple(out)
+
+
+def reference_plan(rs, gtype):
+    """The walk plan, written out: the reference germs, and the hull sums of
+    the sum of each suffix of them, the whole type's first."""
+    germs = tuple(reference_germs(rs, gtype))
+    suffixes = [tuple(sum(column) for column in zip((0,) * rs.dim, *germs[k:])) for k in range(len(germs) + 1)]
+    return germs, tuple(_hull_sums(rs, b) for b in suffixes)
+
+
 @pytest.mark.parametrize("family,rank", ACCEPTANCE_TYPES + RANK_4_TYPES, ids=lambda x: str(x))
 def test_hull_memo_serves_targets_in_any_order(family, rank):
-    # the offsets one target's walk memoises serve the next: two fresh root
-    # systems taking every (type, reached target) in opposite orders walk
-    # the same galleries, and every memo entry is the unmemoised hull sums
+    # the offsets, types and walk plans one target's walk memoises serve the
+    # next: two fresh root systems taking every (type, reached target) in
+    # opposite orders walk the same galleries, and every memo entry is the
+    # unmemoised hull sums, standard type or walk plan
     ref = root_system(family, rank)
     runs = []
     for lam in dominant_lambdas(ref, *BOUNDS[(family, rank)]):
         gtype = type_of_lambda(ref, lam)
         targets = {ref.canonical_key(g.target): g.target for g in enumerate_of_type(ref, gtype)}
-        runs += [(gtype, target) for target in targets.values()]
+        runs += [(lam, target) for target in targets.values()]
     forward, backward = RootSystem(RootSystemSpec(family, rank)), RootSystem(RootSystemSpec(family, rank))
-    assert not forward.hulls and not backward.hulls
-    walked = [tuple(enumerate_of_type(forward, gtype, target)) for gtype, target in runs]
-    assert walked == [tuple(enumerate_of_type(backward, gtype, target)) for gtype, target in reversed(runs)][::-1]
+    for rs in (forward, backward):
+        assert not rs.hulls and not rs.lambda_types and not rs.walk_plans
+
+    def walk(rs, lam, target):
+        return tuple(enumerate_of_type(rs, type_of_lambda(rs, lam), target))
+
+    walked = [walk(forward, lam, target) for lam, target in runs]
+    assert walked == [walk(backward, lam, target) for lam, target in reversed(runs)][::-1]
     assert forward.hulls and forward.hulls.keys() == backward.hulls.keys()
+    assert forward.lambda_types == backward.lambda_types
+    assert forward.walk_plans == backward.walk_plans
     for rs in (forward, backward):
         for offset, sums in rs.hulls.items():
             assert sums == _hull_sums(rs, offset), offset
+        assert rs.lambda_types.keys() == {lam for lam, _ in runs}
+        for lam, gtype in rs.lambda_types.items():
+            assert gtype == reference_type(rs, lam), lam
+            assert type_of_lambda(rs, lam) is gtype
+        assert rs.walk_plans.keys() == set(rs.lambda_types.values())
+        for gtype, plan in rs.walk_plans.items():
+            assert plan == reference_plan(rs, gtype), gtype
+            assert walk_plan(rs, gtype) is plan
+
+
+@pytest.mark.parametrize("family,rank", ACCEPTANCE_TYPES + RANK_4_TYPES, ids=lambda x: str(x))
+def test_rejected_weights_and_types_store_nothing(family, rank):
+    # a lambda that is not a dominant weight and a type that does not split
+    # into fundamental blocks raise on every call, through every walk, and
+    # leave the type and plan memos empty
+    rs = fresh(family, rank)
+    zeros = (0,) * (rank - 1)
+    lams = [rs.weight((-1,) + zeros), rs.weight(zeros + (-1,))]
+    if family != "A":
+        lams.append((1,) + (0,) * (rs.dim - 1))  # half of epsilon_1: dominant, not a weight
+    whole = rs.fundamental_scale[rank - 1] == 1
+    gtypes = [
+        (EdgeType(0, "whole"),),
+        (EdgeType(rank + 1, "whole"),),
+        (EdgeType(rank, "first" if whole else "whole"),),
+        fundamental_type(rs, 1) + (EdgeType(1, "second"),),  # a stray half after a whole block
+    ]
+    walks = [
+        lambda gtype: list(enumerate_of_type(rs, gtype)),
+        lambda gtype: list(enumerate_of_type(rs, gtype, (0,) * rs.dim, folded=True)),
+        lambda gtype: ls_character_of_type(rs, gtype),
+        lambda gtype: walk_plan(rs, gtype),
+    ]
+    for _ in range(2):
+        for lam in lams:
+            for call in (type_of_lambda, character_LS, lambda rs, lam: enumerate_pf(rs, lam, lam)):
+                with pytest.raises(ValueError, match="lambda must be a dominant weight"):
+                    call(rs, lam)
+        for gtype in gtypes:
+            for call in walks:
+                with pytest.raises(ValueError, match="edge type index|fundamental blocks"):
+                    call(gtype)
+    assert not rs.lambda_types and not rs.walk_plans
+
+
+def unfiltered_dominant_mus(rs, targets, pmap):
+    """_dominant_mus with the lift written out on every key of the map,
+    dominant or not: rank coroot divmods, kept when all are integral and
+    non-negative."""
+    seen = {}
+    for t in targets:
+        if rs.is_dominant(t):
+            seen.setdefault(rs.canonical_key(t), t)
+    for key in pmap:
+        coeffs = [divmod(pairing(key, c), rs.key_scale) for c in rs.simple_coroots]
+        if all(a >= 0 and rem == 0 for a, rem in coeffs):
+            raw = rs.weight([a for a, _ in coeffs])
+            seen.setdefault(rs.canonical_key(raw), raw)
+    return [seen[k] for k in sorted(seen)]
+
+
+# coefficient sum bound of the lambdas per type
+MUS_SUMS = {
+    ("A", 2): 3, ("B", 2): 3, ("C", 2): 3, ("A", 3): 2, ("B", 3): 2, ("C", 3): 2,
+    ("A", 4): 2, ("B", 4): 1, ("C", 4): 1,
+}
+
+
+@pytest.mark.parametrize("family,rank", list(MUS_SUMS), ids=lambda x: str(x))
+def test_dominant_mus_lift_only_dominant_keys(family, rank):
+    # testing dominance before the lift drops no mu: the gallery targets and
+    # the oracle map, alone and together, give the unfiltered loop's list
+    rs = root_system(family, rank)
+    for lam in dominant_lambdas(rs, MUS_SUMS[(family, rank)], 10**6):
+        targets = [g.target for g in enumerate_of_type(rs, type_of_lambda(rs, lam))]
+        pmap = hall_littlewood_direct(rs, lam)
+        for args in ((targets, ()), ((), pmap), (targets, pmap)):
+            assert _dominant_mus(rs, *args) == unfiltered_dominant_mus(rs, *args), (lam, args)
+    # an oracle map's keys all lift; these need not, nor be dominant
+    for key in product(range(-1, 3), repeat=rs.dim):
+        assert _dominant_mus(rs, (), {key: 1}) == unfiltered_dominant_mus(rs, (), {key: 1}), key
 
 
 @pytest.mark.parametrize("family,rank", ACCEPTANCE_TYPES + RANK_4_TYPES, ids=lambda x: str(x))

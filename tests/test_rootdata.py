@@ -45,8 +45,37 @@ def test_bad_spec_rejected():
 
 
 def test_pairing_dimension_mismatch():
-    with pytest.raises(ValueError):
+    # both directions: map would stop at the shorter vector without the check
+    with pytest.raises(ValueError, match="dimension mismatch"):
         pairing((1,), (1, 0))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        pairing((1, 0, 2), (1, 0))
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 3), ("C", 4)])
+def test_weight_rejects_wrong_coefficient_count(family, rank):
+    rs = root_system(family, rank)
+    for coeffs in ((1,) * (rank - 1), (1,) * (rank + 1), ()):
+        with pytest.raises(ValueError, match="expected %d coefficients" % rank):
+            rs.weight(coeffs)
+
+
+KERNEL_TYPES = [(f, n) for f in "ABC" for n in range(1, 5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KERNEL_TYPES), st.lists(st.integers(-9, 9), min_size=10, max_size=10), st.data())
+def test_kernels_match_written_out_sums(name, ints, data):
+    # pairing and weight against the generator forms they replace
+    rs = root_system(*name)
+    v, c = tuple(ints[: rs.dim]), tuple(ints[-rs.dim :])
+    assert pairing(v, c) == sum(a * b for a, b in zip(v, c))
+    coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=rs.rank, max_size=rs.rank))
+    want = (0,) * rs.dim
+    for a, w in zip(coeffs, rs.fundamental_weights):
+        want = tuple(x + a * y for x, y in zip(want, w))
+    assert rs.weight(coeffs) == want
+    assert rs.weight(tuple(coeffs)) == want
 
 
 def test_rho_is_half_sum(a2, b2, c3):
