@@ -21,15 +21,22 @@ class EdgeType(Frozen):
     """Type tag of a fundamental-gallery edge: which omega, which piece.
 
     ``index`` is the 1-based Bourbaki index of the fundamental weight;
-    ``segment`` is "whole" for one-edge galleries, else "first"/"second"."""
+    ``segment`` is "whole" for one-edge galleries, else "first"/"second".
+    Gallery types key the walk plans, so the hash of the fields is computed
+    once, at construction, and kept in ``_hash``."""
 
-    __slots__ = _fields = ("index", "segment")
+    _fields = ("index", "segment")
+    __slots__ = _fields + ("_hash",)
 
     def __init__(self, index: int, segment: str):
         if segment not in SEGMENTS:
             raise ValueError("bad segment %r" % (segment,))
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "segment", segment)
+        object.__setattr__(self, "_hash", hash((index, segment)))
+
+    def __hash__(self):
+        return self._hash
 
     def tag(self) -> str:
         return "%d:%s" % (self.index, self.segment)

@@ -129,8 +129,12 @@ def enumerate_pf(rs: RootSystem, lam: Vec, mu: Vec) -> tuple:
     """All positively folded galleries of the standard type with target mu,
     in the walk's depth-first order: the galleries of
     enumerate_of_type(..., mu) that is_positively_folded accepts, walked
-    with folded=True so that unfolded prefixes are cut, not built."""
+    with folded=True so that unfolded prefixes are cut, not built.  A mu
+    that passes the dominance check is kept in ``rs.dominant_weights`` and
+    not checked again; ValueError, storing nothing, for one that fails."""
     gtype = type_of_lambda(rs, lam)  # rejects a lambda that is not a dominant weight
-    if not rs.is_dominant_weight(mu):
-        raise ValueError("mu must be a dominant weight")
+    if mu not in rs.dominant_weights:
+        if not rs.is_dominant_weight(mu):
+            raise ValueError("mu must be a dominant weight")
+        rs.dominant_weights.add(mu)
     return tuple(enumerate_of_type(rs, gtype, mu, folded=True))

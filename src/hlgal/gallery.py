@@ -23,11 +23,14 @@ What a walk needs of its type alone is its walk plan (walk_plan): the
 edges' reference germs and the hull bounds of every suffix of them, built
 once per type and kept on the root system, as are the standard types of
 the dominant weights (type_of_lambda).  A row of L walks one type once
-per mu, and pays for neither again.
+per mu, and pays for neither again.  A walk with a target tries no germ
+on its last edge: only one germ can end it on the target, and
+closing_edges looks that germ's entry up in the edge table.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import accumulate
 from operator import le
 
@@ -158,8 +161,8 @@ def outgoing_edges(
     germ d an edge of the type can take out of the state (v, prev, mask)
     that chain_step keeps, with the chain mask after d.  The germs are the
     local orbit at v of the germ just taken (prev) for a second half, else
-    of the edge's reference germ, in orbit order; with mask None every germ
-    of the orbit is kept.
+    of the edge's reference germ, in orbit order, which sorts them; with
+    mask None every germ of the orbit is kept.
 
     defect is scale times the crossing-bound gap 2(p1 + p2) - height(prev
     + d) - height(omega_i) of the block a second half closes, p1 and p2
@@ -204,7 +207,10 @@ def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = N
     orbit hull of their sum, the plan's bound k, and a prefix whose target
     offset lies outside it is cut.  The hull sums of each offset, the
     target's own included, are memoised on the root system (``rs.hulls``),
-    as they depend on nothing else.
+    as they depend on nothing else.  The last edge is looked up, not
+    tried: its level keeps only the entry closing_edges finds, the one germ
+    that ends on the target, and that edge gets no hull test.  At most one
+    germ survives, so the depth-first order is unchanged.
 
     With folded, only the positively folded galleries are walked, in the
     same order: each level of the stack reads the table at the chain mask
@@ -226,11 +232,19 @@ def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = N
         return
     last = len(gtype) - 1
     path, taken = [origin], []  # the prefix: vertices V_0 .. V_k, germs E_0 .. E_{k-1}
-    stack = [iter(outgoing_edges(rs, origin, gtype[0], germs[0], None, None))]
+    table = outgoing_edges(rs, origin, gtype[0], germs[0], None, None)
+    if not last and target is not None:
+        table = closing_edges(rs, table, germs[0], target)
+    stack = [iter(table)]
     while stack:
         k = len(taken)
         for d, reachable, _ in stack[-1]:
             v = vadd(path[k], d)
+            if k == last:
+                g = Gallery((*path, v), gtype)
+                object.__setattr__(g, "_directions", (*taken, d))
+                yield g
+                continue
             if target is not None:
                 offset = vsub(target, v)
                 sums = hulls.get(offset)
@@ -238,21 +252,37 @@ def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = N
                     sums = hulls[offset] = _hull_sums(rs, offset)
                 if not all(map(le, sums, bounds[k + 1])):
                     continue
-            if k == last:
-                g = Gallery((*path, v), gtype)
-                object.__setattr__(g, "_directions", (*taken, d))
-                yield g
-                continue
+            table = outgoing_edges(rs, v, gtype[k + 1], germs[k + 1], d, reachable if folded else None)
+            if k + 1 == last and target is not None:
+                table = closing_edges(rs, table, germs[last], offset)
             path.append(v)
             taken.append(d)
-            mask = reachable if folded else None
-            stack.append(iter(outgoing_edges(rs, v, gtype[k + 1], germs[k + 1], d, mask)))
+            stack.append(iter(table))
             break
         else:
             stack.pop()
             path.pop()
             if taken:
                 taken.pop()
+
+
+def closing_edges(rs: RootSystem, table: tuple, reference: Vec, offset: Vec) -> tuple:
+    """The entries of an outgoing_edges table whose germ takes the walk
+    from v to its target, offset = target - v: at most one, so the last
+    edge of a target walk is looked up, not tried.  Every germ of the
+    table lies in the W-orbit of the edge's reference germ, so the one
+    candidate is the offset itself, moved in type A along the invariant
+    line (1, ..., 1) to the reference germ's coordinate sum, which the
+    whole orbit shares; none when that shift is not a whole step."""
+    d = offset
+    if rs.family == "A":
+        shift, rem = divmod(sum(reference) - sum(d), rs.dim)
+        if rem:
+            return ()
+        if shift:
+            d = tuple([a + shift for a in d])
+    i = bisect_left(table, (d,))  # the table is sorted by germ, and (d,) sorts before (d, ...)
+    return table[i : i + 1] if i < len(table) and table[i][0] == d else ()
 
 
 def crossing_counts(rs: RootSystem, g: Gallery) -> tuple:

@@ -33,6 +33,9 @@ count: the character command and verify both read it.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add, mul
+
 from .folding import enumerate_pf
 from .gallery import Gallery, GalleryType, outgoing_edges, type_of_lambda, walk_plan
 from .qpoly import QPoly
@@ -41,24 +44,23 @@ from .rootdata import RootSystem, Vec, vadd, vneg
 
 
 def gallery_term(rs: RootSystem, g: Gallery) -> QPoly:
-    """The summand q^{l(w_D0)} * prod_j U_j(q) of a positively folded gallery."""
-    if g.num_edges() == 0:
-        return QPoly.one()
+    """The summand q^{l(w_D0)} * prod_j U_j(q) of a positively folded
+    gallery: the product of its junction factors, shifted once by q^{l(w_D0)}."""
     dirs = g.directions()
-    total = QPoly.q_power(first_factor_exponent(rs, dirs[0]))
-    for j in range(1, g.num_edges()):
-        total = total * junction_factor(rs, g.vertices[j], vneg(dirs[j - 1]), dirs[j])
-    return total
+    if not dirs:
+        return QPoly.one()
+    vertices = g.vertices
+    factors = [junction_factor(rs, vertices[j], vneg(dirs[j - 1]), dirs[j]) for j in range(1, len(dirs))]
+    total = reduce(mul, factors) if factors else QPoly.one()
+    return total.shifted(first_factor_exponent(rs, dirs[0]))
 
 
 def L_polynomial(rs: RootSystem, lam: Vec, mu: Vec) -> QPoly:
     """L_{lambda,mu}(q) summed over positively folded galleries with target mu.
 
     enumerate_pf rejects a lambda or mu that is not a dominant weight."""
-    total = QPoly.zero()
-    for g in enumerate_pf(rs, lam, mu):
-        total = total + gallery_term(rs, g)
-    return total
+    terms = [gallery_term(rs, g) for g in enumerate_pf(rs, lam, mu)]
+    return reduce(add, terms) if terms else QPoly.zero()
 
 
 def ls_character_of_type(rs: RootSystem, gtype: GalleryType) -> dict:

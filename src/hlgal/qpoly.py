@@ -1,4 +1,13 @@
-"""Univariate polynomials in q with integer coefficients, exact arithmetic."""
+"""Univariate polynomials in q with integer coefficients, exact arithmetic.
+
+The public constructor coerces every coefficient to an int (ValueError
+unless it is a whole number) and trims trailing zeros.  Arithmetic
+results skip that coercion: their coefficients are sums and products of
+ints already, so they are built by ``QPoly._make`` from a finished
+tuple, trimmed only where a zero can lead (a sum of two polynomials of
+equal length).  A product of non-zero integer polynomials has a non-zero
+leading coefficient, and so does a sum of unequal lengths.
+"""
 
 from __future__ import annotations
 
@@ -21,6 +30,13 @@ class QPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    @classmethod
+    def _make(cls, coeffs: tuple) -> "QPoly":
+        """A QPoly on ints already trimmed: no coercion, no check."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", coeffs)
+        return p
 
     def __setattr__(self, *a):
         raise AttributeError("QPoly is immutable")
@@ -61,24 +77,33 @@ class QPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return QPoly(out)
+        if len(a) == len(b):  # the leading terms may cancel
+            while out and out[-1] == 0:
+                out.pop()
+        return QPoly._make(tuple(out))
 
     def __sub__(self, other: "QPoly") -> "QPoly":
-        return self + QPoly(tuple(-c for c in other.coeffs))
+        return self + -other
 
     def __neg__(self) -> "QPoly":
-        return QPoly(tuple(-c for c in self.coeffs))
+        return QPoly._make(tuple([-c for c in self.coeffs]))
 
     def __mul__(self, other: "QPoly") -> "QPoly":
-        if not self.coeffs or not other.coeffs:
-            return QPoly.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return QPoly(out)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return QPoly._make(())
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return QPoly._make(tuple(out))
+
+    def shifted(self, k: int) -> "QPoly":
+        """q^k times this polynomial, k >= 0."""
+        if not k or not self.coeffs:
+            return self
+        return QPoly._make((0,) * k + self.coeffs)
 
     def __pow__(self, k: int) -> "QPoly":
         if k < 0:

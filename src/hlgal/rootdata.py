@@ -36,9 +36,11 @@ origin, where every wall passes.
 A RootSystem's root data is immutable after construction; the memo tables
 of everything derived from it, local groups included, live on the object.
 Among them are the per-type constants of the gallery walks: each dominant
-weight's standard gallery type (``lambda_types``) and each type's walk
-plan, its reference germs and suffix hull bounds (``walk_plans``), so a
-row of L pays them once, not once per mu.  Only validated results are
+weight's standard gallery type (``lambda_types``), each type's walk
+plan, its reference germs and suffix hull bounds (``walk_plans``), and
+each mu that passed the dominance check (``dominant_weights``): a row
+of L pays its type's constants once, not once per mu, and a mu is
+checked once, not once per L value.  Only validated results are
 stored; a rejected weight or type raises on every call.
 """
 
@@ -391,6 +393,7 @@ class RootSystem:
         self.fundamental_blocks: dict = {}  # i -> gallery.fundamental_type's EdgeType tuple
         # validated results only: a rejected weight or type stores nothing
         self.lambda_types: dict = {}  # dominant weight -> gallery.type_of_lambda's type
+        self.dominant_weights: set = set()  # the mus folding.enumerate_pf has validated
         self.walk_plans: dict = {}  # gallery type -> gallery.walk_plan's (germs, hull bounds)
         self.tableau_columns: dict = {}  # germ -> its column (tableaux encode rule)
         self.column_germs: dict = {}  # valid column -> its germ (tableaux decode rule)

@@ -194,6 +194,37 @@ def test_walk_matches_recursive_reference(name, max_sum, max_height):
             assert g.directions() == tuple(map(vsub, g.vertices[1:], g.vertices)), g
 
 
+@pytest.mark.parametrize(
+    "name,max_sum,max_height", [w for w in WALK_SUITE if w[0][0] == "A"], ids=lambda x: str(x)
+)
+def test_type_a_target_walk_reads_the_target_modulo_the_line(name, max_sum, max_height):
+    # in type A the last edge's germ is looked up along the invariant line
+    # (1, ..., 1), so a target moved by a whole step along it walks the same
+    # galleries, folded and unfolded.  A target moved by e_1 changes the
+    # coordinate sum by one, so no whole step closes it: it walks what the
+    # filtered walk keeps
+    rs = root_system(*name)
+    line = (1,) * rs.dim
+    e1 = (1,) + (0,) * (rs.dim - 1)
+    for lam in dominant_lambdas(rs, max_sum, max_height):
+        gtype = type_of_lambda(rs, lam)
+        full = tuple(enumerate_of_type(rs, gtype))
+        targets = {rs.canonical_key(g.target): g.target for g in full}
+        for target in targets.values():
+            stray = vadd(target, e1)
+            for folded in (False, True):
+                want = tuple(enumerate_of_type(rs, gtype, target, folded))
+                for c in (1, -1):
+                    moved = vadd(target, vscale(c, line))
+                    assert tuple(enumerate_of_type(rs, gtype, moved, folded)) == want, (lam, moved, folded)
+                filtered = tuple(
+                    g for g in full
+                    if rs.canonical_key(g.target) == rs.canonical_key(stray)
+                    and (not folded or is_positively_folded(rs, g))
+                )
+                assert tuple(enumerate_of_type(rs, gtype, stray, folded)) == filtered, (lam, stray, folded)
+
+
 def check_chain_cut(rs, max_blocks):
     """The walks' folding and crossing-bound cuts, checked against both
     halves of positive folding and the block gap written out: for every

@@ -394,6 +394,37 @@ def test_rejected_weights_and_types_store_nothing(family, rank):
     assert not rs.lambda_types and not rs.walk_plans
 
 
+@pytest.mark.parametrize("family,rank", ACCEPTANCE_TYPES + RANK_4_TYPES, ids=lambda x: str(x))
+def test_validated_mus_are_kept_and_rejected_ones_store_nothing(family, rank):
+    # enumerate_pf checks a mu once and keeps it in rs.dominant_weights; a
+    # mu that is not a dominant weight raises on every call and stores
+    # nothing, before and after valid ones are kept
+    rs = fresh(family, rank)
+    zeros = (0,) * (rank - 1)
+    lam = rs.weight((1,) + zeros)
+    rejected = [rs.weight((-1,) + zeros), rs.weight(zeros + (-1,))]
+    if family != "A":
+        rejected.append((1,) + (0,) * (rs.dim - 1))  # half of epsilon_1: dominant, not a weight
+    mus = dominant_lambdas(rs, 2, 40)
+
+    def reject_all():
+        for _ in range(2):
+            for mu in rejected:
+                with pytest.raises(ValueError, match="mu must be a dominant weight"):
+                    enumerate_pf(rs, lam, mu)
+
+    reject_all()
+    assert not rs.dominant_weights
+    first = [enumerate_pf(rs, lam, mu) for mu in mus]
+    assert rs.dominant_weights == set(mus)
+    # a kept mu is read back, not checked again
+    rs.is_dominant_weight = lambda v: pytest.fail("a kept mu was checked again")
+    assert [enumerate_pf(rs, lam, mu) for mu in mus] == first
+    del rs.is_dominant_weight
+    reject_all()
+    assert rs.dominant_weights == set(mus)
+
+
 def unfiltered_dominant_mus(rs, targets, pmap):
     """_dominant_mus with the lift written out on every key of the map,
     dominant or not: rank coroot divmods, kept when all are integral and

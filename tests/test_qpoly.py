@@ -77,3 +77,57 @@ def test_ring_laws(a, b, c):
     assert (p + q) * r == p * r + q * r
     assert p * (q * r) == (p * q) * r
     assert p - p == QPoly.zero()
+
+
+def convolve(a, b):
+    """The product of two coefficient lists, written out."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def trimmed(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeff_lists, coeff_lists, st.sampled_from((1, -1)), st.integers(0, 3))
+def test_arithmetic_matches_coefficient_lists(a, b, c, k):
+    # +, -, negation, * and shifted against the coefficient lists written
+    # out.  r has p's length and c times its leading term, so p + r (c = -1)
+    # or p - r (c = 1) cancels at the top, and further down when b's terms
+    # are p's; p + (-p) and the zero polynomial are among the pairs
+    p, q, zero = QPoly(a), QPoly(b), QPoly.zero()
+    n = len(p.coeffs)
+    r = QPoly((list(b[: n - 1]) + [0] * (n - 1 - len(b)) + [c * p.coeffs[-1]]) if n else b)
+    for x, y in ((p, q), (q, p), (p, r), (r, p), (p, -p), (p, zero), (zero, p), (zero, zero)):
+        m = max(len(x.coeffs), len(y.coeffs))
+        xs, ys = list(x.coeffs) + [0] * (m - len(x.coeffs)), list(y.coeffs) + [0] * (m - len(y.coeffs))
+        checks = [
+            (x + y, [u + v for u, v in zip(xs, ys)]),
+            (x - y, [u - v for u, v in zip(xs, ys)]),
+            (x * y, convolve(x.coeffs, y.coeffs)),
+            (-x, [-u for u in x.coeffs]),
+            (x.shifted(k), [0] * k + list(x.coeffs) if x.coeffs else []),
+        ]
+        for got, want in checks:
+            assert got.coeffs == trimmed(want), (x, y, got)
+            assert type(got.coeffs) is tuple and all(type(e) is int for e in got.coeffs)
+            assert not got.coeffs or got.coeffs[-1] != 0
+    assert (p + -p).coeffs == (p - p).coeffs == ()
+    assert (p * zero).coeffs == (zero * p).coeffs == ()
+
+
+def test_arithmetic_keeps_the_constructor_checks():
+    # results skip the coercion, but the public constructor still refuses a
+    # fractional coefficient and coerces a whole one
+    with pytest.raises(ValueError, match="non-integral"):
+        QPoly((1, Fraction(1, 3)))
+    p = QPoly((Fraction(2), 3.0))
+    assert p.coeffs == (2, 3) and all(type(e) is int for e in p.coeffs)
+    assert (p + p).coeffs == (4, 6) and (p * p).coeffs == (4, 12, 9)

@@ -76,6 +76,23 @@ def test_edge_type_checks_its_segment():
         EdgeType(1, "middle")
 
 
+@pytest.mark.parametrize("index,segment", [(1, "whole"), (2, "first"), (2, "second"), (4, "whole")])
+def test_edge_type_hash_is_its_fields_computed_once(index, segment):
+    # the hash is computed at construction and kept outside the fields:
+    # it is the fields' tuple hash, a pickle round trip rebuilds it, and
+    # the cache shows in neither the fields nor the repr
+    t = EdgeType(index, segment)
+    assert hash(t) == hash((index, segment)) == t._hash
+    # a pickle carries the fields alone, so an interpreter with another
+    # string hash seed computes its own hash on loading
+    assert t.__reduce__() == (EdgeType, (index, segment))
+    clone = pickle.loads(pickle.dumps(t))
+    assert clone == t and hash(clone) == hash((index, segment))
+    assert t._fields == ("index", "segment") and "_hash" not in repr(t)
+    with pytest.raises(AttributeError):
+        t._hash = 0
+
+
 # plain tuples of Fractions, including fifths and a negative zero-sum point
 PLAIN_WEIGHTS = [
     (),
