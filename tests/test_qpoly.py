@@ -104,7 +104,7 @@ def test_arithmetic_matches_coefficient_lists(a, b, c, k):
     # are p's; p + (-p) and the zero polynomial are among the pairs
     p, q, zero = QPoly(a), QPoly(b), QPoly.zero()
     n = len(p.coeffs)
-    r = QPoly((list(b[: n - 1]) + [0] * (n - 1 - len(b)) + [c * p.coeffs[-1]]) if n else b)
+    r = QPoly((list(b) + [0] * n)[: n - 1] + [c * p.coeffs[-1]]) if n else q
     for x, y in ((p, q), (q, p), (p, r), (r, p), (p, -p), (p, zero), (zero, p), (zero, zero)):
         m = max(len(x.coeffs), len(y.coeffs))
         xs, ys = list(x.coeffs) + [0] * (m - len(x.coeffs)), list(y.coeffs) + [0] * (m - len(y.coeffs))
