@@ -68,7 +68,10 @@ def local_data_for_key(rs: RootSystem, key: tuple) -> ReflectionGroup:
 
 def crossings(rs: RootSystem, vertex: Vec, direction: Vec) -> tuple:
     """(positive, negative): walls through the vertex that the germ leaves
-    into their positive, resp. negative, side.  Memoised on the local group."""
+    into their positive, resp. negative, side.  Memoised on the local group.
+
+    At the origin the positive count is l(w_D0), the length of the closest
+    chamber that holds the germ: the exponent of a gallery's first factor."""
     local = local_data(rs, vertex)
     hit = local.crossings.get(direction)
     if hit is None:

@@ -5,8 +5,9 @@ L_{lambda,mu}(q) is a sum over galleries: the target-pruned, folded
 walk of enumerate_pf reads gallery.outgoing_edges, which cuts each germ
 where the defining chain dies (chain_step), so it builds only the
 positively folded galleries with target mu, with no per-gallery folding
-test, and each contributes q^(length of the closest chamber at the
-origin) times the product of its junction factors; the factors come
+test, and each contributes q^{l(w_D0)} times the product of its junction
+factors, l(w_D0) being the first germ's positive-crossing count at the
+origin (apartment.crossings); the factors come
 from the residue module, so a kept gallery with a zero factor would
 still add nothing, and all arithmetic is exact, so the accumulation
 order does not matter.
@@ -36,23 +37,25 @@ from __future__ import annotations
 from functools import reduce
 from operator import add, mul
 
+from .apartment import crossings
 from .folding import enumerate_pf
 from .gallery import Gallery, GalleryType, outgoing_edges, type_of_lambda, walk_plan
 from .qpoly import QPoly
-from .residue import first_factor_exponent, junction_factor
+from .residue import junction_factor
 from .rootdata import RootSystem, Vec, vadd, vneg
 
 
 def gallery_term(rs: RootSystem, g: Gallery) -> QPoly:
     """The summand q^{l(w_D0)} * prod_j U_j(q) of a positively folded
-    gallery: the product of its junction factors, shifted once by q^{l(w_D0)}."""
+    gallery: the product of its junction factors, shifted once by q^{l(w_D0)},
+    with l(w_D0) the first germ's positive crossings at the origin."""
     dirs = g.directions()
     if not dirs:
         return QPoly.one()
     vertices = g.vertices
     factors = [junction_factor(rs, vertices[j], vneg(dirs[j - 1]), dirs[j]) for j in range(1, len(dirs))]
     total = reduce(mul, factors) if factors else QPoly.one()
-    return total.shifted(first_factor_exponent(rs, dirs[0]))
+    return total.shifted(crossings(rs, vertices[0], dirs[0])[0])
 
 
 def L_polynomial(rs: RootSystem, lam: Vec, mu: Vec) -> QPoly:

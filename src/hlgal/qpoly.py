@@ -53,10 +53,6 @@ class QPoly:
     def q_power(k: int) -> "QPoly":
         return QPoly((0,) * k + (1,))
 
-    @staticmethod
-    def q_minus_one() -> "QPoly":
-        return QPoly((-1, 1))
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -104,14 +100,6 @@ class QPoly:
         if not k or not self.coeffs:
             return self
         return QPoly._make((0,) * k + self.coeffs)
-
-    def __pow__(self, k: int) -> "QPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        acc = QPoly.one()
-        for _ in range(k):
-            acc = acc * self
-        return acc
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QPoly) and self.coeffs == other.coeffs

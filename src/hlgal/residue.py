@@ -17,13 +17,18 @@ points, which keeps the computation free of root-sign conventions:
 * a crossing counts toward t when the current chamber and the sector sit
   on the same side of the crossed wall (the step moves away from it).
 
-The junction factor depends on neither the sector nor the reduced word,
-so ``junction_factor`` uses the least valid class index and the
-lexicographically least word; ``enumerate_gamma_plus_op`` takes both as
-inputs, which is how the tests check that independence.  The factor is
-non-zero exactly when the junction is positively folded, and it is the
-folding module's junction test; a junction with no valid sector class
-gets 0, the sum over an empty set.
+A word with t such crossings and r folds adds q^t (q-1)^r, and
+``local_factor`` sums those terms in one forward pass over the word, one
+polynomial per chamber of the residue.  The factor depends on neither the
+sector nor the reduced word, so ``junction_factor`` uses the least valid
+class index and the lexicographically least word; ``local_factor`` takes
+both as inputs, which is how the tests check that independence.  The
+factor is non-zero exactly when the junction is positively folded, and it
+is the folding module's junction test; a junction with no valid sector
+class gets 0, the sum over an empty set.
+
+The gallery's first factor q^{l(w_D0)} needs no word: l(w_D0) is the
+first germ's positive-crossing count at the origin (apartment.crossings).
 """
 
 from __future__ import annotations
@@ -57,62 +62,54 @@ def choose_sector(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def enumerate_gamma_plus_op(
+def local_factor(
     rs: RootSystem, vertex: Vec, d_in: Vec, d_out: Vec, sector_class: int, word: tuple
-) -> tuple:
-    """(t, r) of every fold/cross word over ``word``, a reduced word of the
-    closest chamber of the outgoing germ, that is positively folded with
-    respect to the sector and whose final chamber carries a type-mate of
-    the outgoing germ forming a minimal pair with the incoming one.  t
-    counts the crossings away from the sector, r the folds."""
+) -> QPoly:
+    """Sum of q^t (q-1)^r over the fold/cross words over ``word``, a reduced
+    word of the closest chamber of the outgoing germ, that are positively
+    folded with respect to the sector and whose final chamber carries a
+    type-mate of the outgoing germ forming a minimal pair with the incoming
+    one; t counts the crossings away from the sector, r the folds.
+
+    One forward pass over the word: each layer maps a chamber of the residue
+    to the sum over the word prefixes that end in it."""
     local = local_data(rs, vertex)
     # generic interior point of the sector's local chamber
     sector_pt = rs.act(sector_class, rs.generic_dominant)
     u, _ = local.closest_chamber(d_out)
     base_face = rs.act(rs.inverse[u], d_out)
-    results = []
-
-    def rec(k, u, t, r):
-        if k == len(word):
-            if is_minimal_pair(rs, d_in, rs.act(u, base_face)):
-                results.append((t, r))
-            return
-        letter = word[k]
-        side = pairing(sector_pt, rs.act(u, local.simples[letter]))
-        # the current chamber is always strictly on the negative side of its
-        # own wall functional, so `side` alone settles both questions
-        rec(k + 1, rs.mul(u, local.simple_reflections[letter]), t + (side < 0), r)
-        if side > 0:
-            rec(k + 1, u, t, r + 1)
-
-    rec(0, 0, 0, 0)
-    return tuple(results)
+    layer = {0: QPoly.one()}  # chamber -> sum over the prefixes ending there
+    for letter in word:
+        root, s = local.simples[letter], local.simple_reflections[letter]
+        nxt: dict = {}
+        for u, p in layer.items():
+            # the current chamber is always strictly on the negative side of
+            # its own wall functional, so `side` alone settles both questions
+            side = pairing(sector_pt, rs.act(u, root))
+            w = rs.mul(u, s)
+            step = p.shifted(1) if side < 0 else p  # the crossing into w
+            nxt[w] = nxt[w] + step if w in nxt else step
+            if side > 0:  # a fold stays in u
+                step = p.shifted(1) - p
+                nxt[u] = nxt[u] + step if u in nxt else step
+        layer = nxt
+    ends = (p for u, p in layer.items() if is_minimal_pair(rs, d_in, rs.act(u, base_face)))
+    return sum(ends, QPoly.zero())
 
 
 def junction_factor(rs: RootSystem, vertex: Vec, d_in: Vec, d_out: Vec) -> QPoly:
-    """Sum of q^t (q-1)^r over the local positively folded galleries,
-    memoised on the local group at the vertex.  The sector is the least
-    valid class index: W is indexed in length order and u < w in Bruhat
-    order forces l(u) < l(w), so it is Bruhat-minimal."""
+    """local_factor at the least valid sector class and the least reduced
+    word, memoised on the local group at the vertex.  The least class index
+    is Bruhat-minimal: W is indexed in length order and u < w in Bruhat
+    order forces l(u) < l(w)."""
     local = local_data(rs, vertex)
     hit = local.factors.get((d_in, d_out))
     if hit is None:
-        hit = QPoly.zero()
         mask = valid_sector_classes(rs, vertex, d_in, d_out)
-        if mask:  # else a sum over nothing
-            _, word = local.closest_chamber(d_out)
-            by_r: dict = {}  # r -> coefficients of the sum of q^t over the words with r folds
-            for t, r in enumerate_gamma_plus_op(rs, vertex, d_in, d_out, choose_sector(mask), word):
-                row = by_r.setdefault(r, [])
-                row.extend([0] * (t + 1 - len(row)))
-                row[t] += 1
-            for r, row in by_r.items():
-                hit = hit + QPoly(row) * QPoly.q_minus_one() ** r
+        if mask:
+            word = local.closest_chamber(d_out)[1]
+            hit = local_factor(rs, vertex, d_in, d_out, choose_sector(mask), word)
+        else:  # a sum over nothing
+            hit = QPoly.zero()
         local.factors[(d_in, d_out)] = hit
     return hit
-
-
-def first_factor_exponent(rs: RootSystem, first_direction: Vec) -> int:
-    """Length of the closest chamber at the origin containing the first germ."""
-    u, _ = local_data(rs, (0,) * rs.dim).closest_chamber(first_direction)
-    return rs.length[u]

@@ -13,7 +13,8 @@ the per-edge rules themselves (chain_step from no constraint, the junction
 factors, the wall crossings, and the tableaux module's encode, per-block
 decode and adjacent-column rules), never the folded walk's cut, so the
 records stay independent of the chain-only rule that the walks of L and
-char rely on.
+char rely on.  The first edge's positive crossings are l(w_D0), the
+exponent of the term's first factor q^{l(w_D0)}.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .oracles import (
     weyl_dimension,
 )
 from .qpoly import QPoly
-from .residue import first_factor_exponent, junction_factor
+from .residue import junction_factor
 from .rootdata import RootSystem, pairing, vadd, vneg
 from .tableaux import columns_ordered, decode_block, germ_column
 
@@ -119,12 +120,12 @@ def _gallery_summaries(rs: RootSystem, gtype):
             if term is not None:
                 reach = chain_step(rs, mask, d)
                 if reach:
-                    if back is None:
-                        factor = QPoly.q_power(first_factor_exponent(rs, d))
+                    if back is None:  # at the origin, l(w_D0) = p
+                        t = term.shifted(p)
                     else:
                         factor = junction_factor(rs, v, back, d)
-                    if not factor.is_zero():
-                        t = term * factor
+                        if not factor.is_zero():
+                            t = term * factor
             c = germ_column(rs, d)
             o = ordered and (col is None or columns_ordered(col, c))
             r = decoded

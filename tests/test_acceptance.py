@@ -9,7 +9,9 @@ against the recursion and the Weyl dimension, for coefficient sum <= 2,
 and criterion 8 checks every rank-4 junction of A4 (coefficient
 sum <= 2), B4 and C4 (sum <= 1): its factor is non-zero exactly when the
 test-local reachability reference folds it, and is then independent of
-the sector and the reduced word.
+the sector and the reduced word.  In types B and C, every target of the
+folded walk, dominant or not, is checked against the oracle's whole
+monomial expansion (B2/C2 to coefficient sum 3, B3/C3 and B4/C4 to 2).
 Everything is exact; no tolerances anywhere.
 """
 
@@ -30,11 +32,7 @@ from hlgal.oracles import (
     weyl_dimension,
 )
 from hlgal.qpoly import QPoly
-from hlgal.residue import (
-    enumerate_gamma_plus_op,
-    junction_factor,
-    valid_sector_classes,
-)
+from hlgal.residue import junction_factor, local_factor, valid_sector_classes
 from hlgal.rootdata import vadd, vneg
 from hlgal.tableaux import gallery_to_tableau, is_semistandard, tableau_to_gallery
 from hlgal.verify import _dominant_mus, dominant_lambdas, run_suite
@@ -239,13 +237,11 @@ def _assert_choice_independent(rs, v, d_in, d_out):
     sectors = sector_list(rs, valid_sector_classes(rs, v, d_in, d_out))
     local = local_data(rs, v)
     u, _ = local.closest_chamber(d_out)
-    values = set()
-    for w in sectors:
-        for word in all_reduced_words(local, u):
-            factor = QPoly.zero()
-            for t, r in enumerate_gamma_plus_op(rs, v, d_in, d_out, w, word):
-                factor = factor + QPoly.q_power(t) * QPoly.q_minus_one() ** r
-            values.add(factor)
+    values = {
+        local_factor(rs, v, d_in, d_out, w, word)
+        for w in sectors
+        for word in all_reduced_words(local, u)
+    }
     assert values == {want}, (
         v, d_in, d_out, [p.coeffs for p in values]
     )
@@ -355,6 +351,36 @@ def test_rank4_L_polynomial_against_oracle():
                 assert L_polynomial(rs, lam, mu) == want, (family, lam, mu)
                 checked += 1
     print("\nACCEPTANCE rank-4 L: PASS (%d pairs, %.1fs)" % (checked, time.perf_counter() - start))
+
+
+# family, rank -> (coefficient sum, height) bounds of the lambdas, and the
+# number of canonical targets compared
+EVERY_TARGET_BC = {
+    ("B", 2): (3, 10**6, 130), ("C", 2): (3, 10**6, 130),
+    ("B", 3): (2, 10**6, 325), ("C", 3): (2, 10**6, 314),
+    ("B", 4): (2, 40, 2315), ("C", 4): (2, 40, 2137),
+}
+
+
+@pytest.mark.parametrize("family,rank", list(EVERY_TARGET_BC))
+def test_every_target_against_oracle_in_types_b_and_c(family, rank):
+    # the whole monomial expansion: the no-target folded walk's gallery sums
+    # at every target, most of them not dominant, against the Hecke
+    # symmetriser's map; a key of either side that the other lacks must be
+    # 0 there.  In B and C a canonical key is the weight itself
+    max_sum, max_height, count = EVERY_TARGET_BC[(family, rank)]
+    rs = root_system(family, rank)
+    checked = 0
+    for lam in dominant_lambdas(rs, max_sum, max_height):
+        sums = {}
+        for g in enumerate_of_type(rs, type_of_lambda(rs, lam), folded=True):
+            key = rs.canonical_key(g.target)
+            sums[key] = sums.get(key, QPoly.zero()) + gallery_term(rs, g)
+        pmap = hall_littlewood_direct(rs, lam)
+        for nu in sums.keys() | pmap.keys():
+            assert sums.get(nu, QPoly.zero()) == L_from_expansion(rs, pmap, lam, nu), (lam, nu)
+            checked += 1
+    assert checked == count
 
 
 def test_rank4_character_against_oracle():

@@ -33,7 +33,7 @@ from hlgal.gallery import (
 )
 from hlgal.hlengine import character_LS, ls_character_of_type
 from hlgal.oracles import hall_littlewood_direct
-from hlgal.residue import first_factor_exponent, junction_factor
+from hlgal.residue import junction_factor
 from hlgal.rootdata import HashedWeight, RootSystem, RootSystemSpec, pairing, vadd, vneg, vscale, vsub
 from hlgal.tableaux import Tableau, bar, gallery_to_tableau, tableau_to_gallery
 from hlgal.verify import _dominant_mus, dominant_lambdas
@@ -146,17 +146,18 @@ TYPES_TO_RANK_4 = [
 
 
 def test_first_factor_exponent_counts_positive_crossings():
-    # the closest-chamber length at the origin equals the number of walls
-    # the first germ leaves into their positive side; the two memos are
-    # filled by different code
+    # l(w_D0), the closest-chamber length at the origin, equals the number
+    # of walls the first germ leaves into their positive side, which is the
+    # first factor's exponent; the two memos are filled by different code
     checked = 0
     for family, rank in TYPES_TO_RANK_4:
         rs = root_system(family, rank)
         origin = (0,) * rs.dim
+        local = local_data(rs, origin)
         for i in range(1, rank + 1):
             head = fundamental_type(rs, i)[0]
-            for d in local_data(rs, origin).orbit(expected_germ(rs, head)):
-                assert first_factor_exponent(rs, d) == crossings(rs, origin, d)[0]
+            for d in local.orbit(expected_germ(rs, head)):
+                assert rs.length[local.closest_chamber(d)[0]] == crossings(rs, origin, d)[0]
                 checked += 1
     assert checked == 280
 

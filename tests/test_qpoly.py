@@ -26,9 +26,10 @@ def test_non_integral_coefficient_rejected():
 
 
 def test_term():
-    assert QPoly.q_power(1) * QPoly.q_minus_one() ** 1 == QPoly((0, -1, 1))  # q(q-1)
-    assert QPoly.q_power(0) * QPoly.q_minus_one() ** 2 == QPoly((1, -2, 1))  # (q-1)^2
-    assert QPoly.q_power(2) * QPoly.q_minus_one() ** 0 == QPoly.q_power(2)
+    q_minus_one = QPoly((-1, 1))
+    assert QPoly.q_power(1) * q_minus_one == QPoly((0, -1, 1))  # q(q-1)
+    assert QPoly.q_power(0) * q_minus_one * q_minus_one == QPoly((1, -2, 1))  # (q-1)^2
+    assert QPoly.q_power(2) * QPoly.one() == QPoly.q_power(2)
 
 
 def test_pretty():
@@ -121,6 +122,7 @@ def test_arithmetic_matches_coefficient_lists(a, b, c, k):
             assert not got.coeffs or got.coeffs[-1] != 0
     assert (p + -p).coeffs == (p - p).coeffs == ()
     assert (p * zero).coeffs == (zero * p).coeffs == ()
+    assert p.shifted(1) - p == p * QPoly((-1, 1))  # a fold's step in residue.local_factor
 
 
 def test_arithmetic_keeps_the_constructor_checks():

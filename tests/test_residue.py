@@ -1,13 +1,12 @@
 import pytest
 
-from hlgal.apartment import local_data
+from hlgal.apartment import crossings, local_data
 from hlgal.gallery import enumerate_of_type, type_of_lambda
 from hlgal.qpoly import QPoly
 from hlgal.residue import (
     choose_sector,
-    enumerate_gamma_plus_op,
-    first_factor_exponent,
     junction_factor,
+    local_factor,
     valid_sector_classes,
 )
 from hlgal.rootdata import vdiv, vneg
@@ -55,10 +54,11 @@ def test_closest_chamber_word_dominant_omega1(a2):
 
 
 def test_first_factor_is_origin_length(a2):
-    # the standard gallery's first factor: q^{<2 omega_1, rho>} for omega_1 first
+    # the standard gallery's first factor: q^{<2 omega_1, rho>} for omega_1
+    # first, read off the positive crossings at the origin
     rs = a2
     g = gamma_lambda(rs, rs.weight((2, 1)))
-    assert first_factor_exponent(rs, g.directions()[0]) == 2
+    assert crossings(rs, origin(rs), g.directions()[0])[0] == 2
 
 
 def test_minimal_junction_single_all_cross(a2):
@@ -67,9 +67,9 @@ def test_minimal_junction_single_all_cross(a2):
     dirs = g.directions()
     v = g.vertices[1]
     d_in, d_out = vneg(dirs[0]), dirs[1]
-    cs = enumerate_gamma_plus_op(rs, v, d_in, d_out, *default_choices(rs, v, d_in, d_out))
-    assert len(cs) == 1
-    assert cs[0][1] == 0  # no folds
+    factor = local_factor(rs, v, d_in, d_out, *default_choices(rs, v, d_in, d_out))
+    # one word and no folds: a monomial q^t
+    assert factor == QPoly.q_power(factor.degree())
 
 
 def test_worked_junction_stats(a2):
@@ -89,13 +89,13 @@ def test_worked_junction_stats(a2):
     dirs = g.directions()
     # vertex V1: one gallery with a fold and a positive crossing: (q-1) q
     v, d_in, d_out = g.vertices[1], vneg(dirs[0]), dirs[1]
-    cs = enumerate_gamma_plus_op(rs, v, d_in, d_out, *default_choices(rs, v, d_in, d_out))
-    assert cs == ((1, 1),)
-    assert junction_factor(rs, v, d_in, d_out) == QPoly.q_power(1) * QPoly.q_minus_one()
+    q_times_q_minus_one = QPoly((0, -1, 1))
+    assert local_factor(rs, v, d_in, d_out, *default_choices(rs, v, d_in, d_out)) == q_times_q_minus_one
+    assert junction_factor(rs, v, d_in, d_out) == q_times_q_minus_one
     # vertex V2: minimal junction contributing a plain q
     assert junction_factor(rs, g.vertices[2], vneg(dirs[1]), dirs[2]) == QPoly.q_power(1)
     # and the origin factor is q
-    assert first_factor_exponent(rs, dirs[0]) == 1
+    assert crossings(rs, origin(rs), dirs[0])[0] == 1
 
 
 def test_stats_empty_word():
@@ -107,7 +107,7 @@ def test_stats_empty_word():
     # sits in the base chamber, so the word is empty and the factor is 1
     sector, word = default_choices(rs, vneg(w), w, vneg(w))
     assert word == ()
-    assert enumerate_gamma_plus_op(rs, vneg(w), w, vneg(w), sector, word) == ((0, 0),)
+    assert local_factor(rs, vneg(w), w, vneg(w), sector, word) == QPoly.one()
 
 
 def test_nonfolded_junction_empty(a2):
@@ -118,7 +118,7 @@ def test_nonfolded_junction_empty(a2):
     assert junction_factor(rs, w1, vneg(w1), vneg(w1)).is_zero()
     _, word = local_data(rs, w1).closest_chamber(vneg(w1))
     for w in sector_list(rs, valid_sector_classes(rs, w1, vneg(w1), vneg(w1))):
-        assert enumerate_gamma_plus_op(rs, w1, vneg(w1), vneg(w1), w, word) == ()
+        assert local_factor(rs, w1, vneg(w1), vneg(w1), w, word).is_zero()
 
 
 def test_choose_sector_deterministic_and_valid(b2):
@@ -195,13 +195,11 @@ def test_junction_factor_sector_and_word_independence(c2):
             sectors = sector_list(rs, valid_sector_classes(rs, v, d_in, d_out))
             local = local_data(rs, v)
             u, _ = local.closest_chamber(d_out)
-            values = set()
-            for w in sectors:
-                for word in all_reduced_words(local, u):
-                    factor = QPoly.zero()
-                    for t, r in enumerate_gamma_plus_op(rs, v, d_in, d_out, w, word):
-                        factor = factor + QPoly.q_power(t) * QPoly.q_minus_one() ** r
-                    values.add(factor)
+            values = {
+                local_factor(rs, v, d_in, d_out, w, word)
+                for w in sectors
+                for word in all_reduced_words(local, u)
+            }
             assert values == {junction_factor(rs, v, d_in, d_out)}
 
 
@@ -213,6 +211,7 @@ def test_stats_bounded_by_word_length(b2):
         for j in range(1, g.num_edges()):
             v = g.vertices[j]
             d_in, d_out = vneg(dirs[j - 1]), dirs[j]
+            # each word adds q^t (q-1)^r with t + r <= len(word)
             sector, word = default_choices(rs, v, d_in, d_out)
-            for t, r in enumerate_gamma_plus_op(rs, v, d_in, d_out, sector, word):
-                assert t + r <= len(word)
+            factor = local_factor(rs, v, d_in, d_out, sector, word)
+            assert factor.is_zero() or factor.degree() <= len(word)
