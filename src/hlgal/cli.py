@@ -205,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("char", help="LS-gallery character of lambda", description=(
         "LS-gallery character of lambda.  The walk's two cuts, by the defining chain alone and by "
-        "each block's crossing-bound defect, are checked exhaustively at rank <= 4 only (A2 to 6 "
-        "fundamental blocks, B2/C2 5, A3/B3/C3 4, A4/B4/C4 3); beyond that, `hlgal verify` "
+        "each block's crossing-bound defect, are checked for every gallery type made of fundamental "
+        "blocks at rank <= 4, by exhaustion of a finite state set; no proof.  `hlgal verify` "
         "cross-checks the character against Freudenthal's recursion."))
     common(p)
     p.set_defaults(func=cmd_char)

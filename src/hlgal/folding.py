@@ -11,10 +11,10 @@ the tests' reference for the walks and for the verify module's pass,
 which folds both halves edge by edge, and its only library caller is
 is_LS.  The walks themselves (enumerate_pf runs the gallery walk with
 folded=True, and the LS character walk of the hlengine module) cut an
-edge by chain_step alone and compute no junction test: on every sequence
-of fundamental blocks up to the bounds of check_chain_cut in the gallery
-tests, no edge the chain keeps has a zero junction factor.  That is
-checked exhaustively there; no proof of it is in the repository.
+edge by chain_step alone and compute no junction test: that no edge the
+chain keeps has a zero junction factor is checked for every gallery type
+made of fundamental blocks at rank <= 4, by exhaustion of a finite state
+set (check_chain_cut in the gallery tests); no proof.
 """
 
 from __future__ import annotations

@@ -15,9 +15,9 @@ unfolded walk reads it at mask None, which keeps every germ.  Each edge
 also carries its block's crossing-bound defect, which only the character
 walk reads.  That the chain cut never keeps an edge with a zero junction
 factor (the other half of positive folding) or a positive defect is
-checked exhaustively, over every sequence of fundamental blocks up to a
-bound, by check_chain_cut in the gallery tests; no proof of it is in the
-repository.
+checked for every gallery type made of fundamental blocks at rank <= 4,
+by exhaustion of a finite state set (check_chain_cut in the gallery
+tests); no proof.
 
 What a walk needs of its type alone is its walk plan (walk_plan): the
 edges' reference germs and the hull bounds of every suffix of them, built
@@ -202,15 +202,19 @@ def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = N
     the type's walk_plan, built once per root system (``rs.walk_plans``);
     ValueError unless the type splits into fundamental blocks.  With a
     target, only the galleries ending at it (modulo the invariant line in
-    type A) are walked: every edge from step k on lies in the W-orbit of
-    its dominant reference germ, so the rest of the walk stays in the
-    orbit hull of their sum, the plan's bound k, and a prefix whose target
-    offset lies outside it is cut.  The hull sums of each offset, the
-    target's own included, are memoised on the root system (``rs.hulls``),
-    as they depend on nothing else.  The last edge is looked up, not
-    tried: its level keeps only the entry closing_edges finds, the one germ
-    that ends on the target, and that edge gets no hull test.  At most one
-    germ survives, so the depth-first order is unchanged.
+    type A) are walked.  In type A every germ keeps its coordinate sum, so
+    the target is first moved along the line (1, ..., 1) to the sum of the
+    reference germs, where every gallery of the type ends; none ends on it
+    when that is not a whole step.  Every edge from step k on lies in the
+    W-orbit of its dominant reference germ, so the rest of the walk stays
+    in the orbit hull of their sum, the plan's bound k, and a prefix whose
+    target offset lies outside it is cut.  The hull sums of each offset,
+    the target's own included, are memoised on the root system
+    (``rs.hulls``), as they depend on nothing else.  The last edge is
+    looked up, not tried: its level keeps only the entry closing_edges
+    finds, the one germ that ends on the target, and that edge gets no
+    hull test.  At most one germ survives, so the depth-first order is
+    unchanged.
 
     With folded, only the positively folded galleries are walked, in the
     same order: each level of the stack reads the table at the chain mask
@@ -227,6 +231,11 @@ def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = N
             sums = hulls[target] = _hull_sums(rs, target)
         if not all(map(le, sums, bounds[0])):
             return
+        if rs.family == "A":
+            shift, rem = divmod(sum(map(sum, germs)) - sum(target), rs.dim)
+            if rem:
+                return
+            target = tuple([a + shift for a in target])
     if not gtype:
         yield Gallery((origin,), gtype)
         return
@@ -234,7 +243,7 @@ def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = N
     path, taken = [origin], []  # the prefix: vertices V_0 .. V_k, germs E_0 .. E_{k-1}
     table = outgoing_edges(rs, origin, gtype[0], germs[0], None, None)
     if not last and target is not None:
-        table = closing_edges(rs, table, germs[0], target)
+        table = closing_edges(table, target)
     stack = [iter(table)]
     while stack:
         k = len(taken)
@@ -254,7 +263,7 @@ def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = N
                     continue
             table = outgoing_edges(rs, v, gtype[k + 1], germs[k + 1], d, reachable if folded else None)
             if k + 1 == last and target is not None:
-                table = closing_edges(rs, table, germs[last], offset)
+                table = closing_edges(table, offset)
             path.append(v)
             taken.append(d)
             stack.append(iter(table))
@@ -266,23 +275,12 @@ def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = N
                 taken.pop()
 
 
-def closing_edges(rs: RootSystem, table: tuple, reference: Vec, offset: Vec) -> tuple:
-    """The entries of an outgoing_edges table whose germ takes the walk
-    from v to its target, offset = target - v: at most one, so the last
-    edge of a target walk is looked up, not tried.  Every germ of the
-    table lies in the W-orbit of the edge's reference germ, so the one
-    candidate is the offset itself, moved in type A along the invariant
-    line (1, ..., 1) to the reference germ's coordinate sum, which the
-    whole orbit shares; none when that shift is not a whole step."""
-    d = offset
-    if rs.family == "A":
-        shift, rem = divmod(sum(reference) - sum(d), rs.dim)
-        if rem:
-            return ()
-        if shift:
-            d = tuple([a + shift for a in d])
-    i = bisect_left(table, (d,))  # the table is sorted by germ, and (d,) sorts before (d, ...)
-    return table[i : i + 1] if i < len(table) and table[i][0] == d else ()
+def closing_edges(table: tuple, offset: Vec) -> tuple:
+    """The entry of an outgoing_edges table whose germ is offset = target -
+    v, the one germ that takes the walk from v to its target, found by
+    bisection in the germ-sorted table; () when the table lacks it."""
+    i = bisect_left(table, (offset,))  # (offset,) sorts before (offset, ...)
+    return table[i : i + 1] if i < len(table) and table[i][0] == offset else ()
 
 
 def crossing_counts(rs: RootSystem, g: Gallery) -> tuple:

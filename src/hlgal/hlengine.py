@@ -23,9 +23,9 @@ defects sum to scale times 2P - height(lambda) - height(mu), so one with
 every defect 0 reaches the degree bound <lambda+mu, rho> and is LS.
 That this keeps exactly the LS galleries (is_positively_folded also asks
 for non-zero junction factors, and no block may exceed the bound) is
-checked exhaustively by check_chain_cut at rank <= 4 only (to 6
-fundamental blocks in A2, 5 in B2/C2, 4 in A3/B3/C3, 3 in A4/B4/C4); no
-proof is in the repository, and `hlgal verify` cross-checks beyond that.
+checked for every gallery type made of fundamental blocks at rank <= 4,
+by exhaustion of a finite state set (check_chain_cut in the gallery
+tests); no proof.
 The final layer sums the counts per canonical weight, memoised per final
 vertex (``rs.end_marks``) and hashed once (HashedWeight); in type A,
 vertices sharing a canonical weight merge.  It is the library's only LS

@@ -4,7 +4,7 @@ from operator import le
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hlgal.apartment import EdgeType, local_data
+from hlgal.apartment import EdgeType, local_data, local_key
 from hlgal.folding import has_maximal_crossings, is_positively_folded
 from hlgal.gallery import (
     Gallery,
@@ -225,20 +225,37 @@ def test_type_a_target_walk_reads_the_target_modulo_the_line(name, max_sum, max_
                 assert tuple(enumerate_of_type(rs, gtype, stray, folded)) == filtered, (lam, stray, folded)
 
 
-def check_chain_cut(rs, max_blocks):
+def fundamental_blocks(rs):
+    """(edge types, reference germs) of each fundamental block, omega_1 first."""
+    return [(fundamental_type(rs, i), reference_germs(rs, fundamental_type(rs, i)))
+            for i in range(1, rs.rank + 1)]
+
+
+def check_chain_cut(rs, max_depth=None):
     """The walks' folding and crossing-bound cuts, checked against both
-    halves of positive folding and the block gap written out: for every
-    sequence of at most max_blocks fundamental blocks (any order, repeats
-    allowed), step the (vertex, prev, mask) states layer by layer, cutting
-    an edge only where chain_step returns 0, and assert that every kept
-    edge after the first has a non-zero junction factor with prev, and
-    that the gap of the block it closes is <= 0 and is the edge table's
-    defect.  The states of a layer hold every prefix of every gallery
-    there, so this covers the galleries without walking them.  Returns
-    (kept edges checked, chain-cut edges with a zero factor, kept second
-    halves cut by a negative defect)."""
-    blocks = [(fundamental_type(rs, i), reference_germs(rs, fundamental_type(rs, i)))
-              for i in range(1, rs.rank + 1)]
+    halves of positive folding and the block gap written out, on every
+    block-boundary state that some sequence of fundamental blocks (any
+    order, repeats allowed) reaches.  A block boundary is a weight, so a
+    wall of every direction passes through it: its local group is W, with
+    the origin's local key.  A midpoint's local key depends on its germ
+    alone.  So all this check reads at a boundary depends only on (prev,
+    mask), and each such state is walked from the origin.
+
+    A worklist takes each state through every block 1..rank, stepping the
+    (vertex, prev, mask) states edge by edge and cutting an edge only where
+    chain_step returns 0.  It asserts that every kept edge after the first
+    has a non-zero junction factor with prev, and that the gap of the block
+    it closes is <= 0 and is the edge table's defect.  It asserts that every
+    boundary vertex reached has the origin's local key, and enqueues each
+    new (prev, mask) it ends in.  The states are finite, so the worklist
+    empties; with max_depth k it stops after k blocks, which by translation
+    covers every sequence of at most k blocks.  Returns (kept edges
+    checked, chain-cut edges with a zero factor, kept second halves cut by
+    a negative defect, the (prev, mask) states grouped by the number of
+    blocks that first reaches them)."""
+    origin = (0,) * rs.dim
+    home = local_key(rs, origin)
+    blocks = fundamental_blocks(rs)
     steps = {}  # (state, edge type, reference germ) -> the states it reaches
     kept = zeros = cut = 0
 
@@ -269,36 +286,72 @@ def check_chain_cut(rs, max_blocks):
             nxt.update(hit)
         return nxt
 
-    stack = [({((0,) * rs.dim, None, None)}, 0)]  # (layer after a block sequence, its length)
-    while stack:
-        layer, length = stack.pop()
-        if length < max_blocks:
-            for gtype, germs in blocks:
-                nxt = layer
-                for etype, reference in zip(gtype, germs):
-                    nxt = step(nxt, etype, reference)
-                stack.append((nxt, length + 1))
-    return kept, zeros, cut
+    depths = [{(None, None)}]  # the states first reached after 0, 1, ... blocks
+    seen = set(depths[0])
+    while depths[-1] and (max_depth is None or len(depths) <= max_depth):
+        found = set()
+        for gtype, germs in blocks:
+            layer = {(origin, prev, mask) for prev, mask in depths[-1]}
+            for etype, reference in zip(gtype, germs):
+                layer = step(layer, etype, reference)
+            for v, d, reachable in layer:
+                assert local_key(rs, v) == home, (rs.family, rs.rank, v)
+                found.add((d, reachable))
+        depths.append(found - seen)
+        seen |= found
+    if not depths[-1]:
+        depths.pop()
+    return kept, zeros, cut, depths
 
 
-# blocks per sequence of the larger run of check_chain_cut in CI
-GUARD_BOUNDS = {("A", 2): 6, ("B", 2): 5, ("C", 2): 5, ("A", 3): 4, ("B", 3): 4, ("C", 3): 4,
-                ("A", 4): 3, ("B", 4): 3, ("C", 4): 3}
-# blocks per sequence, kept small for tier-1
+# boundary states of check_chain_cut's closure, the start (None, None) included
+CLOSURE_STATES = {("A", 1): 3, ("A", 2): 13, ("B", 2): 17, ("C", 2): 17, ("A", 3): 73,
+                  ("B", 3): 145, ("C", 3): 145, ("A", 4): 481, ("B", 4): 1537, ("C", 4): 1537}
+# blocks per sequence where tier-1 stops short of the closure (CI runs it whole)
+CHAIN_CUT_DEPTHS = {("B", 4): 1, ("C", 4): 1}
+# blocks per sequence of the closure's cross-check against the bounded walk
 CHAIN_CUT_BOUNDS = {("A", 1): 4, ("A", 2): 3, ("B", 2): 3, ("C", 2): 3, ("A", 3): 2,
                     ("B", 3): 2, ("C", 3): 2, ("A", 4): 2, ("B", 4): 1, ("C", 4): 1}
 
 
-@pytest.mark.parametrize("family,rank", list(CHAIN_CUT_BOUNDS))
+@pytest.mark.parametrize("family,rank", list(CLOSURE_STATES))
 def test_chain_cut_keeps_no_zero_junction(family, rank):
     # the folded walk and the character walk cut by the defining chain
     # alone; the junction half of positive folding must never fire on what
     # the chain keeps, and it does fire on edges the chain cuts.  The
     # character walk also cuts by the block gap, which must never be
     # positive, and is negative on some kept second half wherever there
-    # are half edges (types B and C)
-    kept, zeros, cut = check_chain_cut(root_system(family, rank), CHAIN_CUT_BOUNDS[(family, rank)])
+    # are half edges (types B and C).  The closure saturates at depth rank
+    depth = CHAIN_CUT_DEPTHS.get((family, rank))
+    kept, zeros, cut, depths = check_chain_cut(root_system(family, rank), depth)
     assert kept and zeros and bool(cut) == (family != "A")
+    if depth is None:
+        assert sum(map(len, depths)) == CLOSURE_STATES[(family, rank)]
+        assert len(depths) == rank + 1
+
+
+@pytest.mark.parametrize("family,rank", list(CHAIN_CUT_BOUNDS))
+def test_closure_matches_the_bounded_walk(family, rank):
+    # the closure walks each boundary state from the origin; a gallery walk
+    # meets it wherever its blocks end.  The boundary states that the edge
+    # table reaches over every sequence of at most k blocks, translated to
+    # the origin, are the closure's states within k blocks
+    rs = root_system(family, rank)
+    k = CHAIN_CUT_BOUNDS[(family, rank)]
+    blocks = fundamental_blocks(rs)
+    layer = reached = {((0,) * rs.dim, None, None)}
+    for _ in range(k):
+        nxt = set()
+        for gtype, germs in blocks:
+            states = layer
+            for etype, reference in zip(gtype, germs):
+                states = {(vadd(v, d), d, reachable) for v, prev, mask in states
+                          for d, reachable, _ in outgoing_edges(rs, v, etype, reference, prev, mask)}
+            nxt |= states
+        layer = nxt
+        reached = reached | layer
+    *_, depths = check_chain_cut(rs, k)
+    assert {(prev, mask) for _, prev, mask in reached} == set().union(*depths)
 
 
 def table_defects(rs, g):
