@@ -4,17 +4,19 @@ Each check yields a record {"check", "system", "status", "detail"}; a run
 fails as soon as any record carries status "fail", and failing records
 carry a counterexample payload.
 
-check_system walks every gallery of each standard type once, unfolded,
-depth first, and each stack level keeps the left folds of its prefix: the
-defining chain's mask, the running term, the crossings, the last tableau
-column and the round trip so far.  A gallery then costs its last edge,
-and every per-gallery record still runs on every gallery.  The folds read
-the per-edge rules themselves (chain_step from no constraint, the junction
-factors, the wall crossings, and the tableaux module's encode, per-block
-decode and adjacent-column rules), never the folded walk's cut, so the
-records stay independent of the chain-only rule that the walks of L and
-char rely on.  The first edge's positive crossings are l(w_D0), the
-exponent of the term's first factor q^{l(w_D0)}.
+check_system walks each standard type once, unfolded, one layer per edge,
+as the character walk does.  Every per-gallery record reads left folds of
+per-edge rules: the defining chain's mask, the term, the crossings, the
+column order and the round trip.  So the prefixes that agree on those
+folds merge, each end state counts the galleries reaching it and sums
+their terms, and every record still covers every gallery, by
+multiplicity.  The folds read the per-edge rules themselves (chain_step
+from no constraint, the junction factors, the wall crossings, and the
+tableaux module's encode, per-block decode and adjacent-column rules),
+never the folded walk's cut, so the records stay independent of the
+chain-only rule that the walks of L and char rely on.  The first edge's
+positive crossings are l(w_D0), the exponent of the term's first factor
+q^{l(w_D0)}.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .oracles import (
 )
 from .qpoly import QPoly
 from .residue import junction_factor
-from .rootdata import RootSystem, pairing, vadd, vneg
+from .rootdata import RootSystem, pairing, vadd, vneg, vsub
 from .tableaux import columns_ordered, decode_block, germ_column
 
 
@@ -79,70 +81,64 @@ def _record(system: str, check: str, ok: bool, detail: dict) -> dict:
     return {"check": check, "system": system, "status": "pass" if ok else "fail", "detail": detail}
 
 
-def _gallery_summaries(rs: RootSystem, gtype):
-    """(target, term, plus, total, semistandard, roundtrip) of every gallery
-    of the type, in enumerate_of_type's order, from one depth-first walk of
-    the unfolded type that reads outgoing_edges at mask None.
+def _merged_summaries(rs: RootSystem, gtype) -> dict:
+    """{end state: [galleries reaching it, their summed term]} of the
+    unfolded type, each layer read from outgoing_edges at mask None.  A state
+    is (vertex, incoming germ, chain mask, folded, delta, lead, total,
+    ordered, decoded).
 
-    Each level of the stack holds the folds of its prefix: its vertex, its
-    negated incoming germ, its chain mask (chain_step from None), its term
-    q^{l(w_D0)} prod_j U_j(q), which is None once the chain dies or a
-    junction factor is 0, so exactly when the prefix is not positively
-    folded, its positive and total crossings, its last column, whether
-    columns_ordered holds on every adjacent pair, and whether each closed
-    block decodes back to the walked one.  decode_block reads a block when
-    it closes, from the walked vertex where it starts, while every earlier
-    block decodes back; so no misplaced block moves a later decode."""
+    folded says the prefix is positively folded: its chain (chain_step from
+    None) is alive and every junction factor so far is non-zero.  Only then
+    does it carry a chain mask, delta (its positive crossings minus its
+    term's degree) and lead (its term's leading coefficient); Z[q] has no
+    zero divisors, so both fold factor by factor, as the summed term does.
+    total counts the crossings, ordered says columns_ordered holds on every
+    adjacent pair, the last column being the incoming germ's, and decoded
+    says each closed block decodes back to the walked one.  decode_block
+    reads a block when it closes, from the walked vertex where it starts,
+    while every earlier block decodes back; so no misplaced block moves a
+    later decode."""
     gtype = tuple(gtype)
     germs = walk_plan(rs, gtype)[0]
-    origin = (0,) * rs.dim
-    if not gtype:
-        yield origin, QPoly.one(), 0, 0, True, True
-        return
     # the walked edge types of the block each edge closes; None for a first half
     closes = [
         None if t.segment == "first" else gtype[k - 1 : k + 1] if t.segment == "second" else (t,)
         for k, t in enumerate(gtype)
     ]
-    last = len(gtype) - 1
-    # (vertex, -incoming germ, chain mask, term, plus, total, last column,
-    #  ordered, decoded), the empty prefix first
-    levels = [(origin, None, None, QPoly.one(), 0, 0, None, True, True)]
-    stack = [iter(outgoing_edges(rs, origin, gtype[0], germs[0], None, None))]
-    while stack:
-        k = len(levels) - 1
-        v, back, mask, term, plus, total, col, ordered, decoded = levels[-1]
-        block = closes[k]
-        for d, _, _ in stack[-1]:
-            w = vadd(v, d)
-            p, m = crossings(rs, v, d)
-            t = reach = None
-            if term is not None:
-                reach = chain_step(rs, mask, d)
+    layer = {((0,) * rs.dim, None, None, True, 0, 1, 0, True, True): [1, QPoly.one()]}
+    for etype, reference, block in zip(gtype, germs, closes):
+        nxt: dict = {}
+        for (v, prev, mask, folded, delta, lead, total, ordered, decoded), (n, term) in layer.items():
+            col = prev and germ_column(rs, prev)
+            for d, _, _ in outgoing_edges(rs, v, etype, reference, prev, None):
+                w = vadd(v, d)
+                p, m = crossings(rs, v, d)
+                fold, t = (None, False, None, None), None  # (chain mask, folded, delta, lead), term
+                reach = folded and chain_step(rs, mask, d)
                 if reach:
-                    if back is None:  # at the origin, l(w_D0) = p
-                        t = term.shifted(p)
+                    # the first factor is q^{l(w_D0)}, with l(w_D0) = p at the origin
+                    factor = QPoly.q_power(p) if prev is None else junction_factor(rs, v, vneg(prev), d)
+                    if not factor.is_zero():
+                        t = term * factor
+                        fold = (reach, True, delta + p - factor.degree(), lead * factor.leading_coefficient())
+                c = germ_column(rs, d)
+                o = ordered and (prev is None or columns_ordered(col, c))
+                r = decoded
+                if block is not None and decoded:
+                    if len(block) == 2:
+                        r = decode_block(rs, vsub(v, prev), (col, c)) == (block, (v, w))
                     else:
-                        factor = junction_factor(rs, v, back, d)
-                        if not factor.is_zero():
-                            t = term * factor
-            c = germ_column(rs, d)
-            o = ordered and (col is None or columns_ordered(col, c))
-            r = decoded
-            if block is not None and decoded:
-                if len(block) == 2:
-                    r = decode_block(rs, vadd(v, back), (col, c)) == (block, (v, w))
+                        r = decode_block(rs, v, (c,)) == (block, (w,))
+                state = (w, d, *fold, total + p + m, o, r)
+                entry = nxt.get(state)
+                if entry is None:
+                    nxt[state] = [n, t]
                 else:
-                    r = decode_block(rs, v, (c,)) == (block, (w,))
-            if k == last:
-                yield w, t, plus + p, total + p + m, o, r
-                continue
-            levels.append((w, vneg(d), reach, t, plus + p, total + p + m, c, o, r))
-            stack.append(iter(outgoing_edges(rs, w, gtype[k + 1], germs[k + 1], d, None)))
-            break
-        else:
-            stack.pop()
-            levels.pop()
+                    entry[0] += n
+                    if t is not None:
+                        entry[1] = entry[1] + t
+        layer = nxt
+    return layer
 
 
 def check_system(rs: RootSystem, max_coeff_sum: int, max_height: int) -> list:
@@ -155,19 +151,15 @@ def check_system(rs: RootSystem, max_coeff_sum: int, max_height: int) -> list:
         targets = {}  # canonical target -> the first raw target seen
         sums = {}  # canonical target -> summed gallery terms
 
-        for target, term, plus, total, semistandard, roundtrip in _gallery_summaries(
-            rs, type_of_lambda(rs, lam)
-        ):
-            folded = term is not None
-            violations["crossings-constant"] += total != height
-            violations["semistandard-iff-folded"] += semistandard != folded
-            violations["tableau-roundtrip"] += not roundtrip
+        for state, (n, term) in _merged_summaries(rs, type_of_lambda(rs, lam)).items():
+            target, _, _, folded, delta, lead, total, ordered, decoded = state
+            violations["crossings-constant"] += n * (total != height)
+            violations["semistandard-iff-folded"] += n * (ordered != folded)
+            violations["tableau-roundtrip"] += n * (not decoded)
             if folded:
                 # the top term of q^{l(w_D0)} prod_j U_j(q) is q^(cell dimension),
                 # and the cell dimension is the positive-crossing count
-                violations["cell-dimension"] += (
-                    term.degree() != plus or term.leading_coefficient() != 1
-                )
+                violations["cell-dimension"] += n * (delta != 0 or lead != 1)
                 key = rs.canonical_key(target)
                 targets.setdefault(key, target)
                 sums[key] = sums.get(key, QPoly.zero()) + term

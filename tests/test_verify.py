@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 
 import pytest
 
@@ -11,24 +12,28 @@ from hlgal.hlengine import gallery_term
 from hlgal.qpoly import QPoly
 from hlgal.rootdata import RootSystem, RootSystemSpec, vadd, vneg
 from hlgal.tableaux import gallery_to_tableau, is_semistandard, tableau_to_gallery
-from hlgal.verify import _gallery_summaries, dominant_lambdas, run_suite
+from hlgal.verify import _merged_summaries, dominant_lambdas, run_suite
 from systems import root_system
 
-# the fields of a summary of verify's pass
-TARGET, TERM, PLUS, TOTAL, SEMISTANDARD, ROUNDTRIP = range(6)
+# the fields of an end state of verify's pass, and TERM for its summed term
+VERTEX, PREV, MASK, FOLDED, DELTA, LEAD, TOTAL, ORDERED, DECODED, TERM = range(10)
 
 
 def corrupt_field(field, change):
-    """A corruption of the pass: ``change`` applied to one field of every
-    summary (to the term only where the gallery is folded)."""
+    """A corruption of the pass: ``change`` applied to one field of every end
+    state (to delta, lead and the term only where the state is folded, as
+    they are None elsewhere).  Each change is one to one, so no two end
+    states merge."""
 
     def corrupt(summaries):
         def corrupted(rs, gtype):
-            for summary in summaries(rs, gtype):
-                summary = list(summary)
-                if field != TERM or summary[TERM] is not None:
-                    summary[field] = change(summary[field])
-                yield tuple(summary)
+            out = {}
+            for state, (n, term) in summaries(rs, gtype).items():
+                state = list(state) + [term]
+                if state[FOLDED] or field not in (DELTA, LEAD, TERM):
+                    state[field] = change(state[field])
+                out[tuple(state[:TERM])] = [n, state[TERM]]
+            return out
 
         return corrupted
 
@@ -36,33 +41,43 @@ def corrupt_field(field, change):
 
 
 def test_cell_dimension_record_reads_the_terms(monkeypatch, b2):
-    # a term one degree too high breaks the monic-of-cell-dimension check,
-    # also on the empty gallery of lambda = 0
-    shifted = corrupt_field(TERM, lambda term: term * QPoly.q_power(1))
-    monkeypatch.setattr(hlgal.verify, "_gallery_summaries", shifted(_gallery_summaries))
-    report = run_suite(b2, max_coeff_sum=1, max_height=12)
-    cell = [r for r in report["records"] if r["check"].startswith("cell-dimension[")]
-    assert len(cell) == 3
-    assert all(r["status"] == "fail" for r in cell), cell
-    assert all(r["detail"]["violations"] > 0 for r in cell)
+    # a term one degree too high, or not monic, breaks the monic-of-cell-dimension
+    # check, also on the empty gallery of lambda = 0
+    for field, change in ((DELTA, lambda delta: delta + 1), (LEAD, lambda lead: 2 * lead)):
+        monkeypatch.setattr(hlgal.verify, "_merged_summaries", corrupt_field(field, change)(_merged_summaries))
+        report = run_suite(b2, max_coeff_sum=1, max_height=12)
+        cell = [r for r in report["records"] if r["check"].startswith("cell-dimension[")]
+        assert len(cell) == 3
+        assert all(r["status"] == "fail" for r in cell), (field, cell)
+        assert all(r["detail"]["violations"] > 0 for r in cell)
+    # and so does a junction factor rule one degree too high, or not monic,
+    # on exactly the lambdas whose galleries have a junction
+    monkeypatch.undo()
+    factor = hlgal.verify.junction_factor
+    for change in (lambda f: f.shifted(1), lambda f: f + f):
+        monkeypatch.setattr(hlgal.verify, "junction_factor", lambda *a, change=change: change(factor(*a)))
+        report = run_suite(b2, max_coeff_sum=1, max_height=12)
+        cell = [r for r in report["records"] if r["check"].startswith("cell-dimension[")]
+        junctions = [len(type_of_lambda(b2, b2.weight(r["detail"]["lambda"]))) > 1 for r in cell]
+        assert [r["status"] == "fail" for r in cell] == junctions and any(junctions), cell
 
 
 def test_suite_folding_tests_each_gallery_once(monkeypatch):
-    # the pass folds each gallery once, at its leaf, and no library code
-    # runs the per-gallery folding test
+    # the pass counts each gallery once, in the multiplicity of its end state,
+    # and no library code runs the per-gallery folding test
     rs = root_system("B", 3)
-    leaves, calls = [], []
+    counts, calls = [], []
 
-    def counted_leaves(rs, gtype):
-        for summary in _gallery_summaries(rs, gtype):
-            leaves.append(summary)
-            yield summary
+    def counted_ends(rs, gtype):
+        ends = _merged_summaries(rs, gtype)
+        counts.extend(n for n, _ in ends.values())
+        return ends
 
     def counted(rs, g):
         calls.append(g)
         return is_positively_folded(rs, g)
 
-    monkeypatch.setattr(hlgal.verify, "_gallery_summaries", counted_leaves)
+    monkeypatch.setattr(hlgal.verify, "_merged_summaries", counted_ends)
     for name, module in list(sys.modules.items()):
         if name.startswith("hlgal.") and hasattr(module, "is_positively_folded"):
             monkeypatch.setattr(module, "is_positively_folded", counted)
@@ -75,12 +90,13 @@ def test_suite_folding_tests_each_gallery_once(monkeypatch):
         for _ in enumerate_of_type(rs, type_of_lambda(rs, lam))
     )
     assert walked == 1333
-    assert len(leaves) == walked
+    assert sum(counts) == walked
     assert not calls
 
 
 # (coefficient sum, height) bounds of the lambdas whose pass is checked
-# gallery by gallery: the acceptance suite's to rank 3, sum <= 1 at rank 4
+# against the per-gallery references: the acceptance suite's to rank 3, sum
+# <= 1 at rank 4
 AGREEMENT_BOUNDS = {
     ("A", 1): (3, 16), ("A", 2): (3, 16), ("A", 3): (3, 16), ("B", 2): (3, 16), ("C", 2): (3, 16),
     ("B", 3): (3, 16), ("C", 3): (3, 16), ("A", 4): (1, 40), ("B", 4): (1, 40), ("C", 4): (1, 40),
@@ -95,30 +111,43 @@ ZIGZAGS = {
 
 @pytest.mark.parametrize("family,rank", list(AGREEMENT_BOUNDS))
 def test_pass_agrees_with_the_per_gallery_references(family, rank):
-    # each summary of verify's pass, in walk order, against the per-gallery
-    # references it replaces there
+    # the end states of verify's pass against the per-gallery references they
+    # replace there, both aggregated as the records read them: how many
+    # galleries share each (target, folded, total, ordered, decoded, and where
+    # folded delta and lead), which fixes every per-gallery record's violation
+    # count, and the summed terms per canonical target
     rs = root_system(family, rank)
     gtypes = [type_of_lambda(rs, lam) for lam in dominant_lambdas(rs, *AGREEMENT_BOUNDS[(family, rank)])]
     for blocks in ZIGZAGS.get((family, rank), ()):
         gtypes.append(sum((fundamental_type(rs, i) for i in blocks), ()))
     galleries = chain_decides = 0
     for gtype in gtypes:
-        summaries = list(_gallery_summaries(rs, gtype))
-        walk = list(enumerate_of_type(rs, gtype))
-        assert len(summaries) == len(walk), gtype
-        for g, (target, term, plus, total, semistandard, roundtrip) in zip(walk, summaries):
-            assert target == g.target
+        want, want_sums = Counter(), {}
+        for g in enumerate_of_type(rs, gtype):
             ok = is_positively_folded(rs, g)
-            assert (term is not None) == ok, g.vertices
-            if ok:
-                assert term == gallery_term(rs, g), g.vertices
-            p, _, both = crossing_counts(rs, g)
-            assert (plus, total) == (p, both), g.vertices
+            p, _, total = crossing_counts(rs, g)
             tab = gallery_to_tableau(rs, g)
-            assert semistandard == is_semistandard(tab), g.vertices
-            assert roundtrip == (tableau_to_gallery(rs, tab) == g), g.vertices
+            summary = (g.target, ok, total, is_semistandard(tab), tableau_to_gallery(rs, tab) == g)
+            if ok:
+                term = gallery_term(rs, g)
+                summary += (p - term.degree(), term.leading_coefficient())
+                key = rs.canonical_key(g.target)
+                want_sums[key] = want_sums.get(key, QPoly.zero()) + term
+            want[summary] += 1
             galleries += 1
             chain_decides += not ok and locally_positively_folded(rs, g)
+        got, got_sums = Counter(), {}
+        for (target, _, _, folded, delta, lead, total, ordered, decoded), (n, term) in _merged_summaries(
+            rs, gtype
+        ).items():
+            summary = (target, folded, total, ordered, decoded)
+            if folded:
+                summary += (delta, lead)
+                key = rs.canonical_key(target)
+                got_sums[key] = got_sums.get(key, QPoly.zero()) + term
+            got[summary] += n
+        assert got == want, gtype
+        assert got_sums == want_sums, gtype
     assert galleries
     assert (chain_decides > 0) == ((family, rank) in ZIGZAGS)
 
@@ -165,17 +194,17 @@ def test_a_misplaced_block_fails_records_and_not_the_run(monkeypatch, c2):
 
 # record kind -> (name on hlgal.verify, corruption of what that name holds);
 # cell-dimension and character have tests of their own above.  The
-# per-gallery kinds corrupt one field of every summary of the pass, the
+# per-gallery kinds corrupt one field of every end state of the pass, the
 # empty gallery's too; the round trip corrupts the decode rule the pass reads
 CORRUPTIONS = {
-    "crossings-constant": ("_gallery_summaries", corrupt_field(TOTAL, lambda total: total + 1)),
-    "semistandard-iff-folded": ("_gallery_summaries", corrupt_field(SEMISTANDARD, lambda ss: not ss)),
+    "crossings-constant": ("_merged_summaries", corrupt_field(TOTAL, lambda total: total + 1)),
+    "semistandard-iff-folded": ("_merged_summaries", corrupt_field(ORDERED, lambda ordered: not ordered)),
     "tableau-roundtrip": ("decode_block", _negated_vertices),
     "oracle-equality": (
         "hall_littlewood_direct",
         lambda f: lambda rs, lam: {k: c + c for k, c in f(rs, lam).items()},
     ),
-    "euler": ("_gallery_summaries", corrupt_field(TERM, lambda term: -term)),
+    "euler": ("_merged_summaries", corrupt_field(TERM, lambda term: -term)),
     "degree-leading": ("kostka", lambda f: lambda rs, lam, mu: f(rs, lam, mu) + 1),
     "a2-example": ("L_polynomial", lambda f: lambda rs, lam, mu: -f(rs, lam, mu)),
 }
