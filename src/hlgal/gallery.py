@@ -19,20 +19,16 @@ checked for every gallery type made of fundamental blocks at rank <= 4,
 by exhaustion of a finite state set (check_chain_cut in the gallery
 tests); no proof.
 
-What a walk needs of its type alone is its walk plan (walk_plan): the
-edges' reference germs and the hull bounds of every suffix of them, built
-once per type and kept on the root system, as are the standard types of
-the dominant weights (type_of_lambda).  A row of L walks one type once
-per mu, and pays for neither again.  A walk with a target tries no germ
-on its last edge: only one germ can end it on the target, and
-closing_edges looks that germ's entry up in the edge table.
+Each type's walk plan (walk_plan) and each dominant weight's standard
+type (type_of_lambda) are kept on the root system, so a row of L pays
+for neither once per mu.  The gallery walk steps a whole block at a
+time.  A block boundary is a weight, whose local group is W, so up to
+translation its moves depend on its chain mask alone: block_moves and
+offset_index, the target walk's exact index of the moves that can still
+reach an offset, are memoised on W and serve every boundary.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left
-from itertools import accumulate
-from operator import le
 
 from .apartment import EdgeType, crossings, expected_germ, local_data
 from .rootdata import Frozen, RootSystem, Vec, pairing, vadd, vsub
@@ -71,10 +67,6 @@ class Gallery(Frozen):
             return dirs
 
 
-def _origin(rs: RootSystem) -> Vec:
-    return (0,) * rs.dim
-
-
 def fundamental_type(rs: RootSystem, i: int) -> tuple:
     """The edge types of omega_i's block: one whole edge if it is
     minuscule, else two halves.  Built once per index and kept in
@@ -104,14 +96,6 @@ def type_of_lambda(rs: RootSystem, lam: Vec) -> GalleryType:
     return gtype
 
 
-def _hull_sums(rs: RootSystem, v: Vec) -> tuple:
-    """Partial sums of the dominant representative of v's canonical key.
-
-    x lies in the convex hull of the W-orbit of a dominant b exactly when
-    no partial sum for x exceeds the same partial sum for b."""
-    return tuple(accumulate(rs.dominant_rep(rs.canonical_key(v))))
-
-
 def reference_germs(rs: RootSystem, gtype: GalleryType) -> list:
     """The dominant reference germ of each edge of the type.
 
@@ -130,17 +114,15 @@ def reference_germs(rs: RootSystem, gtype: GalleryType) -> list:
 
 
 def walk_plan(rs: RootSystem, gtype: GalleryType) -> tuple:
-    """(germs, bounds): the reference germs of the type's edges, and for
-    each k = 0 .. len(gtype) the hull sums of the sum of germs[k:], which
-    bound where the edges from step k on can still take a walk.  Built
-    once per type and kept in ``rs.walk_plans``; ValueError, storing
-    nothing, unless the type splits into fundamental blocks."""
+    """(germs, suffixes): the reference germs of the type's edges, and the
+    fundamental indices of blocks k, k+1, ... for each block k.  Kept in
+    ``rs.walk_plans``; ValueError, storing nothing, unless the type splits
+    into fundamental blocks."""
     plan = rs.walk_plans.get(gtype)
     if plan is None:
         germs = tuple(reference_germs(rs, gtype))
-        # sums of the last len(gtype), ..., 1, 0 reference germs
-        rest = list(accumulate(reversed(germs), vadd, initial=_origin(rs)))[::-1]
-        plan = rs.walk_plans[gtype] = (germs, tuple(_hull_sums(rs, b) for b in rest))
+        blocks = tuple(t.index for t in gtype if t.segment != "second")
+        plan = rs.walk_plans[gtype] = (germs, tuple(blocks[k:] for k in range(len(blocks))))
     return plan
 
 
@@ -189,98 +171,113 @@ def outgoing_edges(
     return hit
 
 
+def block_moves(rs: RootSystem, i: int, mask: int | None, folded: bool) -> tuple:
+    """The moves of omega_i's block out of a block boundary with chain mask
+    ``mask``, in (d1, d2) order: (germs (d1,) or (d1, d2) as outgoing_edges
+    offers them, the chain mask after them, None unfolded).  A midpoint's
+    local group depends on its germ alone, so the moves are walked from the
+    origin.  Memoised on W per (i, mask, folded): the origin's mask None
+    keeps fewer second halves folded."""
+    key = (i, mask, folded)
+    hit = rs.weyl.moves.get(key)
+    if hit is None:
+        first, *second = fundamental_type(rs, i)
+        reference = expected_germ(rs, first)
+        hit = []
+        for d1, r1, _ in outgoing_edges(rs, (0,) * rs.dim, first, reference, None, mask):
+            r1 = r1 if folded else None
+            if not second:
+                hit.append(((d1,), r1))
+            for d2, r2, _ in outgoing_edges(rs, d1, second[0], reference, d1, r1) if second else ():
+                hit.append(((d1, d2), r2 if folded else None))
+        hit = rs.weyl.moves[key] = tuple(hit)
+    return hit
+
+
+def offset_index(rs: RootSystem, blocks: tuple, mask: int | None, folded: bool) -> dict:
+    """offset -> the block_moves of blocks[0] out of a boundary with chain
+    mask ``mask`` after which blocks[1:] can still end the walk that far
+    from the boundary, in move order.  Memoised on W per (blocks, folded),
+    then per mask; built from the last block back by a worklist."""
+    offsets = rs.weyl.offsets
+    todo = [(blocks, mask)]
+    while todo:
+        suffix, m = todo[-1]
+        table = offsets.setdefault((suffix, folded), {})
+        if m not in table:
+            moves = block_moves(rs, suffix[0], m, folded)
+            rest, after = suffix[1:], {move[1] for move in moves}
+            # past the last block only offset 0 is left, with no move
+            ends = offsets.setdefault((rest, folded), {}) if rest else dict.fromkeys(after, {(0,) * rs.dim: ()})
+            missing = [(rest, a) for a in after if a not in ends]
+            if missing:
+                todo += missing
+                continue
+            index: dict = {}
+            for move in moves:
+                for offset in ends[move[1]]:  # plus the block's germs
+                    index.setdefault(tuple(map(sum, zip(offset, *move[0]))), []).append(move)
+            shared: dict = {}  # equal move lists share one tuple
+            table[m] = {offset: shared.setdefault(tuple(ms), tuple(ms)) for offset, ms in index.items()}
+        todo.pop()
+    return offsets[(blocks, folded)][mask]
+
+
 def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = None, folded: bool = False):
-    """All galleries with source 0 of the given type, in a reproducible
-    depth-first order (each edge's germs in orbit order, which sorts them
-    lexicographically).
+    """All galleries with source 0 of the given type, in depth-first order
+    (each edge's germs in orbit order, which sorts them), each with the
+    germs taken as its directions().  One loop over an explicit stack, one
+    level per block of the type's walk_plan taking the block_moves out of
+    its boundary, so a long type needs no deeper Python stack; ValueError
+    unless the type splits into fundamental blocks.  With folded, only the
+    positively folded galleries, in the same order: each block reads its
+    moves at the chain mask the previous one left.
 
-    The walk is one loop over an explicit stack of per-step edge
-    iterators, so a long type needs no deeper Python stack than a short
-    one.  Each edge takes its germs from outgoing_edges, the one edge rule
-    every walk reads, and each gallery comes with the germs taken as its
-    directions().  The reference germs and suffix hull bounds come from
-    the type's walk_plan, built once per root system (``rs.walk_plans``);
-    ValueError unless the type splits into fundamental blocks.  With a
-    target, only the galleries ending at it (modulo the invariant line in
-    type A) are walked.  In type A every germ keeps its coordinate sum, so
-    the target is first moved along the line (1, ..., 1) to the sum of the
-    reference germs, where every gallery of the type ends; none ends on it
-    when that is not a whole step.  Every edge from step k on lies in the
-    W-orbit of its dominant reference germ, so the rest of the walk stays
-    in the orbit hull of their sum, the plan's bound k, and a prefix whose
-    target offset lies outside it is cut.  The hull sums of each offset,
-    the target's own included, are memoised on the root system
-    (``rs.hulls``), as they depend on nothing else.  The last edge is
-    looked up, not tried: its level keeps only the entry closing_edges
-    finds, the one germ that ends on the target, and that edge gets no
-    hull test.  At most one germ survives, so the depth-first order is
-    unchanged.
-
-    With folded, only the positively folded galleries are walked, in the
-    same order: each level of the stack reads the table at the chain mask
-    its germ left, so a germ where the defining chain dies is never
-    offered.  Unfolded, every level reads it at mask None, which keeps
-    every germ of the local orbit."""
+    With a target, only the galleries ending at it (modulo the invariant
+    line in type A): a boundary v takes only the moves offset_index keeps
+    at target - v, each suffix's index resolved once per walk, so every
+    move taken lies on a gallery that ends on the target.  In type A every
+    germ keeps its coordinate sum, so the target is first moved along (1,
+    ..., 1) to the sum of the reference germs, where every gallery of the
+    type ends; none ends on it when that is not a whole step."""
     gtype = tuple(gtype)
-    germs, bounds = walk_plan(rs, gtype)
-    origin = _origin(rs)
-    if target is not None:
-        hulls = rs.hulls
-        sums = hulls.get(target)
-        if sums is None:
-            sums = hulls[target] = _hull_sums(rs, target)
-        if not all(map(le, sums, bounds[0])):
+    germs, suffixes = walk_plan(rs, gtype)
+    origin = (0,) * rs.dim
+    if target is not None and rs.family == "A":
+        shift, rem = divmod(sum(map(sum, germs)) - sum(target), rs.dim)
+        if rem:
             return
-        if rs.family == "A":
-            shift, rem = divmod(sum(map(sum, germs)) - sum(target), rs.dim)
-            if rem:
-                return
-            target = tuple([a + shift for a in target])
+        target = tuple([a + shift for a in target])
     if not gtype:
-        yield Gallery((origin,), gtype)
+        if target is None or target == origin:
+            yield Gallery((origin,), gtype)
         return
-    last = len(gtype) - 1
-    path, taken = [origin], []  # the prefix: vertices V_0 .. V_k, germs E_0 .. E_{k-1}
-    table = outgoing_edges(rs, origin, gtype[0], germs[0], None, None)
-    if not last and target is not None:
-        table = closing_edges(table, target)
-    stack = [iter(table)]
+    if target is None:
+        tables, first = None, block_moves(rs, suffixes[0][0], None, folded)
+    else:
+        tables = [rs.weyl.offsets.setdefault((suffix, folded), {}) for suffix in suffixes]
+        first = offset_index(rs, suffixes[0], None, folded).get(target, ())
+    stack = [(iter(first), (origin,), ())]  # per level: its moves, the vertices and germs before it
     while stack:
-        k = len(taken)
-        for d, reachable, _ in stack[-1]:
-            v = vadd(path[k], d)
-            if k == last:
-                g = Gallery((*path, v), gtype)
-                object.__setattr__(g, "_directions", (*taken, d))
+        moves, path, taken = stack[-1]
+        k, v = len(stack), path[-1]  # k: the block after this level's
+        for dirs, mask in moves:
+            w = vadd(v, dirs[0])
+            reached = (w, vadd(w, dirs[1])) if len(dirs) > 1 else (w,)
+            if k == len(suffixes):
+                g = Gallery(path + reached, gtype)
+                object.__setattr__(g, "_directions", taken + dirs)
                 yield g
                 continue
-            if target is not None:
-                offset = vsub(target, v)
-                sums = hulls.get(offset)
-                if sums is None:
-                    sums = hulls[offset] = _hull_sums(rs, offset)
-                if not all(map(le, sums, bounds[k + 1])):
-                    continue
-            table = outgoing_edges(rs, v, gtype[k + 1], germs[k + 1], d, reachable if folded else None)
-            if k + 1 == last and target is not None:
-                table = closing_edges(table, offset)
-            path.append(v)
-            taken.append(d)
-            stack.append(iter(table))
+            if tables is None:
+                nxt = block_moves(rs, suffixes[k][0], mask, folded)
+            else:
+                index = tables[k].get(mask) or offset_index(rs, suffixes[k], mask, folded)
+                nxt = index[vsub(target, reached[-1])]
+            stack.append((iter(nxt), path + reached, taken + dirs))
             break
         else:
             stack.pop()
-            path.pop()
-            if taken:
-                taken.pop()
-
-
-def closing_edges(table: tuple, offset: Vec) -> tuple:
-    """The entry of an outgoing_edges table whose germ is offset = target -
-    v, the one germ that takes the walk from v to its target, found by
-    bisection in the germ-sorted table; () when the table lacks it."""
-    i = bisect_left(table, (offset,))  # (offset,) sorts before (offset, ...)
-    return table[i : i + 1] if i < len(table) and table[i][0] == offset else ()
 
 
 def crossing_counts(rs: RootSystem, g: Gallery) -> tuple:

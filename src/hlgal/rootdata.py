@@ -37,7 +37,7 @@ A RootSystem's root data is immutable after construction; the memo tables
 of everything derived from it, local groups included, live on the object.
 Among them are the per-type constants of the gallery walks: each dominant
 weight's standard gallery type (``lambda_types``), each type's walk
-plan, its reference germs and suffix hull bounds (``walk_plans``), and
+plan, its reference germs and block suffixes (``walk_plans``), and
 each mu that passed the dominance check (``dominant_weights``): a row
 of L pays its type's constants once, not once per mu, and a mu is
 checked once, not once per L value.  Only validated results are
@@ -275,7 +275,9 @@ class ReflectionGroup:
     ``edges`` memoises gallery.outgoing_edges, the one edge rule every
     walk reads, keyed by (germ whose orbit the edge takes, chain mask):
     each kept germ with its chain mask and its block's crossing-bound
-    defect, which the local group and that key fix.
+    defect, which the local group and that key fix.  ``moves`` and
+    ``offsets``, filled on W alone, memoise gallery.block_moves and
+    gallery.offset_index.
     """
 
     def __init__(self, rs: RootSystem, key: tuple):
@@ -291,6 +293,8 @@ class ReflectionGroup:
         self.closest: dict = {}
         self.crossings: dict = {}
         self.edges: dict = {}
+        self.moves: dict = {}
+        self.offsets: dict = {}
 
     def orbit(self, v: Vec) -> tuple:
         hit = self._orbits.get(v)
@@ -389,12 +393,11 @@ class RootSystem:
         self.end_marks: dict = {}  # end vertex -> its canonical weight (character walk)
         self.local_groups: dict = {}  # local key -> its ReflectionGroup
         self.vertex_locals: dict = {}  # vertex -> its entry in local_groups
-        self.hulls: dict = {}  # offset -> its orbit-hull partial sums (gallery walk)
         self.fundamental_blocks: dict = {}  # i -> gallery.fundamental_type's EdgeType tuple
         # validated results only: a rejected weight or type stores nothing
         self.lambda_types: dict = {}  # dominant weight -> gallery.type_of_lambda's type
         self.dominant_weights: set = set()  # the mus folding.enumerate_pf has validated
-        self.walk_plans: dict = {}  # gallery type -> gallery.walk_plan's (germs, hull bounds)
+        self.walk_plans: dict = {}  # gallery type -> gallery.walk_plan's (germs, block suffixes)
         self.tableau_columns: dict = {}  # germ -> its column (tableaux encode rule)
         self.column_germs: dict = {}  # valid column -> its germ (tableaux decode rule)
 

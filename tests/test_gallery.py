@@ -1,4 +1,5 @@
 import json
+from itertools import accumulate
 from operator import le
 
 import pytest
@@ -6,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from hlgal.apartment import EdgeType, local_data, local_key
 from hlgal.folding import has_maximal_crossings, is_positively_folded
+from hlgal.hlengine import L_polynomial
 from hlgal.gallery import (
     Gallery,
-    _hull_sums,
     chain_step,
     crossing_counts,
     enumerate_of_type,
@@ -38,12 +39,23 @@ def count_of_type(rs, lam):
     return total
 
 
+def hull_sums(rs, v):
+    """Partial sums of the dominant representative of v's canonical key.
+
+    x lies in the convex hull of the W-orbit of a dominant b exactly when
+    no partial sum for x exceeds the same partial sum for b."""
+    return tuple(accumulate(rs.dominant_rep(rs.canonical_key(v))))
+
+
 def recursive_walk(rs, gtype, target=None):
-    """The depth-first walk as one recursive generator per edge, with the
-    same germ order and hull cut as enumerate_of_type; the reference its
-    explicit-stack loop is checked against.  Each edge's germs are written
-    out here, apart from the walk's edge table: the local orbit of the germ
-    just taken for a second half, else of the edge's reference germ."""
+    """The depth-first walk as one recursive generator per edge, in the
+    same germ order as enumerate_of_type; the reference its block walk is
+    checked against.  Each edge's germs are written out here, apart from
+    the walk's edge table and offset index: the local orbit of the germ
+    just taken for a second half, else of the edge's reference germ.  With
+    a target it cuts a prefix by the orbit hull of the remaining edges'
+    reference germs, which holds every vertex they can still reach, so the
+    cut drops no gallery that ends on the target."""
     gtype = tuple(gtype)
     germs = reference_germs(rs, gtype)
     origin = (0,) * rs.dim
@@ -51,12 +63,12 @@ def recursive_walk(rs, gtype, target=None):
         rest = [origin]  # sums of the last 0, 1, ... reference germs
         for d in reversed(germs):
             rest.append(vadd(rest[-1], d))
-        bounds = [_hull_sums(rs, b) for b in reversed(rest)]
+        bounds = [hull_sums(rs, b) for b in reversed(rest)]
 
     def rec(vertices, prev):
         k = len(vertices) - 1
         v = vertices[-1]
-        if target is not None and not all(map(le, _hull_sums(rs, vsub(target, v)), bounds[k])):
+        if target is not None and not all(map(le, hull_sums(rs, vsub(target, v)), bounds[k])):
             return
         if k == len(gtype):
             yield Gallery(tuple(vertices), gtype)
@@ -192,6 +204,34 @@ def test_walk_matches_recursive_reference(name, max_sum, max_height):
                 assert walks[-1] == want, (lam, target, folded)
         for g in (g for walk in walks for g in walk):
             assert g.directions() == tuple(map(vsub, g.vertices[1:], g.vertices)), g
+
+
+@pytest.mark.parametrize("family,rank", ACCEPTANCE_TYPES)
+def test_unreached_targets_walk_nothing(family, rank):
+    # two kinds of target that no gallery of the type reaches: the dominant
+    # weights one coefficient above lambda, and the W-orbit points of the
+    # dominant weights inside lambda's orbit hull that no gallery ends on.
+    # The walk yields nothing at each, folded and unfolded, as the
+    # reference does, and L is zero at each dominant one
+    rs = root_system(family, rank)
+    inside = 0
+    for lam in dominant_lambdas(rs, MAX_COEFF_SUM, MAX_HEIGHT):
+        gtype = type_of_lambda(rs, lam)
+        reached = {rs.canonical_key(g.target) for g in enumerate_of_type(rs, gtype)}
+        above = [rs.weight([a + (i == j) for j, a in enumerate(rs.weight_coeffs(lam))]) for i in range(rank)]
+        hull = [
+            nu for nu in dominant_lambdas(rs, MAX_COEFF_SUM + 2, rs.height(lam))
+            if all(map(le, hull_sums(rs, nu), hull_sums(rs, lam))) and rs.canonical_key(nu) not in reached
+        ]
+        inside += len(hull)
+        for nu in above + hull:
+            assert rs.canonical_key(nu) not in reached, (lam, nu)
+            assert L_polynomial(rs, lam, nu).is_zero(), (lam, nu)
+            for target in rs.weyl.orbit(nu) if nu in hull else (nu,):
+                assert not tuple(recursive_walk(rs, gtype, target)), (lam, target)
+                for folded in (False, True):
+                    assert not tuple(enumerate_of_type(rs, gtype, target, folded)), (lam, target, folded)
+    assert inside
 
 
 @pytest.mark.parametrize(

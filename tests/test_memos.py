@@ -22,10 +22,10 @@ from hlgal.apartment import (
 from hlgal.folding import enumerate_pf
 from hlgal.gallery import (
     Gallery,
-    _hull_sums,
     chain_step,
     enumerate_of_type,
     fundamental_type,
+    offset_index,
     outgoing_edges,
     reference_germs,
     type_of_lambda,
@@ -316,41 +316,85 @@ def reference_type(rs, lam):
 
 
 def reference_plan(rs, gtype):
-    """The walk plan, written out: the reference germs, and the hull sums of
-    the sum of each suffix of them, the whole type's first."""
+    """The walk plan, written out: the reference germs, and the fundamental
+    indices of each suffix of the type's blocks, the whole type's first."""
     germs = tuple(reference_germs(rs, gtype))
-    suffixes = [tuple(sum(column) for column in zip((0,) * rs.dim, *germs[k:])) for k in range(len(germs) + 1)]
-    return germs, tuple(_hull_sums(rs, b) for b in suffixes)
+    firsts = [k for k, t in enumerate(gtype) if t.segment != "second"]
+    return germs, tuple(tuple(gtype[j].index for j in firsts[k:]) for k in range(len(firsts)))
+
+
+def reference_moves(rs, i, mask, folded):
+    """The moves of omega_i's block out of a block boundary with chain mask
+    ``mask``, written out from the origin over two levels of outgoing_edges
+    for a two-half block, the second half read at the first's mask (None
+    unfolded): each (germs, chain mask after, None unfolded)."""
+    origin = (0,) * rs.dim
+    block = fundamental_type(rs, i)
+    reference = expected_germ(rs, block[0])
+    out = []
+    for d1, r1, _ in outgoing_edges(rs, origin, block[0], reference, None, mask):
+        r1 = r1 if folded else None
+        if len(block) == 1:
+            out.append(((d1,), r1))
+        else:
+            for d2, r2, _ in outgoing_edges(rs, d1, block[1], reference, d1, r1):
+                out.append(((d1, d2), r2 if folded else None))
+    return out
+
+
+def reference_index(rs, blocks, mask, folded):
+    """The offset index, written out: each move of blocks[0] listed under
+    its step plus every offset that the rest of the blocks reach from its
+    chain mask, in move order; with no blocks, offset 0 and no move."""
+    @lru_cache(maxsize=None)
+    def index(blocks, mask):
+        if not blocks:
+            return {(0,) * rs.dim: []}
+        out = {}
+        for dirs, after in reference_moves(rs, blocks[0], mask, folded):
+            for end in index(blocks[1:], after):
+                out.setdefault(tuple(map(sum, zip(end, *dirs))), []).append((dirs, after))
+        return out
+
+    return index(blocks, mask)
 
 
 @pytest.mark.parametrize("family,rank", ACCEPTANCE_TYPES + RANK_4_TYPES, ids=lambda x: str(x))
 def test_hull_memo_serves_targets_in_any_order(family, rank):
-    # the offsets, types and walk plans one target's walk memoises serve the
+    # named for the orbit-hull memo that the offset index replaced.  The
+    # index, types and walk plans one target's walk memoises serve the
     # next: two fresh root systems taking every (type, reached target) in
-    # opposite orders walk the same galleries, and every memo entry is the
-    # unmemoised hull sums, standard type or walk plan
+    # opposite orders, folded and unfolded, walk the same galleries and fill
+    # equal index tables, and every memo entry is the written-out index,
+    # standard type or walk plan
     ref = root_system(family, rank)
     runs = []
     for lam in dominant_lambdas(ref, *BOUNDS[(family, rank)]):
         gtype = type_of_lambda(ref, lam)
         targets = {ref.canonical_key(g.target): g.target for g in enumerate_of_type(ref, gtype)}
-        runs += [(lam, target) for target in targets.values()]
+        runs += [(lam, target, folded) for target in targets.values() for folded in (False, True)]
     forward, backward = RootSystem(RootSystemSpec(family, rank)), RootSystem(RootSystemSpec(family, rank))
     for rs in (forward, backward):
-        assert not rs.hulls and not rs.lambda_types and not rs.walk_plans
+        assert not rs.weyl.offsets and not rs.lambda_types and not rs.walk_plans
 
-    def walk(rs, lam, target):
-        return tuple(enumerate_of_type(rs, type_of_lambda(rs, lam), target))
+    def walk(rs, lam, target, folded):
+        return tuple(enumerate_of_type(rs, type_of_lambda(rs, lam), target, folded))
 
-    walked = [walk(forward, lam, target) for lam, target in runs]
-    assert walked == [walk(backward, lam, target) for lam, target in reversed(runs)][::-1]
-    assert forward.hulls and forward.hulls.keys() == backward.hulls.keys()
+    walked = [walk(forward, *run) for run in runs]
+    assert walked == [walk(backward, *run) for run in reversed(runs)][::-1]
+    assert forward.weyl.offsets and forward.weyl.offsets == backward.weyl.offsets
+    assert forward.weyl.moves == backward.weyl.moves
     assert forward.lambda_types == backward.lambda_types
     assert forward.walk_plans == backward.walk_plans
     for rs in (forward, backward):
-        for offset, sums in rs.hulls.items():
-            assert sums == _hull_sums(rs, offset), offset
-        assert rs.lambda_types.keys() == {lam for lam, _ in runs}
+        for (blocks, folded), table in rs.weyl.offsets.items():
+            for mask, index in table.items():
+                assert offset_index(rs, blocks, mask, folded) is index
+                want = reference_index(rs, blocks, mask, folded)
+                assert {o: list(moves) for o, moves in index.items()} == want
+        for (i, mask, folded), moves in rs.weyl.moves.items():
+            assert list(moves) == reference_moves(rs, i, mask, folded)
+        assert rs.lambda_types.keys() == {lam for lam, _, _ in runs}
         for lam, gtype in rs.lambda_types.items():
             assert gtype == reference_type(rs, lam), lam
             assert type_of_lambda(rs, lam) is gtype

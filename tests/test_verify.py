@@ -62,6 +62,49 @@ def test_cell_dimension_record_reads_the_terms(monkeypatch, b2):
         assert [r["status"] == "fail" for r in cell] == junctions and any(junctions), cell
 
 
+def test_zero_junction_factor_unfolds_exactly_its_galleries(monkeypatch, b2):
+    # one junction that the chain keeps, its factor forced to zero: the
+    # positively folded galleries through it are no longer folded, while
+    # their tableaux stay semistandard.  So semistandard-iff-folded fails,
+    # once per such gallery, on exactly the lambdas whose galleries have
+    # that junction, and oracle-equality fails at each dominant target where
+    # their terms summed to a non-zero polynomial; no other record of
+    # another lambda, and no record that reads no junction factor, fails
+    lams = dominant_lambdas(b2, 2, 16)
+    g = next(g for g in enumerate_of_type(b2, type_of_lambda(b2, b2.weight((1, 1))), folded=True))
+    junction = (g.vertices[1], vneg(g.directions()[0]), g.directions()[1])
+    factor = hlgal.verify.junction_factor
+    monkeypatch.setattr(
+        hlgal.verify, "junction_factor", lambda rs, *key: QPoly.zero() if key == junction else factor(rs, *key)
+    )
+    want = {}
+    for lam in lams:
+        lam_c, removed, unfolded = list(b2.weight_coeffs(lam)), {}, 0
+        for g in enumerate_of_type(b2, type_of_lambda(b2, lam), folded=True):
+            dirs = g.directions()
+            if any((g.vertices[j], vneg(dirs[j - 1]), dirs[j]) == junction for j in range(1, len(dirs))):
+                unfolded += 1
+                if b2.is_dominant(g.target):
+                    removed[g.target] = removed.get(g.target, QPoly.zero()) + gallery_term(b2, g)
+        changed = {str(list(b2.weight_coeffs(mu))) for mu, term in removed.items() if not term.is_zero()}
+        want[str(lam_c)] = (unfolded, changed)
+    assert any(n for n, _ in want.values()) and not all(n for n, _ in want.values())
+    report = run_suite(b2, max_coeff_sum=2, max_height=16)
+    for r in report["records"]:
+        check, _, args = r["check"].partition("[")
+        lam_c, _, mu_c = args[:-1].partition("->")
+        unfolded, changed = want[lam_c]
+        if check == "semistandard-iff-folded":
+            assert r["detail"]["violations"] == unfolded, r
+        elif check == "oracle-equality":
+            assert (r["status"] == "fail") == (mu_c in changed), r
+        elif check in ("euler", "degree-leading") and unfolded:
+            continue
+        else:
+            assert r["status"] == "pass", r
+    assert report["failures"]
+
+
 def test_suite_folding_tests_each_gallery_once(monkeypatch):
     # the pass counts each gallery once, in the multiplicity of its end state,
     # and no library code runs the per-gallery folding test
