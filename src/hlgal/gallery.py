@@ -8,24 +8,26 @@ omega_1^{a_1} * ... * omega_n^{a_n}.
 
 Every walk reads one edge rule, outgoing_edges: the germs an edge can
 take out of a (vertex, incoming germ, chain mask) state, memoised on the
-vertex's local group.  The folded gallery walk and the LS character walk
-of the hlengine module read it at the chain mask each germ leaves, so an
-edge is cut by chain_step alone, where the defining chain dies; the
-unfolded walk reads it at mask None, which keeps every germ.  Each edge
-also carries its block's crossing-bound defect, which only the character
-walk reads.  That the chain cut never keeps an edge with a zero junction
-factor (the other half of positive folding) or a positive defect is
-checked for every gallery type made of fundamental blocks at rank <= 4,
-by exhaustion of a finite state set (check_chain_cut in the gallery
-tests); no proof.
+vertex's local group.  The folded gallery walk and the LS block tables
+read it at the chain mask each germ leaves, so an edge is cut by
+chain_step alone, where the defining chain dies; the unfolded walk reads
+it at mask None, which keeps every germ.  Each edge also carries its
+block's crossing-bound defect, which only the LS block tables
+(ls_block_moves) read.  That the chain cut never keeps an edge with a
+zero junction factor (the other half of positive folding) or a positive
+defect is checked for every gallery type made of fundamental blocks at
+rank <= 4, by exhaustion of a finite state set (check_chain_cut in the
+gallery tests); no proof.
 
 Each type's walk plan (walk_plan) and each dominant weight's standard
 type (type_of_lambda) are kept on the root system, so a row of L pays
-for neither once per mu.  The gallery walk steps a whole block at a
-time.  A block boundary is a weight, whose local group is W, so up to
-translation its moves depend on its chain mask alone: block_moves and
-offset_index, the target walk's exact index of the moves that can still
-reach an offset, are memoised on W and serve every boundary.
+for neither once per mu.  The gallery walk and the LS character walk of
+the hlengine module step a whole block at a time.  A block boundary is a
+weight, whose local group is W, so up to translation its moves depend on
+its chain mask alone: block_moves, offset_index (the target walk's exact
+index of the moves that can still reach an offset) and ls_block_moves
+(the character walk's LS moves, merged per offset and mask after) are
+memoised on W and serve every boundary.
 """
 
 from __future__ import annotations
@@ -150,9 +152,10 @@ def outgoing_edges(
     + d) - height(omega_i) of the block a second half closes, p1 and p2
     its halves' positive crossings; the unfolded pair d == prev has gap 0,
     so it is read off the midpoint v alone.  It is 0 for a whole edge and
-    a first half.  Memoised on the local group at v, keyed by (orbit
-    source, mask); a midpoint is never a weight, so second halves share no
-    group with other edges."""
+    a first half.  ls_block_moves reads it; the gallery walks ignore it.
+    Memoised on the local group at v, keyed by (orbit source, mask); a
+    midpoint is never a weight, so second halves share no group with
+    other edges."""
     local = local_data(rs, v)
     second = etype.segment == "second"
     key = (prev if second else reference, mask)
@@ -191,6 +194,39 @@ def block_moves(rs: RootSystem, i: int, mask: int | None, folded: bool) -> tuple
             for d2, r2, _ in outgoing_edges(rs, d1, second[0], reference, d1, r1) if second else ():
                 hit.append(((d1, d2), r2 if folded else None))
         hit = rs.weyl.moves[key] = tuple(hit)
+    return hit
+
+
+def ls_block_moves(rs: RootSystem, i: int, mask: int | None) -> tuple:
+    """The LS moves of omega_i's block out of a block boundary with chain
+    mask ``mask``, merged: (offset, chain mask after, multiplicity), one
+    triple per distinct (offset d1 [+ d2], mask after) that the block's
+    edges reach, folded and with every defect 0, in first-reach order.
+
+    The block is walked edge by edge from the origin, as in block_moves;
+    an edge with a negative defect (its block short of the crossing bound)
+    is cut, and a positive one raises AssertionError, as no positively
+    folded gallery exceeds the bound.  Memoised on W per (i, mask), in
+    ``rs.weyl.ls_moves``."""
+    key = (i, mask)
+    hit = rs.weyl.ls_moves.get(key)
+    if hit is None:
+        block = fundamental_type(rs, i)
+        reference = expected_germ(rs, block[0])
+        states = [((0,) * rs.dim, None, mask)]  # (offset, germ taken, chain mask)
+        for etype in block:
+            nxt = []
+            for v, prev, m in states:
+                for d, reachable, defect in outgoing_edges(rs, v, etype, reference, prev, m):
+                    if defect > 0:
+                        raise AssertionError("positive crossings exceed the degree bound")
+                    if not defect:
+                        nxt.append((vadd(v, d), d, reachable))
+            states = nxt
+        tally: dict = {}
+        for v, _, m in states:
+            tally[v, m] = tally.get((v, m), 0) + 1
+        hit = rs.weyl.ls_moves[key] = tuple(step + (n,) for step, n in tally.items())
     return hit
 
 

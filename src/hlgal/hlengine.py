@@ -12,24 +12,31 @@ from the residue module, so a kept gallery with a zero factor would
 still add nothing, and all arithmetic is exact, so the accumulation
 order does not matter.
 
-The LS character is a forward walk over the states (vertex, incoming
-germ, chain mask), one layer per edge, each holding how many prefixes
-reach it, with no gallery built and no junction factor computed.  Each
-state reads its edges from gallery.outgoing_edges, the one edge rule
-every walk reads, at its own chain mask, so an edge is cut where
-chain_step returns 0, as in the folded gallery walk, and also where the
-crossing-bound defect of the block it closes is negative: a gallery's
-defects sum to scale times 2P - height(lambda) - height(mu), so one with
-every defect 0 reaches the degree bound <lambda+mu, rho> and is LS.
+The LS character is a forward walk over block-boundary states (vertex,
+chain mask), one layer per fundamental block, each holding how many
+prefixes reach it, with no gallery built and no junction factor
+computed.  A boundary is a weight, whose local group is W, and a
+midpoint's local group depends on its germ alone, so up to translation
+a block's moves out of a boundary depend only on the block and the
+chain mask: gallery.ls_block_moves walks them once from the origin, on
+gallery.outgoing_edges, the one edge rule every walk reads, and merges
+them into (offset, chain mask after, multiplicity) triples, memoised on
+W.  Its edges are cut where chain_step returns 0, as in the folded
+gallery walk, and also where the crossing-bound defect of the block is
+negative: a gallery's defects sum to scale times 2P - height(lambda) -
+height(mu), so one with every defect 0 reaches the degree bound
+<lambda+mu, rho> and is LS.
 That this keeps exactly the LS galleries (is_positively_folded also asks
 for non-zero junction factors, and no block may exceed the bound) is
 checked for every gallery type made of fundamental blocks at rank <= 4,
 by exhaustion of a finite state set (check_chain_cut in the gallery
 tests); no proof.
-The final layer sums the counts per canonical weight, memoised per final
+The last block sums straight into end vertex -> count, dropping the
+mask, and the counts are summed per canonical weight, memoised per final
 vertex (``rs.end_marks``) and hashed once (HashedWeight); in type A,
-vertices sharing a canonical weight merge.  It is the library's only LS
-count: the character command and verify both read it.
+vertices sharing a canonical weight merge.  No character is cached.  It
+is the library's only LS count: the character command and verify both
+read it.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from operator import add, mul
 
 from .apartment import crossings
 from .folding import enumerate_pf
-from .gallery import Gallery, GalleryType, outgoing_edges, type_of_lambda, walk_plan
+from .gallery import Gallery, GalleryType, ls_block_moves, type_of_lambda, walk_plan
 from .qpoly import QPoly
 from .residue import junction_factor
 from .rootdata import RootSystem, Vec, vadd, vneg
@@ -67,32 +74,37 @@ def L_polynomial(rs: RootSystem, lam: Vec, mu: Vec) -> QPoly:
 
 
 def ls_character_of_type(rs: RootSystem, gtype: GalleryType) -> dict:
-    """The LS-gallery character of a gallery type, by the walk over
-    (vertex, incoming germ, chain mask): canonical target -> number of
+    """The LS-gallery character of a gallery type, by the walk over block
+    boundaries (vertex, chain mask): canonical target -> number of
     LS-galleries, keyed by canonical weight vectors in ambient coordinates
     (type A drops the invariant line).
 
-    An edge whose block falls short of the crossing bound (defect < 0)
-    is cut, and one past it raises AssertionError, as no positively folded
+    Each block reads its merged moves from gallery.ls_block_moves, which
+    cuts an edge whose block falls short of the crossing bound (defect <
+    0) and raises AssertionError on one past it, as no positively folded
     gallery exceeds the bound; ValueError unless the type splits into
     fundamental blocks."""
-    gtype = tuple(gtype)
-    germs = walk_plan(rs, gtype)[0]
-    layer = {((0,) * rs.dim, None, None): 1}  # state -> prefixes reaching it
-    for etype, reference in zip(gtype, germs):
-        nxt: dict = {}
-        for (v, prev, mask), n in layer.items():
-            for d, reachable, defect in outgoing_edges(rs, v, etype, reference, prev, mask):
-                if defect:
-                    if defect > 0:
-                        raise AssertionError("positive crossings exceed the degree bound")
-                    continue
-                state = (vadd(v, d), d, reachable)
-                nxt[state] = nxt.get(state, 0) + n
-        layer = nxt
+    suffixes = walk_plan(rs, tuple(gtype))[1]
+    origin = (0,) * rs.dim
+    ends = {origin: 1}  # end vertex -> LS galleries; the empty type ends at the origin
+    if suffixes:
+        blocks = suffixes[0]
+        layer = {(origin, None): 1}  # (boundary, chain mask) -> prefixes reaching it
+        for i in blocks[:-1]:
+            nxt: dict = {}
+            for (v, mask), n in layer.items():
+                for d, after, m in ls_block_moves(rs, i, mask):
+                    state = (vadd(v, d), after)
+                    nxt[state] = nxt.get(state, 0) + n * m
+            layer = nxt
+        ends = {}
+        for (v, mask), n in layer.items():  # the last block drops the mask
+            for d, _, m in ls_block_moves(rs, blocks[-1], mask):
+                w = vadd(v, d)
+                ends[w] = ends.get(w, 0) + n * m
     marks = rs.end_marks
     counts: dict = {}  # canonical weight -> LS galleries; type A merges vertices here
-    for (v, _, _), n in layer.items():
+    for v, n in ends.items():
         weight = marks.get(v)
         if weight is None:
             weight = marks[v] = rs.canonical_weight(v)

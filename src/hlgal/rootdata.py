@@ -275,9 +275,9 @@ class ReflectionGroup:
     ``edges`` memoises gallery.outgoing_edges, the one edge rule every
     walk reads, keyed by (germ whose orbit the edge takes, chain mask):
     each kept germ with its chain mask and its block's crossing-bound
-    defect, which the local group and that key fix.  ``moves`` and
-    ``offsets``, filled on W alone, memoise gallery.block_moves and
-    gallery.offset_index.
+    defect, which the local group and that key fix.  ``moves``,
+    ``offsets`` and ``ls_moves``, filled on W alone, memoise
+    gallery.block_moves, gallery.offset_index and gallery.ls_block_moves.
     """
 
     def __init__(self, rs: RootSystem, key: tuple):
@@ -295,6 +295,7 @@ class ReflectionGroup:
         self.edges: dict = {}
         self.moves: dict = {}
         self.offsets: dict = {}
+        self.ls_moves: dict = {}
 
     def orbit(self, v: Vec) -> tuple:
         hit = self._orbits.get(v)

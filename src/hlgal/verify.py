@@ -4,8 +4,8 @@ Each check yields a record {"check", "system", "status", "detail"}; a run
 fails as soon as any record carries status "fail", and failing records
 carry a counterexample payload.
 
-check_system walks each standard type once, unfolded, one layer per edge,
-as the character walk does.  Every per-gallery record reads left folds of
+check_system walks each standard type once, unfolded, one layer per
+edge.  Every per-gallery record reads left folds of
 per-edge rules: the defining chain's mask, the term, the crossings, the
 column order and the round trip.  So the prefixes that agree on those
 folds merge, each end state counts the galleries reaching it and sums

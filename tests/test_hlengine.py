@@ -14,7 +14,7 @@ from hlgal.folding import (
     locally_positively_folded,
     reaches_degree_bound,
 )
-from hlgal.gallery import enumerate_of_type, fundamental_type, type_of_lambda
+from hlgal.gallery import enumerate_of_type, fundamental_type, outgoing_edges, type_of_lambda, walk_plan
 from hlgal.hlengine import L_polynomial, character_LS, gallery_term, ls_character_of_type
 from hlgal.oracles import freudenthal_character, weyl_dimension
 from hlgal.qpoly import QPoly
@@ -33,6 +33,40 @@ def ls_character(rs, pf_galleries) -> dict:
         if has_maximal_crossings(rs, g):
             counts[rs.canonical_weight(g.target)] += 1
     return dict(counts)
+
+
+def edge_character(rs, gtype) -> dict:
+    """Reference LS character, one layer per edge over the states (vertex,
+    incoming germ, chain mask), keyed as in ls_character_of_type: each
+    state reads outgoing_edges at its own chain mask, an edge with a
+    negative defect is cut and a positive one raises AssertionError."""
+    gtype = tuple(gtype)
+    germs = walk_plan(rs, gtype)[0]
+    layer = {((0,) * rs.dim, None, None): 1}  # state -> prefixes reaching it
+    for etype, reference in zip(gtype, germs):
+        nxt: dict = {}
+        for (v, prev, mask), n in layer.items():
+            for d, reachable, defect in outgoing_edges(rs, v, etype, reference, prev, mask):
+                if defect:
+                    if defect > 0:
+                        raise AssertionError("positive crossings exceed the degree bound")
+                    continue
+                state = (vadd(v, d), d, reachable)
+                nxt[state] = nxt.get(state, 0) + n
+        layer = nxt
+    marks = rs.end_marks
+    counts: dict = {}  # canonical weight -> LS galleries; type A merges vertices here
+    for (v, _, _), n in layer.items():
+        weight = marks.get(v)
+        if weight is None:
+            weight = marks[v] = rs.canonical_weight(v)
+        counts[weight] = counts.get(weight, 0) + n
+    return counts
+
+
+def zigzag_types(rs):
+    """The types w_i w_j w_i of omega_1 and omega_2's blocks, both ways round."""
+    return [fundamental_type(rs, i) + fundamental_type(rs, j) + fundamental_type(rs, i) for i, j in ((1, 2), (2, 1))]
 
 
 def test_worked_values_a2(a2):
@@ -144,12 +178,11 @@ def test_character_walk_keeps_the_chain_mask(a2, b2, c2):
     # state would count them, and its characters differ on all six types
     chainless = 0
     for rs in (a2, b2, c2):
-        for i, j in ((1, 2), (2, 1)):
-            gtype = fundamental_type(rs, i) + fundamental_type(rs, j) + fundamental_type(rs, i)
+        for gtype in zigzag_types(rs):
             galleries = tuple(enumerate_of_type(rs, gtype))
             pf = [g for g in galleries if is_positively_folded(rs, g)]
             chainless += sum(locally_positively_folded(rs, g) for g in galleries) - len(pf)
-            assert ls_character_of_type(rs, gtype) == ls_character(rs, pf), (rs.family, i, j)
+            assert ls_character_of_type(rs, gtype) == ls_character(rs, pf), (rs.family, gtype)
     assert chainless == 96
 
 
@@ -174,6 +207,23 @@ def test_character_is_independent_of_the_block_order():
                 assert ls_character_of_type(rs, gtype) == want, (family, rank, order)
                 orders += 1
     assert orders == 174
+
+
+def test_block_walk_matches_edge_walk():
+    # the walk over block boundaries (vertex, chain mask), one merged table
+    # per block and mask, counts what the walk over (vertex, incoming germ,
+    # chain mask) counts one edge at a time, on every dominant lambda of
+    # the block-order sums and on the six zigzag types
+    checked = 0
+    for (family, rank), max_sum in BLOCK_ORDER_BOUNDS.items():
+        rs = root_system(family, rank)
+        gtypes = [type_of_lambda(rs, lam) for lam in dominant_lambdas(rs, max_sum, 10**6)]
+        if rank == 2:
+            gtypes += zigzag_types(rs)
+        for gtype in gtypes:
+            assert ls_character_of_type(rs, gtype) == edge_character(rs, gtype), (family, rank, gtype)
+            checked += 1
+    assert checked == 121  # 115 lambdas and 6 zigzag types
 
 
 def test_character_total_fifteen(a2):

@@ -25,6 +25,7 @@ from hlgal.gallery import (
     chain_step,
     enumerate_of_type,
     fundamental_type,
+    ls_block_moves,
     offset_index,
     outgoing_edges,
     reference_germs,
@@ -257,12 +258,19 @@ def test_character_walk_computes_no_junction_factor(family, rank):
 
 @pytest.mark.parametrize("family,rank", ACCEPTANCE_TYPES + RANK_4_TYPES, ids=lambda x: str(x))
 def test_edge_tables_serve_lambdas_in_any_order(family, rank):
-    # the tables one lambda fills serve the next: the characters agree when
-    # two fresh root systems take the lambdas in opposite orders
+    # the edge tables and the merged LS block tables one lambda fills serve
+    # the next: the characters agree when two fresh root systems take the
+    # lambdas in opposite orders, both fill equal block tables, and every
+    # block table entry is the written-out tally
     lams = dominant_lambdas(root_system(family, rank), *BOUNDS[(family, rank)])
     forward, backward = RootSystem(RootSystemSpec(family, rank)), RootSystem(RootSystemSpec(family, rank))
     chars = [character_LS(forward, lam) for lam in lams]
     assert chars == [character_LS(backward, lam) for lam in reversed(lams)][::-1]
+    assert forward.weyl.ls_moves and forward.weyl.ls_moves == backward.weyl.ls_moves
+    for rs in (forward, backward):
+        for (i, mask), moves in rs.weyl.ls_moves.items():
+            assert ls_block_moves(rs, i, mask) is moves
+            assert list(moves) == reference_ls_moves(rs, i, mask), (i, mask)
 
 
 def walk_everything(rs, lams, mus, reverse):
@@ -340,6 +348,25 @@ def reference_moves(rs, i, mask, folded):
             for d2, r2, _ in outgoing_edges(rs, d1, block[1], reference, d1, r1):
                 out.append(((d1, d2), r2 if folded else None))
     return out
+
+
+def reference_ls_moves(rs, i, mask):
+    """The merged LS moves of omega_i's block, written out: the folded
+    reference_moves whose closing edge has reference_defect 0 (none may
+    have a positive one), tallied per (offset, chain mask after) in move
+    order, each as (offset, mask after, multiplicity)."""
+    origin = (0,) * rs.dim
+    block = fundamental_type(rs, i)
+    reference = expected_germ(rs, block[0])
+    tally = {}
+    for dirs, after in reference_moves(rs, i, mask, True):
+        v, prev = (origin, None) if len(dirs) == 1 else (dirs[0], dirs[0])
+        defect = reference_defect(rs, v, block[-1], reference, prev, dirs[-1])
+        assert defect <= 0, (i, mask, dirs)
+        if defect == 0:
+            step = (tuple(map(sum, zip(*dirs))), after)
+            tally[step] = tally.get(step, 0) + 1
+    return [step + (n,) for step, n in tally.items()]
 
 
 def reference_index(rs, blocks, mask, folded):
