@@ -19,8 +19,9 @@ set (check_chain_cut in the gallery tests); no proof.
 
 from __future__ import annotations
 
-from .apartment import expected_germ
-from .gallery import Gallery, chain_step, crossing_counts, enumerate_of_type, type_of_lambda
+from functools import reduce
+
+from .gallery import Gallery, chain_step, crossing_counts, enumerate_of_type, type_of_lambda, walk_plan
 from .residue import junction_factor
 from .rootdata import RootSystem, Vec, vadd, vneg
 
@@ -47,10 +48,10 @@ def _bits(mask: int) -> list:
 
 
 def _reachable_masks(rs: RootSystem, dirs):
-    """Forward pass of the defining chain, one chain_step per edge, or
-    None once it dies."""
+    """Forward pass of the defining chain, one chain_step per edge from
+    1 << rs.w0 (every class lies below w0), or None once it dies."""
     reachable = []
-    mask = None
+    mask = 1 << rs.w0
     for d in dirs:
         mask = chain_step(rs, mask, d)
         if not mask:
@@ -94,15 +95,6 @@ def is_positively_folded(rs: RootSystem, g: Gallery) -> bool:
     return locally_positively_folded(rs, g) and _reachable_masks(rs, g.directions()) is not None
 
 
-def type_weight(rs: RootSystem, gtype) -> Vec:
-    """Sum of the reference germs of a gallery type: the block fundamental
-    weights."""
-    acc = tuple(0 for _ in range(rs.dim))
-    for t in gtype:
-        acc = vadd(acc, expected_germ(rs, t))
-    return acc
-
-
 def reaches_degree_bound(twice_bound: int, plus: int) -> bool:
     """``plus`` positive crossings equal the degree bound <lambda+mu, rho>
     of a positively folded gallery of type weight lambda and target mu,
@@ -116,7 +108,7 @@ def reaches_degree_bound(twice_bound: int, plus: int) -> bool:
 def has_maximal_crossings(rs: RootSystem, g: Gallery) -> bool:
     """Positive-crossing count equal to the degree bound <lambda+mu, rho>;
     the LS test for a gallery already known to be positively folded."""
-    twice_bound = rs.height(vadd(type_weight(rs, g.gtype), g.target))
+    twice_bound = rs.height(reduce(vadd, walk_plan(rs, g.gtype)[0], g.target))  # lambda + mu
     return reaches_degree_bound(twice_bound, crossing_counts(rs, g)[0])
 
 

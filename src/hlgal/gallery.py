@@ -8,16 +8,16 @@ omega_1^{a_1} * ... * omega_n^{a_n}.
 
 Every walk reads one edge rule, outgoing_edges: the germs an edge can
 take out of a (vertex, incoming germ, chain mask) state, memoised on the
-vertex's local group.  The folded gallery walk and the LS block tables
-read it at the chain mask each germ leaves, so an edge is cut by
-chain_step alone, where the defining chain dies; the unfolded walk reads
-it at mask None, which keeps every germ.  Each edge also carries its
-block's crossing-bound defect, which only the LS block tables
-(ls_block_moves) read.  That the chain cut never keeps an edge with a
-zero junction factor (the other half of positive folding) or a positive
-defect is checked for every gallery type made of fundamental blocks at
-rank <= 4, by exhaustion of a finite state set (check_chain_cut in the
-gallery tests); no proof.
+vertex's local group.  The chain mask is the set of chamber classes the
+defining chain can be in; a folded walk starts it at 1 << w0, as every
+class lies Bruhat-below w0, and an edge is cut by chain_step alone,
+where the chain dies.  Mask None means unfolded: it keeps every germ.
+Each edge also carries its block's crossing-bound defect, which only
+the LS moves (ls_block_moves) read.  That the chain cut never keeps an
+edge with a zero junction factor (the other half of positive folding)
+or a positive defect is checked for every gallery type made of
+fundamental blocks at rank <= 4, by exhaustion of a finite state set
+(check_chain_cut in the gallery tests); no proof.
 
 Each type's walk plan (walk_plan) and each dominant weight's standard
 type (type_of_lambda) are kept on the root system, so a row of L pays
@@ -26,8 +26,8 @@ the hlengine module step a whole block at a time.  A block boundary is a
 weight, whose local group is W, so up to translation its moves depend on
 its chain mask alone: block_moves, offset_index (the target walk's exact
 index of the moves that can still reach an offset) and ls_block_moves
-(the character walk's LS moves, merged per offset and mask after) are
-memoised on W and serve every boundary.
+(the character walk's moves, the block_moves of defect 0 as (offset,
+mask after) pairs) are memoised on W per mask and serve every boundary.
 """
 
 from __future__ import annotations
@@ -128,14 +128,13 @@ def walk_plan(rs: RootSystem, gtype: GalleryType) -> tuple:
     return plan
 
 
-def chain_step(rs: RootSystem, reachable: int | None, d: Vec) -> int:
+def chain_step(rs: RootSystem, reachable: int, d: Vec) -> int:
     """One step of the defining chain's forward pass: the chamber classes
     (as a bit mask) containing germ d that lie Bruhat-below something in
-    ``reachable``.  reachable None means no chain constraint (the first
-    edge, or an unfolded walk): every class containing d, never 0.  0 when
-    the chain dies here."""
-    mask = rs.chamber_class_mask(d)
-    return mask if reachable is None else mask & rs.below_closure_mask(reachable)
+    ``reachable``.  Every class lies below w0, so from 1 << rs.w0, where
+    every folded walk starts, it is every class containing d.  0 when the
+    chain dies here."""
+    return rs.chamber_class_mask(d) & rs.below_closure_mask(reachable)
 
 
 def outgoing_edges(
@@ -145,17 +144,17 @@ def outgoing_edges(
     germ d an edge of the type can take out of the state (v, prev, mask)
     that chain_step keeps, with the chain mask after d.  The germs are the
     local orbit at v of the germ just taken (prev) for a second half, else
-    of the edge's reference germ, in orbit order, which sorts them; with
-    mask None every germ of the orbit is kept.
+    of the edge's reference germ, in orbit order, which sorts them.  Mask
+    None is an unfolded walk's: every germ of the orbit is kept, with
+    reachable None.
 
     defect is scale times the crossing-bound gap 2(p1 + p2) - height(prev
     + d) - height(omega_i) of the block a second half closes, p1 and p2
     its halves' positive crossings; the unfolded pair d == prev has gap 0,
     so it is read off the midpoint v alone.  It is 0 for a whole edge and
-    a first half.  ls_block_moves reads it; the gallery walks ignore it.
-    Memoised on the local group at v, keyed by (orbit source, mask); a
-    midpoint is never a weight, so second halves share no group with
-    other edges."""
+    a first half.  Memoised on the local group at v, keyed by (orbit
+    source, mask); a midpoint is never a weight, so second halves share no
+    group with other edges."""
     local = local_data(rs, v)
     second = etype.segment == "second"
     key = (prev if second else reference, mask)
@@ -167,84 +166,71 @@ def outgoing_edges(
 
         hit = []
         for d in local.orbit(key[0]):
-            reachable = chain_step(rs, mask, d)
-            if reachable:
+            reachable = mask and chain_step(rs, mask, d)
+            if reachable or mask is None:
                 hit.append((d, reachable, excess(d) - excess(prev) if second else 0))
         hit = local.edges[key] = tuple(hit)
     return hit
 
 
-def block_moves(rs: RootSystem, i: int, mask: int | None, folded: bool) -> tuple:
+def block_moves(rs: RootSystem, i: int, mask: int | None) -> tuple:
     """The moves of omega_i's block out of a block boundary with chain mask
-    ``mask``, in (d1, d2) order: (germs (d1,) or (d1, d2) as outgoing_edges
-    offers them, the chain mask after them, None unfolded).  A midpoint's
-    local group depends on its germ alone, so the moves are walked from the
-    origin.  Memoised on W per (i, mask, folded): the origin's mask None
-    keeps fewer second halves folded."""
-    key = (i, mask, folded)
+    ``mask`` (None unfolded), in (d1, d2) order: (germs (d1,) or (d1, d2)
+    as outgoing_edges offers them, the chain mask after them, the defect
+    of the edge that closes the block).  A midpoint's local group depends
+    on its germ alone, so the moves are walked from the origin.  Memoised
+    on W per (i, mask)."""
+    key = (i, mask)
     hit = rs.weyl.moves.get(key)
     if hit is None:
         first, *second = fundamental_type(rs, i)
         reference = expected_germ(rs, first)
         hit = []
-        for d1, r1, _ in outgoing_edges(rs, (0,) * rs.dim, first, reference, None, mask):
-            r1 = r1 if folded else None
+        for d1, r1, defect in outgoing_edges(rs, (0,) * rs.dim, first, reference, None, mask):
             if not second:
-                hit.append(((d1,), r1))
-            for d2, r2, _ in outgoing_edges(rs, d1, second[0], reference, d1, r1) if second else ():
-                hit.append(((d1, d2), r2 if folded else None))
+                hit.append(((d1,), r1, defect))
+            for d2, r2, defect in outgoing_edges(rs, d1, second[0], reference, d1, r1) if second else ():
+                hit.append(((d1, d2), r2, defect))
         hit = rs.weyl.moves[key] = tuple(hit)
     return hit
 
 
-def ls_block_moves(rs: RootSystem, i: int, mask: int | None) -> tuple:
+def ls_block_moves(rs: RootSystem, i: int, mask: int) -> tuple:
     """The LS moves of omega_i's block out of a block boundary with chain
-    mask ``mask``, merged: (offset, chain mask after, multiplicity), one
-    triple per distinct (offset d1 [+ d2], mask after) that the block's
-    edges reach, folded and with every defect 0, in first-reach order.
-
-    The block is walked edge by edge from the origin, as in block_moves;
-    an edge with a negative defect (its block short of the crossing bound)
-    is cut, and a positive one raises AssertionError, as no positively
-    folded gallery exceeds the bound.  Memoised on W per (i, mask), in
+    mask ``mask``: (offset d1 [+ d2], chain mask after) for each of its
+    block_moves with defect 0, in move order.  A move with a negative
+    defect (its block short of the crossing bound) is dropped, and a
+    positive one raises AssertionError, as no positively folded gallery
+    exceeds the bound.  Memoised on W per (i, mask), in
     ``rs.weyl.ls_moves``."""
     key = (i, mask)
     hit = rs.weyl.ls_moves.get(key)
     if hit is None:
-        block = fundamental_type(rs, i)
-        reference = expected_germ(rs, block[0])
-        states = [((0,) * rs.dim, None, mask)]  # (offset, germ taken, chain mask)
-        for etype in block:
-            nxt = []
-            for v, prev, m in states:
-                for d, reachable, defect in outgoing_edges(rs, v, etype, reference, prev, m):
-                    if defect > 0:
-                        raise AssertionError("positive crossings exceed the degree bound")
-                    if not defect:
-                        nxt.append((vadd(v, d), d, reachable))
-            states = nxt
-        tally: dict = {}
-        for v, _, m in states:
-            tally[v, m] = tally.get((v, m), 0) + 1
-        hit = rs.weyl.ls_moves[key] = tuple(step + (n,) for step, n in tally.items())
+        hit = []
+        for dirs, after, defect in block_moves(rs, i, mask):
+            if defect > 0:
+                raise AssertionError("positive crossings exceed the degree bound")
+            if not defect:
+                hit.append((tuple(map(sum, zip(*dirs))), after))
+        hit = rs.weyl.ls_moves[key] = tuple(hit)
     return hit
 
 
-def offset_index(rs: RootSystem, blocks: tuple, mask: int | None, folded: bool) -> dict:
+def offset_index(rs: RootSystem, blocks: tuple, mask: int | None) -> dict:
     """offset -> the block_moves of blocks[0] out of a boundary with chain
     mask ``mask`` after which blocks[1:] can still end the walk that far
-    from the boundary, in move order.  Memoised on W per (blocks, folded),
-    then per mask; built from the last block back by a worklist."""
+    from the boundary, in move order.  Memoised on W per blocks, then per
+    mask; built from the last block back by a worklist."""
     offsets = rs.weyl.offsets
     todo = [(blocks, mask)]
     while todo:
         suffix, m = todo[-1]
-        table = offsets.setdefault((suffix, folded), {})
+        table = offsets.setdefault(suffix, {})
         if m not in table:
-            moves = block_moves(rs, suffix[0], m, folded)
+            moves = block_moves(rs, suffix[0], m)
             rest, after = suffix[1:], {move[1] for move in moves}
             # past the last block only offset 0 is left, with no move
-            ends = offsets.setdefault((rest, folded), {}) if rest else dict.fromkeys(after, {(0,) * rs.dim: ()})
+            ends = offsets.setdefault(rest, {}) if rest else dict.fromkeys(after, {(0,) * rs.dim: ()})
             missing = [(rest, a) for a in after if a not in ends]
             if missing:
                 todo += missing
@@ -256,7 +242,7 @@ def offset_index(rs: RootSystem, blocks: tuple, mask: int | None, folded: bool) 
             shared: dict = {}  # equal move lists share one tuple
             table[m] = {offset: shared.setdefault(tuple(ms), tuple(ms)) for offset, ms in index.items()}
         todo.pop()
-    return offsets[(blocks, folded)][mask]
+    return offsets[blocks][mask]
 
 
 def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = None, folded: bool = False):
@@ -288,16 +274,17 @@ def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = N
         if target is None or target == origin:
             yield Gallery((origin,), gtype)
         return
+    start = 1 << rs.w0 if folded else None  # every class lies below w0
     if target is None:
-        tables, first = None, block_moves(rs, suffixes[0][0], None, folded)
+        tables, first = None, block_moves(rs, suffixes[0][0], start)
     else:
-        tables = [rs.weyl.offsets.setdefault((suffix, folded), {}) for suffix in suffixes]
-        first = offset_index(rs, suffixes[0], None, folded).get(target, ())
+        tables = [rs.weyl.offsets.setdefault(suffix, {}) for suffix in suffixes]
+        first = offset_index(rs, suffixes[0], start).get(target, ())
     stack = [(iter(first), (origin,), ())]  # per level: its moves, the vertices and germs before it
     while stack:
         moves, path, taken = stack[-1]
         k, v = len(stack), path[-1]  # k: the block after this level's
-        for dirs, mask in moves:
+        for dirs, mask, _ in moves:
             w = vadd(v, dirs[0])
             reached = (w, vadd(w, dirs[1])) if len(dirs) > 1 else (w,)
             if k == len(suffixes):
@@ -306,9 +293,9 @@ def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = N
                 yield g
                 continue
             if tables is None:
-                nxt = block_moves(rs, suffixes[k][0], mask, folded)
+                nxt = block_moves(rs, suffixes[k][0], mask)
             else:
-                index = tables[k].get(mask) or offset_index(rs, suffixes[k], mask, folded)
+                index = tables[k].get(mask) or offset_index(rs, suffixes[k], mask)
                 nxt = index[vsub(target, reached[-1])]
             stack.append((iter(nxt), path + reached, taken + dirs))
             break

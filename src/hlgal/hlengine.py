@@ -18,14 +18,13 @@ prefixes reach it, with no gallery built and no junction factor
 computed.  A boundary is a weight, whose local group is W, and a
 midpoint's local group depends on its germ alone, so up to translation
 a block's moves out of a boundary depend only on the block and the
-chain mask: gallery.ls_block_moves walks them once from the origin, on
-gallery.outgoing_edges, the one edge rule every walk reads, and merges
-them into (offset, chain mask after, multiplicity) triples, memoised on
-W.  Its edges are cut where chain_step returns 0, as in the folded
-gallery walk, and also where the crossing-bound defect of the block is
-negative: a gallery's defects sum to scale times 2P - height(lambda) -
-height(mu), so one with every defect 0 reaches the degree bound
-<lambda+mu, rho> and is LS.
+chain mask: gallery.ls_block_moves keeps, as (offset, chain mask after)
+pairs memoised on W, the gallery.block_moves of the folded gallery walk
+whose crossing-bound defect is 0.  Those moves are cut where chain_step
+returns 0, and also where their block falls short of the bound (a
+negative defect): a gallery's defects sum to scale times 2P -
+height(lambda) - height(mu), so one with every defect 0 reaches the
+degree bound <lambda+mu, rho> and is LS.
 That this keeps exactly the LS galleries (is_positively_folded also asks
 for non-zero junction factors, and no block may exceed the bound) is
 checked for every gallery type made of fundamental blocks at rank <= 4,
@@ -79,29 +78,29 @@ def ls_character_of_type(rs: RootSystem, gtype: GalleryType) -> dict:
     LS-galleries, keyed by canonical weight vectors in ambient coordinates
     (type A drops the invariant line).
 
-    Each block reads its merged moves from gallery.ls_block_moves, which
-    cuts an edge whose block falls short of the crossing bound (defect <
-    0) and raises AssertionError on one past it, as no positively folded
-    gallery exceeds the bound; ValueError unless the type splits into
-    fundamental blocks."""
+    Each block reads its moves from gallery.ls_block_moves, which drops a
+    move whose block falls short of the crossing bound (defect < 0) and
+    raises AssertionError on one past it, as no positively folded gallery
+    exceeds the bound; ValueError unless the type splits into fundamental
+    blocks."""
     suffixes = walk_plan(rs, tuple(gtype))[1]
     origin = (0,) * rs.dim
     ends = {origin: 1}  # end vertex -> LS galleries; the empty type ends at the origin
     if suffixes:
         blocks = suffixes[0]
-        layer = {(origin, None): 1}  # (boundary, chain mask) -> prefixes reaching it
+        layer = {(origin, 1 << rs.w0): 1}  # (boundary, chain mask) -> prefixes reaching it
         for i in blocks[:-1]:
             nxt: dict = {}
             for (v, mask), n in layer.items():
-                for d, after, m in ls_block_moves(rs, i, mask):
+                for d, after in ls_block_moves(rs, i, mask):
                     state = (vadd(v, d), after)
-                    nxt[state] = nxt.get(state, 0) + n * m
+                    nxt[state] = nxt.get(state, 0) + n
             layer = nxt
         ends = {}
         for (v, mask), n in layer.items():  # the last block drops the mask
-            for d, _, m in ls_block_moves(rs, blocks[-1], mask):
+            for d, _ in ls_block_moves(rs, blocks[-1], mask):
                 w = vadd(v, d)
-                ends[w] = ends.get(w, 0) + n * m
+                ends[w] = ends.get(w, 0) + n
     marks = rs.end_marks
     counts: dict = {}  # canonical weight -> LS galleries; type A merges vertices here
     for v, n in ends.items():

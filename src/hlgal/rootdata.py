@@ -275,9 +275,12 @@ class ReflectionGroup:
     ``edges`` memoises gallery.outgoing_edges, the one edge rule every
     walk reads, keyed by (germ whose orbit the edge takes, chain mask):
     each kept germ with its chain mask and its block's crossing-bound
-    defect, which the local group and that key fix.  ``moves``,
-    ``offsets`` and ``ls_moves``, filled on W alone, memoise
-    gallery.block_moves, gallery.offset_index and gallery.ls_block_moves.
+    defect, which the local group and that key fix.  Filled on W alone,
+    ``moves`` memoises gallery.block_moves per (block, chain mask), each
+    move (germs, mask after, defect); ``ls_moves`` gallery.ls_block_moves
+    per (block, chain mask), each LS move an (offset, mask after) pair;
+    and ``offsets`` gallery.offset_index per remaining blocks, then per
+    chain mask.  A chain mask of None is an unfolded walk's.
     """
 
     def __init__(self, rs: RootSystem, key: tuple):

@@ -11,7 +11,7 @@ column order and the round trip.  So the prefixes that agree on those
 folds merge, each end state counts the galleries reaching it and sums
 their terms, and every record still covers every gallery, by
 multiplicity.  The folds read the per-edge rules themselves (chain_step
-from no constraint, the junction factors, the wall crossings, and the
+from w0, the junction factors, the wall crossings, and the
 tableaux module's encode, per-block decode and adjacent-column rules),
 never the folded walk's cut, so the records stay independent of the
 chain-only rule that the walks of L and char rely on.  The first edge's
@@ -88,10 +88,11 @@ def _merged_summaries(rs: RootSystem, gtype) -> dict:
     ordered, decoded).
 
     folded says the prefix is positively folded: its chain (chain_step from
-    None) is alive and every junction factor so far is non-zero.  Only then
-    does it carry a chain mask, delta (its positive crossings minus its
-    term's degree) and lead (its term's leading coefficient); Z[q] has no
-    zero divisors, so both fold factor by factor, as the summed term does.
+    1 << rs.w0) is alive and every junction factor so far is non-zero.
+    Only then does it carry a chain mask, delta (its positive crossings
+    minus its term's degree) and lead (its term's leading coefficient);
+    Z[q] has no zero divisors, so both fold factor by factor, as the
+    summed term does.
     total counts the crossings, ordered says columns_ordered holds on every
     adjacent pair, the last column being the incoming germ's, and decoded
     says each closed block decodes back to the walked one.  decode_block
@@ -105,7 +106,7 @@ def _merged_summaries(rs: RootSystem, gtype) -> dict:
         None if t.segment == "first" else gtype[k - 1 : k + 1] if t.segment == "second" else (t,)
         for k, t in enumerate(gtype)
     ]
-    layer = {((0,) * rs.dim, None, None, True, 0, 1, 0, True, True): [1, QPoly.one()]}
+    layer = {((0,) * rs.dim, None, 1 << rs.w0, True, 0, 1, 0, True, True): [1, QPoly.one()]}
     for etype, reference, block in zip(gtype, germs, closes):
         nxt: dict = {}
         for (v, prev, mask, folded, delta, lead, total, ordered, decoded), (n, term) in layer.items():
@@ -239,8 +240,10 @@ def run_suite(rs: RootSystem, max_coeff_sum: int, max_height: int, suite: str = 
         if (rs.family, rs.rank) != ("A", 2):
             raise ValueError("the a2-example suite runs on --type A2")
         records = a2_example_records(rs)
-    else:
+    elif suite == "default":
         records = check_system(rs, max_coeff_sum, max_height)
+    else:
+        raise ValueError("unknown suite %r: expected 'default' or 'a2-example'" % (suite,))
     failures = [r for r in records if r["status"] == "fail"]
     return {
         "system": "%s%d" % (rs.family, rs.rank),

@@ -5,7 +5,7 @@ from operator import le
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hlgal.apartment import EdgeType, local_data, local_key
+from hlgal.apartment import EdgeType, expected_germ, local_data, local_key
 from hlgal.folding import has_maximal_crossings, is_positively_folded
 from hlgal.hlengine import L_polynomial
 from hlgal.gallery import (
@@ -279,7 +279,8 @@ def check_chain_cut(rs, max_depth=None):
     wall of every direction passes through it: its local group is W, with
     the origin's local key.  A midpoint's local key depends on its germ
     alone.  So all this check reads at a boundary depends only on (prev,
-    mask), and each such state is walked from the origin.
+    mask), and each such state is walked from the origin, the first being
+    (None, 1 << rs.w0), where every folded walk starts.
 
     A worklist takes each state through every block 1..rank, stepping the
     (vertex, prev, mask) states edge by edge and cutting an edge only where
@@ -326,7 +327,7 @@ def check_chain_cut(rs, max_depth=None):
             nxt.update(hit)
         return nxt
 
-    depths = [{(None, None)}]  # the states first reached after 0, 1, ... blocks
+    depths = [{(None, 1 << rs.w0)}]  # the states first reached after 0, 1, ... blocks
     seen = set(depths[0])
     while depths[-1] and (max_depth is None or len(depths) <= max_depth):
         found = set()
@@ -344,7 +345,7 @@ def check_chain_cut(rs, max_depth=None):
     return kept, zeros, cut, depths
 
 
-# boundary states of check_chain_cut's closure, the start (None, None) included
+# boundary states of check_chain_cut's closure, the start (None, 1 << w0) included
 CLOSURE_STATES = {("A", 1): 3, ("A", 2): 13, ("B", 2): 17, ("C", 2): 17, ("A", 3): 73,
                   ("B", 3): 145, ("C", 3): 145, ("A", 4): 481, ("B", 4): 1537, ("C", 4): 1537}
 # blocks per sequence where tier-1 stops short of the closure (CI runs it whole)
@@ -379,7 +380,7 @@ def test_closure_matches_the_bounded_walk(family, rank):
     rs = root_system(family, rank)
     k = CHAIN_CUT_BOUNDS[(family, rank)]
     blocks = fundamental_blocks(rs)
-    layer = reached = {((0,) * rs.dim, None, None)}
+    layer = reached = {((0,) * rs.dim, None, 1 << rs.w0)}
     for _ in range(k):
         nxt = set()
         for gtype, germs in blocks:
@@ -394,10 +395,24 @@ def test_closure_matches_the_bounded_walk(family, rank):
     assert {(prev, mask) for _, prev, mask in reached} == set().union(*depths)
 
 
+@pytest.mark.parametrize("family,rank", [(family, rank) for family in "ABC" for rank in range(1, 5)])
+def test_chain_starts_at_w0(family, rank):
+    # every folded walk starts its chain at 1 << w0: every chamber class
+    # lies Bruhat-below w0, so the first step keeps every class containing
+    # the germ, as a chain with no constraint would
+    rs = root_system(family, rank)
+    germs = 0
+    for i in range(1, rank + 1):
+        for d in rs.weyl.orbit(expected_germ(rs, fundamental_type(rs, i)[0])):
+            assert chain_step(rs, 1 << rs.w0, d) == rs.chamber_class_mask(d), (i, d)
+            germs += 1
+    assert germs >= 2 * rank
+
+
 def table_defects(rs, g):
     """The edge table's defect of each edge of a positively folded gallery,
     read at the state its own prefix reaches."""
-    out, prev, mask = [], None, None
+    out, prev, mask = [], None, 1 << rs.w0
     for v, etype, reference, d in zip(g.vertices, g.gtype, reference_germs(rs, g.gtype), g.directions()):
         _, mask, defect = next(e for e in outgoing_edges(rs, v, etype, reference, prev, mask) if e[0] == d)
         out.append(defect)

@@ -42,7 +42,7 @@ def edge_character(rs, gtype) -> dict:
     negative defect is cut and a positive one raises AssertionError."""
     gtype = tuple(gtype)
     germs = walk_plan(rs, gtype)[0]
-    layer = {((0,) * rs.dim, None, None): 1}  # state -> prefixes reaching it
+    layer = {((0,) * rs.dim, None, 1 << rs.w0): 1}  # state -> prefixes reaching it
     for etype, reference in zip(gtype, germs):
         nxt: dict = {}
         for (v, prev, mask), n in layer.items():

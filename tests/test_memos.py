@@ -184,14 +184,14 @@ def reference_edges(rs, v, etype, reference, prev, mask, folded):
     halves of positive folding: the germs of the edge's local orbit with a
     non-zero junction factor and a live chain.  The walk cuts by the chain
     alone, so comparing the two cross-checks that rule on every reached
-    state.  Unfolded, every germ of the orbit, with its chamber-class mask
+    state.  Unfolded (mask None), every germ of the orbit, with mask None
     and no junction cut.  Each germ comes with its block's defect."""
     out = []
     source = prev if etype.segment == "second" else reference
     for d in local_data(rs, v).orbit(source):
         defect = reference_defect(rs, v, etype, reference, prev, d)
         if not folded:
-            out.append((d, rs.chamber_class_mask(d), defect))
+            out.append((d, None, defect))
             continue
         if prev is not None and junction_factor(rs, v, vneg(prev), d).is_zero():
             continue
@@ -205,19 +205,19 @@ def reached_states(rs):
     """(v, etype, reference, prev, mask) -> its reference edges, for every
     state the folded and the unfolded walks meet on the standard types of
     the dominant weights of bounded coefficient sum, found layer by layer
-    from the reference.  The unfolded walk's mask is None after every
-    edge; both walks share the first edge's state."""
+    from the reference.  The unfolded walk's mask is None at every edge;
+    the folded walk starts at 1 << rs.w0."""
     out = {}
     for lam in dominant_lambdas(rs, *BOUNDS[(rs.family, rs.rank)]):
         gtype = type_of_lambda(rs, lam)
         for folded in (True, False):
-            layer = {((0,) * rs.dim, None, None)}
+            layer = {((0,) * rs.dim, None, 1 << rs.w0 if folded else None)}
             for etype, reference in zip(gtype, reference_germs(rs, gtype)):
                 nxt = set()
                 for v, prev, mask in layer:
                     edges = reference_edges(rs, v, etype, reference, prev, mask, folded)
                     assert out.setdefault((v, etype, reference, prev, mask), edges) == edges
-                    nxt.update((vadd(v, d), d, reachable if folded else None) for d, reachable, _ in edges)
+                    nxt.update((vadd(v, d), d, reachable) for d, reachable, _ in edges)
                 layer = nxt
     return out
 
@@ -258,10 +258,10 @@ def test_character_walk_computes_no_junction_factor(family, rank):
 
 @pytest.mark.parametrize("family,rank", ACCEPTANCE_TYPES + RANK_4_TYPES, ids=lambda x: str(x))
 def test_edge_tables_serve_lambdas_in_any_order(family, rank):
-    # the edge tables and the merged LS block tables one lambda fills serve
-    # the next: the characters agree when two fresh root systems take the
+    # the edge tables and the LS block tables one lambda fills serve the
+    # next: the characters agree when two fresh root systems take the
     # lambdas in opposite orders, both fill equal block tables, and every
-    # block table entry is the written-out tally
+    # block table entry is the written-out list of LS moves
     lams = dominant_lambdas(root_system(family, rank), *BOUNDS[(family, rank)])
     forward, backward = RootSystem(RootSystemSpec(family, rank)), RootSystem(RootSystemSpec(family, rank))
     chars = [character_LS(forward, lam) for lam in lams]
@@ -331,45 +331,38 @@ def reference_plan(rs, gtype):
     return germs, tuple(tuple(gtype[j].index for j in firsts[k:]) for k in range(len(firsts)))
 
 
-def reference_moves(rs, i, mask, folded):
+def reference_moves(rs, i, mask):
     """The moves of omega_i's block out of a block boundary with chain mask
-    ``mask``, written out from the origin over two levels of outgoing_edges
-    for a two-half block, the second half read at the first's mask (None
-    unfolded): each (germs, chain mask after, None unfolded)."""
+    ``mask`` (None unfolded), written out from the origin over two levels
+    of outgoing_edges for a two-half block, the second half read at the
+    first's mask: each (germs, chain mask after, reference_defect of the
+    edge that closes the block)."""
     origin = (0,) * rs.dim
     block = fundamental_type(rs, i)
     reference = expected_germ(rs, block[0])
     out = []
     for d1, r1, _ in outgoing_edges(rs, origin, block[0], reference, None, mask):
-        r1 = r1 if folded else None
         if len(block) == 1:
-            out.append(((d1,), r1))
+            out.append(((d1,), r1, reference_defect(rs, origin, block[0], reference, None, d1)))
         else:
             for d2, r2, _ in outgoing_edges(rs, d1, block[1], reference, d1, r1):
-                out.append(((d1, d2), r2 if folded else None))
+                out.append(((d1, d2), r2, reference_defect(rs, d1, block[1], reference, d1, d2)))
     return out
 
 
 def reference_ls_moves(rs, i, mask):
-    """The merged LS moves of omega_i's block, written out: the folded
-    reference_moves whose closing edge has reference_defect 0 (none may
-    have a positive one), tallied per (offset, chain mask after) in move
-    order, each as (offset, mask after, multiplicity)."""
-    origin = (0,) * rs.dim
-    block = fundamental_type(rs, i)
-    reference = expected_germ(rs, block[0])
-    tally = {}
-    for dirs, after in reference_moves(rs, i, mask, True):
-        v, prev = (origin, None) if len(dirs) == 1 else (dirs[0], dirs[0])
-        defect = reference_defect(rs, v, block[-1], reference, prev, dirs[-1])
+    """The LS moves of omega_i's block, written out: the reference_moves
+    whose closing edge has defect 0 (none may have a positive one), in
+    move order, each as (offset, mask after)."""
+    out = []
+    for dirs, after, defect in reference_moves(rs, i, mask):
         assert defect <= 0, (i, mask, dirs)
         if defect == 0:
-            step = (tuple(map(sum, zip(*dirs))), after)
-            tally[step] = tally.get(step, 0) + 1
-    return [step + (n,) for step, n in tally.items()]
+            out.append((tuple(map(sum, zip(*dirs))), after))
+    return out
 
 
-def reference_index(rs, blocks, mask, folded):
+def reference_index(rs, blocks, mask):
     """The offset index, written out: each move of blocks[0] listed under
     its step plus every offset that the rest of the blocks reach from its
     chain mask, in move order; with no blocks, offset 0 and no move."""
@@ -378,9 +371,9 @@ def reference_index(rs, blocks, mask, folded):
         if not blocks:
             return {(0,) * rs.dim: []}
         out = {}
-        for dirs, after in reference_moves(rs, blocks[0], mask, folded):
-            for end in index(blocks[1:], after):
-                out.setdefault(tuple(map(sum, zip(end, *dirs))), []).append((dirs, after))
+        for move in reference_moves(rs, blocks[0], mask):
+            for end in index(blocks[1:], move[1]):
+                out.setdefault(tuple(map(sum, zip(end, *move[0]))), []).append(move)
         return out
 
     return index(blocks, mask)
@@ -414,13 +407,13 @@ def test_hull_memo_serves_targets_in_any_order(family, rank):
     assert forward.lambda_types == backward.lambda_types
     assert forward.walk_plans == backward.walk_plans
     for rs in (forward, backward):
-        for (blocks, folded), table in rs.weyl.offsets.items():
+        for blocks, table in rs.weyl.offsets.items():
             for mask, index in table.items():
-                assert offset_index(rs, blocks, mask, folded) is index
-                want = reference_index(rs, blocks, mask, folded)
+                assert offset_index(rs, blocks, mask) is index
+                want = reference_index(rs, blocks, mask)
                 assert {o: list(moves) for o, moves in index.items()} == want
-        for (i, mask, folded), moves in rs.weyl.moves.items():
-            assert list(moves) == reference_moves(rs, i, mask, folded)
+        for (i, mask), moves in rs.weyl.moves.items():
+            assert list(moves) == reference_moves(rs, i, mask)
         assert rs.lambda_types.keys() == {lam for lam, _, _ in runs}
         for lam, gtype in rs.lambda_types.items():
             assert gtype == reference_type(rs, lam), lam

@@ -282,3 +282,12 @@ def test_roundtrip_record_reads_the_decode_rule(monkeypatch):
     failed = [r for r in report["failures"] if r["check"].startswith("tableau-roundtrip[")]
     assert failed, report["failures"]
     assert all(r["detail"]["violations"] > 0 for r in failed)
+
+
+@pytest.mark.parametrize("suite", ["", "Default", "a2", "examples"])
+def test_unknown_suite_is_refused(a2, suite):
+    # only the two named suites run; any other name is a ValueError, not
+    # the default suite reported under that name
+    with pytest.raises(ValueError, match="unknown suite"):
+        run_suite(a2, max_coeff_sum=1, max_height=12, suite=suite)
+    assert run_suite(a2, max_coeff_sum=1, max_height=12, suite="default")["suite"] == "default"
