@@ -13,7 +13,7 @@ defining chain can be in; a folded walk starts it at 1 << w0, as every
 class lies Bruhat-below w0, and an edge is cut by chain_step alone,
 where the chain dies.  Mask None means unfolded: it keeps every germ.
 Each edge also carries its block's crossing-bound defect, which only
-the LS moves (ls_block_moves) read.  That the chain cut never keeps an
+the LS character walk and block_moves' guard read.  That the chain cut never keeps an
 edge with a zero junction factor (the other half of positive folding)
 or a positive defect is checked for every gallery type made of
 fundamental blocks at rank <= 4, by exhaustion of a finite state set
@@ -24,10 +24,11 @@ type (type_of_lambda) are kept on the root system, so a row of L pays
 for neither once per mu.  The gallery walk and the LS character walk of
 the hlengine module step a whole block at a time.  A block boundary is a
 weight, whose local group is W, so up to translation its moves depend on
-its chain mask alone: block_moves, offset_index (the target walk's exact
-index of the moves that can still reach an offset) and ls_block_moves
-(the character walk's moves, the block_moves of defect 0 as (offset,
-mask after) pairs) are memoised on W per mask and serve every boundary.
+its chain mask alone: block_moves, the one block table, and offset_index
+(the target walk's exact index of the moves that can still reach an
+offset) are memoised on W per mask and serve every boundary.  Each move
+carries its germs, its chain mask after, its defect and its offset; the
+character walk keeps the moves of defect 0.
 """
 
 from __future__ import annotations
@@ -177,9 +178,11 @@ def block_moves(rs: RootSystem, i: int, mask: int | None) -> tuple:
     """The moves of omega_i's block out of a block boundary with chain mask
     ``mask`` (None unfolded), in (d1, d2) order: (germs (d1,) or (d1, d2)
     as outgoing_edges offers them, the chain mask after them, the defect
-    of the edge that closes the block).  A midpoint's local group depends
-    on its germ alone, so the moves are walked from the origin.  Memoised
-    on W per (i, mask)."""
+    of the edge that closes the block, the offset d1 [+ d2]).  A midpoint's
+    local group depends on its germ alone, so the moves are walked from the
+    origin.  A folded table (an int mask) with a move of positive defect
+    raises AssertionError, as no positively folded gallery exceeds the
+    crossing bound.  Memoised on W per (i, mask)."""
     key = (i, mask)
     hit = rs.weyl.moves.get(key)
     if hit is None:
@@ -188,31 +191,12 @@ def block_moves(rs: RootSystem, i: int, mask: int | None) -> tuple:
         hit = []
         for d1, r1, defect in outgoing_edges(rs, (0,) * rs.dim, first, reference, None, mask):
             if not second:
-                hit.append(((d1,), r1, defect))
+                hit.append(((d1,), r1, defect, d1))
             for d2, r2, defect in outgoing_edges(rs, d1, second[0], reference, d1, r1) if second else ():
-                hit.append(((d1, d2), r2, defect))
+                hit.append(((d1, d2), r2, defect, vadd(d1, d2)))
+        if mask is not None and any(move[2] > 0 for move in hit):
+            raise AssertionError("positive crossings exceed the degree bound")
         hit = rs.weyl.moves[key] = tuple(hit)
-    return hit
-
-
-def ls_block_moves(rs: RootSystem, i: int, mask: int) -> tuple:
-    """The LS moves of omega_i's block out of a block boundary with chain
-    mask ``mask``: (offset d1 [+ d2], chain mask after) for each of its
-    block_moves with defect 0, in move order.  A move with a negative
-    defect (its block short of the crossing bound) is dropped, and a
-    positive one raises AssertionError, as no positively folded gallery
-    exceeds the bound.  Memoised on W per (i, mask), in
-    ``rs.weyl.ls_moves``."""
-    key = (i, mask)
-    hit = rs.weyl.ls_moves.get(key)
-    if hit is None:
-        hit = []
-        for dirs, after, defect in block_moves(rs, i, mask):
-            if defect > 0:
-                raise AssertionError("positive crossings exceed the degree bound")
-            if not defect:
-                hit.append((tuple(map(sum, zip(*dirs))), after))
-        hit = rs.weyl.ls_moves[key] = tuple(hit)
     return hit
 
 
@@ -237,8 +221,8 @@ def offset_index(rs: RootSystem, blocks: tuple, mask: int | None) -> dict:
                 continue
             index: dict = {}
             for move in moves:
-                for offset in ends[move[1]]:  # plus the block's germs
-                    index.setdefault(tuple(map(sum, zip(offset, *move[0]))), []).append(move)
+                for offset in ends[move[1]]:
+                    index.setdefault(vadd(offset, move[3]), []).append(move)
             shared: dict = {}  # equal move lists share one tuple
             table[m] = {offset: shared.setdefault(tuple(ms), tuple(ms)) for offset, ms in index.items()}
         todo.pop()
@@ -284,7 +268,7 @@ def enumerate_of_type(rs: RootSystem, gtype: GalleryType, target: Vec | None = N
     while stack:
         moves, path, taken = stack[-1]
         k, v = len(stack), path[-1]  # k: the block after this level's
-        for dirs, mask, _ in moves:
+        for dirs, mask, _, _ in moves:
             w = vadd(v, dirs[0])
             reached = (w, vadd(w, dirs[1])) if len(dirs) > 1 else (w,)
             if k == len(suffixes):

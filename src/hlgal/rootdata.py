@@ -20,8 +20,8 @@ Fractions, appear only at the output boundary: ``ambient`` and
 ``canonical_weight``, which import ``fractions`` when first called.  A
 canonical weight is a ``HashedWeight``, a tuple of Fractions that computes
 its hash once, so the character dicts keyed by them hash each key in
-constant time; ``end_marks`` memoises the one a final vertex of the LS
-character walk counts under.
+constant time; ``canonical_weights`` memoises each vertex's, for the LS
+character walk, the Freudenthal oracle and verify alike.
 Weyl group elements are signed permutations of the epsilon basis, stored
 as tuples ``((image, sign), ...)`` meaning ``w(e_j) = sign * e_image``;
 a RootSystem indexes them and multiplies and acts by index.  It builds W
@@ -277,10 +277,11 @@ class ReflectionGroup:
     each kept germ with its chain mask and its block's crossing-bound
     defect, which the local group and that key fix.  Filled on W alone,
     ``moves`` memoises gallery.block_moves per (block, chain mask), each
-    move (germs, mask after, defect); ``ls_moves`` gallery.ls_block_moves
-    per (block, chain mask), each LS move an (offset, mask after) pair;
-    and ``offsets`` gallery.offset_index per remaining blocks, then per
-    chain mask.  A chain mask of None is an unfolded walk's.
+    move (germs, mask after, defect, offset), the one block table that the
+    gallery walks and the LS character walk read; and ``offsets``
+    gallery.offset_index per remaining blocks, then per chain mask.  A
+    chain mask of None is an unfolded walk's.  ``orbit(v)`` is v's orbit,
+    sorted, memoised once per v.
     """
 
     def __init__(self, rs: RootSystem, key: tuple):
@@ -291,14 +292,12 @@ class ReflectionGroup:
         self.simples = tuple(sorted(set(self.pos_functionals) - sums, reverse=True))
         self.simple_reflections = tuple(rs.reflections[rs.pos_coroots.index(c)] for c in self.simples)
         self._orbits: dict = {}
-        self._orbit_sets: dict = {}
         self.factors: dict = {}
         self.closest: dict = {}
         self.crossings: dict = {}
         self.edges: dict = {}
         self.moves: dict = {}
         self.offsets: dict = {}
-        self.ls_moves: dict = {}
 
     def orbit(self, v: Vec) -> tuple:
         hit = self._orbits.get(v)
@@ -306,13 +305,6 @@ class ReflectionGroup:
             hit = tuple(sorted(_closure(v, self.simple_reflections, self.rs.act)))
             self._orbits[v] = hit
         return hit
-
-    def in_orbit(self, u: Vec, v: Vec) -> bool:
-        """u lies in the orbit of v, read off a set made once per orbit."""
-        hit = self._orbit_sets.get(v)
-        if hit is None:
-            hit = self._orbit_sets[v] = frozenset(self.orbit(v))
-        return u in hit
 
     def closest_chamber(self, d: Vec) -> tuple:
         """(u, word): the shortest u whose closed chamber holds d, and u's
@@ -393,8 +385,7 @@ class RootSystem:
 
         # memo tables
         self._chamber_masks: dict = {}  # germ -> chamber_class_mask
-        self._key_weights: dict = {}  # canonical key -> key_weight
-        self.end_marks: dict = {}  # end vertex -> its canonical weight (character walk)
+        self.canonical_weights: dict = {}  # vertex -> canonical_weight
         self.local_groups: dict = {}  # local key -> its ReflectionGroup
         self.vertex_locals: dict = {}  # vertex -> its entry in local_groups
         self.fundamental_blocks: dict = {}  # i -> gallery.fundamental_type's EdgeType tuple
@@ -563,18 +554,15 @@ class RootSystem:
         return tuple(Fraction(a, self.scale) for a in v)
 
     def canonical_weight(self, v: Vec) -> tuple:
-        """The canonical representative modulo the invariant line (type A
-        only), in ambient coordinates."""
-        return self.key_weight(self.canonical_key(v))
-
-    def key_weight(self, key: Vec) -> tuple:
-        """A canonical key in ambient coordinates, memoised per key: a
-        HashedWeight, whose hash is computed once."""
-        hit = self._key_weights.get(key)
+        """The canonical representative of v modulo the invariant line (type
+        A only), in ambient coordinates, memoised per vertex in
+        ``canonical_weights``: a HashedWeight, whose hash is computed once."""
+        hit = self.canonical_weights.get(v)
         if hit is None:
             from fractions import Fraction
 
-            hit = self._key_weights[key] = HashedWeight(Fraction(a, self.key_scale) for a in key)
+            key = self.canonical_key(v)
+            hit = self.canonical_weights[v] = HashedWeight(Fraction(a, self.key_scale) for a in key)
         return hit
 
     def dominant_rep(self, v: Vec) -> Vec:

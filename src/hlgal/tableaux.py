@@ -107,7 +107,8 @@ def decode_block(rs: RootSystem, vertex: Vec, cols, pos: int = 0) -> tuple:
 
     A column's height fixes its block and so its step, hence its germ.  An
     invalid column raises and is never stored; the height, block and
-    midpoint checks run on every call, the last as one set lookup."""
+    midpoint checks run on every call, the last a scan of the midpoint's
+    memoised orbit of d."""
     i = len(cols[pos])
     if not 1 <= i <= rs.rank:
         raise ValueError("column height %d out of range" % i)
@@ -120,7 +121,7 @@ def decode_block(rs: RootSystem, vertex: Vec, cols, pos: int = 0) -> tuple:
     if len(block_type) == 1:
         return block_type, (v,)
     e = germs.get(cols[pos + 1]) or _decode_column(rs, cols[pos + 1])
-    if not local_data(rs, v).in_orbit(e, d):
+    if e not in local_data(rs, v).orbit(d):
         raise ValueError("second column is not reachable at the midpoint")
     return block_type, (v, vadd(v, e))
 

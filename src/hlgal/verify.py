@@ -236,6 +236,10 @@ def a2_example_records(rs: RootSystem) -> list:
 
 
 def run_suite(rs: RootSystem, max_coeff_sum: int, max_height: int, suite: str = "default") -> dict:
+    """The named suite's records and verdict.  ValueError on a negative
+    bound, which would walk no weight and pass with no check."""
+    if max_coeff_sum < 0 or max_height < 0:
+        raise ValueError("max_coeff_sum and max_height must be nonnegative")
     if suite == "a2-example":
         if (rs.family, rs.rank) != ("A", 2):
             raise ValueError("the a2-example suite runs on --type A2")

@@ -54,7 +54,7 @@ def edge_character(rs, gtype) -> dict:
                 state = (vadd(v, d), d, reachable)
                 nxt[state] = nxt.get(state, 0) + n
         layer = nxt
-    marks = rs.end_marks
+    marks = rs.canonical_weights
     counts: dict = {}  # canonical weight -> LS galleries; type A merges vertices here
     for (v, _, _), n in layer.items():
         weight = marks.get(v)
@@ -137,6 +137,30 @@ def test_character_walk_refuses_crossings_beyond_the_bound(monkeypatch):
     rs = RootSystem(RootSystemSpec("B", 2))  # fresh: no edge table holds the true counts
     with pytest.raises(AssertionError, match="exceed the degree bound"):
         character_LS(rs, rs.weight((1, 1)))
+
+
+def test_end_vertices_of_one_type_share_no_canonical_weight(monkeypatch):
+    # in type A every block move keeps the coordinate sum of its block's
+    # reference germ, so all end vertices of one type have one coordinate
+    # sum and no two differ along (1, ..., 1): the character walk keys each
+    # end vertex by its own canonical weight, with nothing to merge
+    for rank in range(1, 5):
+        rs = RootSystem(RootSystemSpec("A", rank))
+        for lam in dominant_lambdas(rs, 2, 10**6):
+            character_LS(rs, lam)
+            tuple(enumerate_of_type(rs, type_of_lambda(rs, lam)))
+        assert {mask is None for _, mask in rs.weyl.moves} == {False, True}
+        for (i, _), moves in rs.weyl.moves.items():
+            want = sum(rs.fundamental_germs[i - 1])  # omega_i's block is one edge
+            assert all(sum(offset) == want for _, _, _, offset in moves), (rank, i)
+    # were two end vertices sent to one weight, the walk would refuse it
+    rs = RootSystem(RootSystemSpec("A", 2))
+    lam = rs.weight((1, 0))
+    first, second = sorted({g.target for g in enumerate_of_type(rs, type_of_lambda(rs, lam))})[:2]
+    real = rs.canonical_weight
+    monkeypatch.setattr(rs, "canonical_weight", lambda v: real(first if v == second else v))
+    with pytest.raises(AssertionError, match="share a canonical weight"):
+        character_LS(rs, lam)
 
 
 def test_has_maximal_crossings_refuses_crossings_beyond_the_bound(b2, monkeypatch):

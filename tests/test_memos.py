@@ -22,10 +22,10 @@ from hlgal.apartment import (
 from hlgal.folding import enumerate_pf
 from hlgal.gallery import (
     Gallery,
+    block_moves,
     chain_step,
     enumerate_of_type,
     fundamental_type,
-    ls_block_moves,
     offset_index,
     outgoing_edges,
     reference_germs,
@@ -258,19 +258,22 @@ def test_character_walk_computes_no_junction_factor(family, rank):
 
 @pytest.mark.parametrize("family,rank", ACCEPTANCE_TYPES + RANK_4_TYPES, ids=lambda x: str(x))
 def test_edge_tables_serve_lambdas_in_any_order(family, rank):
-    # the edge tables and the LS block tables one lambda fills serve the
+    # the edge tables and the block tables one lambda fills serve the
     # next: the characters agree when two fresh root systems take the
-    # lambdas in opposite orders, both fill equal block tables, and every
-    # block table entry is the written-out list of LS moves
+    # lambdas in opposite orders, both fill equal block tables, and the
+    # moves of defect 0 in every folded block table are the written-out
+    # list of LS moves
     lams = dominant_lambdas(root_system(family, rank), *BOUNDS[(family, rank)])
     forward, backward = RootSystem(RootSystemSpec(family, rank)), RootSystem(RootSystemSpec(family, rank))
     chars = [character_LS(forward, lam) for lam in lams]
     assert chars == [character_LS(backward, lam) for lam in reversed(lams)][::-1]
-    assert forward.weyl.ls_moves and forward.weyl.ls_moves == backward.weyl.ls_moves
+    assert forward.weyl.moves and forward.weyl.moves == backward.weyl.moves
     for rs in (forward, backward):
-        for (i, mask), moves in rs.weyl.ls_moves.items():
-            assert ls_block_moves(rs, i, mask) is moves
-            assert list(moves) == reference_ls_moves(rs, i, mask), (i, mask)
+        for (i, mask), moves in rs.weyl.moves.items():
+            assert mask is not None
+            assert block_moves(rs, i, mask) is moves
+            ls_moves = [(offset, after) for _, after, defect, offset in moves if not defect]
+            assert ls_moves == reference_ls_moves(rs, i, mask), (i, mask)
 
 
 def walk_everything(rs, lams, mus, reverse):
@@ -336,17 +339,18 @@ def reference_moves(rs, i, mask):
     ``mask`` (None unfolded), written out from the origin over two levels
     of outgoing_edges for a two-half block, the second half read at the
     first's mask: each (germs, chain mask after, reference_defect of the
-    edge that closes the block)."""
+    edge that closes the block, the sum of the germs)."""
     origin = (0,) * rs.dim
     block = fundamental_type(rs, i)
     reference = expected_germ(rs, block[0])
     out = []
     for d1, r1, _ in outgoing_edges(rs, origin, block[0], reference, None, mask):
         if len(block) == 1:
-            out.append(((d1,), r1, reference_defect(rs, origin, block[0], reference, None, d1)))
+            out.append(((d1,), r1, reference_defect(rs, origin, block[0], reference, None, d1), d1))
         else:
             for d2, r2, _ in outgoing_edges(rs, d1, block[1], reference, d1, r1):
-                out.append(((d1, d2), r2, reference_defect(rs, d1, block[1], reference, d1, d2)))
+                defect = reference_defect(rs, d1, block[1], reference, d1, d2)
+                out.append(((d1, d2), r2, defect, tuple(map(sum, zip(d1, d2)))))
     return out
 
 
@@ -355,7 +359,7 @@ def reference_ls_moves(rs, i, mask):
     whose closing edge has defect 0 (none may have a positive one), in
     move order, each as (offset, mask after)."""
     out = []
-    for dirs, after, defect in reference_moves(rs, i, mask):
+    for dirs, after, defect, _ in reference_moves(rs, i, mask):
         assert defect <= 0, (i, mask, dirs)
         if defect == 0:
             out.append((tuple(map(sum, zip(*dirs))), after))
@@ -530,17 +534,19 @@ def test_dominant_mus_lift_only_dominant_keys(family, rank):
 
 @pytest.mark.parametrize("family,rank", ACCEPTANCE_TYPES + RANK_4_TYPES, ids=lambda x: str(x))
 def test_key_weight_memo_matches_fractions(family, rank):
-    # the characters' weights are the memo's objects, each one the key over
-    # key_scale in Fractions, hashed as that plain tuple is
+    # named for the per-key memo that the per-vertex one replaced.  The
+    # characters' weights are the per-vertex memo's objects, each one the
+    # vertex's canonical key over key_scale in Fractions, hashed as that
+    # plain tuple is
     rs = RootSystem(RootSystemSpec(family, rank))
     for lam in dominant_lambdas(rs, *BOUNDS[(family, rank)]):
-        for weight in character_LS(rs, lam):
-            key = tuple(int(x * rs.key_scale) for x in weight)
-            assert rs.key_weight(key) is weight
-            assert rs._key_weights[key] is weight
-    assert rs._key_weights
-    for key, weight in rs._key_weights.items():
-        plain = tuple(Fraction(a, rs.key_scale) for a in key)
+        char = character_LS(rs, lam)
+        memo = {id(weight) for weight in rs.canonical_weights.values()}
+        assert all(id(weight) in memo for weight in char), lam
+    assert rs.canonical_weights
+    for v, weight in rs.canonical_weights.items():
+        plain = tuple(Fraction(a, rs.key_scale) for a in rs.canonical_key(v))
+        assert rs.canonical_weight(v) is weight
         assert type(weight) is HashedWeight
         assert weight == plain and hash(weight) == hash(plain)
 
@@ -553,12 +559,12 @@ def test_end_marks_serve_lambdas_in_any_order(family, rank):
     # from its ambient coordinates
     lams = dominant_lambdas(root_system(family, rank), *BOUNDS[(family, rank)])
     forward, backward = RootSystem(RootSystemSpec(family, rank)), RootSystem(RootSystemSpec(family, rank))
-    assert not forward.end_marks and not backward.end_marks
+    assert not forward.canonical_weights and not backward.canonical_weights
     chars = [character_LS(forward, lam) for lam in lams]
     assert chars == [character_LS(backward, lam) for lam in reversed(lams)][::-1]
-    assert forward.end_marks and forward.end_marks.keys() == backward.end_marks.keys()
+    assert forward.canonical_weights and forward.canonical_weights.keys() == backward.canonical_weights.keys()
     for rs in (forward, backward):
-        for v, weight in rs.end_marks.items():
+        for v, weight in rs.canonical_weights.items():
             x = rs.ambient(v)
             shift = sum(x) / rs.dim if family == "A" else 0
             assert weight == tuple(a - shift for a in x), v

@@ -291,3 +291,14 @@ def test_unknown_suite_is_refused(a2, suite):
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite(a2, max_coeff_sum=1, max_height=12, suite=suite)
     assert run_suite(a2, max_coeff_sum=1, max_height=12, suite="default")["suite"] == "default"
+
+
+@pytest.mark.parametrize("bounds", [(-1, 12), (2, -1), (-1, -1)])
+@pytest.mark.parametrize("suite", ["default", "a2-example"])
+def test_negative_bound_is_refused(a2, bounds, suite):
+    # a negative bound walks no weight, so it would report ok with 0
+    # checks; it is a ValueError instead, as the command line refuses it
+    with pytest.raises(ValueError, match="nonnegative"):
+        run_suite(a2, *bounds, suite=suite)
+    report = run_suite(a2, 0, 0)
+    assert report["ok"] and report["checks"] > 0
